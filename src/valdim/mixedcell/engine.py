@@ -12,7 +12,10 @@ never reaches the group-sort engine.
 A mixed cell is a piece of the line together with a group-sort cell over
 (rho, gamma); its dimension is the pair (piece dimension, sum of the
 gamma signature), and the mixed dimension of a set is the lower set
-generated by its cells' dimension pairs.
+generated by its cells' dimension pairs.  :func:`mixed_dimension`
+computes that lower set without building cells, from the largest
+gamma-fiber of each convex DNF disjunct; cells are built only by
+:func:`mixed_cell_decompose` and by the independent fiber-locus route.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from ..errors import SemanticError
 from ..lowerset import LowerSet2, lower_closure
 from .formula import MAnd, MAtom, MBool, MNot, MOr, MixedAtom, MixedFormula
 from .pieces import MonomialValuation, SwissPiece, monomial_decompose, piece_k_dimension
-from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
+from .puiseux import INFINITY, PuiseuxElement
 
 
 @dataclass(frozen=True)
@@ -82,10 +85,6 @@ class MixedCell:
         if p is None:
             return sl.Bool(False, self.n_gamma)
         return p.to_formula() if p.atoms else sl.Bool(True, self.n_gamma)
-
-
-def _tracked_polys(f: MixedFormula) -> list[FactoredPoly]:
-    return f.polys()
 
 
 def _atom_on_piece(
@@ -168,7 +167,7 @@ def piece_formulas(
     window; together the pairs describe the set of ``f`` exactly.
     """
     n = f.n_gamma
-    polys = _tracked_polys(f)
+    polys = f.polys()
     out = []
     for piece, vals in monomial_decompose(polys):
         vmap = {p.key(): v for p, v in zip(polys, vals)}
@@ -190,8 +189,32 @@ def mixed_cell_decompose(f: MixedFormula) -> list[MixedCell]:
 
 
 def mixed_dimension(f: MixedFormula) -> LowerSet2:
-    """The lower set generated by the dimension pairs of the cells."""
-    pairs = {cell.dim_pair() for cell in mixed_cell_decompose(f)}
+    """The lower set generated by the dimension pairs of the cells, without cells.
+
+    Each DNF disjunct P of a piece formula contributes (0, dim P) on a
+    point piece and (1, dim P - dim pi P) on any other piece, pi being the
+    projection to the radius rho.  That is the largest dimension of a
+    gamma-fiber of P.  Proof: with L the direction space of the affine
+    hull of P, every fiber lies in a translate of the kernel of pi on L,
+    of dimension dim L - dim pi(L) = dim P - dim pi P.  Conversely, for
+    rho in the relative interior of pi P some point p of the relative
+    interior of P lies above rho (for convex sets the relative interior
+    of the image is the image of the relative interior); a small ball
+    around p in the affine hull lies in P, and its slice above rho has
+    that full dimension.  Fibers of a union are unions of fibers, and a
+    cell over (rho, gamma) is cylindrical with rho first, so its gamma
+    signature sum is the dimension of its fibers: the pairs generate the
+    same lower set as the cells' pairs, which ``verify.suite_mixed``
+    checks.
+    """
+    pairs = set()
+    for piece, g in piece_formulas(f):
+        for p in sl.normalize_dnf(g):
+            if piece.kind == "points":
+                pairs.add((0, sl.basic_dimension(p)))
+            else:
+                rho = sl.project_basic(p, [0])
+                pairs.add((1, sl.basic_dimension(p) - sl.basic_dimension(rho)))
     return lower_closure(pairs)
 
 

@@ -25,6 +25,7 @@ import re
 from fractions import Fraction
 
 from ..errors import ParseError, SemanticError
+from ..semilinear.parser import Tokens
 from .formula import MAnd, MNot, MOr, MixedFormula, matom
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
@@ -34,53 +35,6 @@ _TOKEN = re.compile(
 )
 
 _GVAR = re.compile(r"^g(\d+)$")
-
-
-class _Tokens:
-    def __init__(self, text: str):
-        self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(
-                    f"unexpected character {stripped[0]!r}",
-                    len(text) - len(stripped),
-                )
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
-        self.i = 0
-
-    def peek(self, ahead: int = 0):
-        j = self.i + ahead
-        return self.items[j] if j < len(self.items) else None
-
-    def next(self):
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return t
-
-    def accept(self, value: str) -> bool:
-        t = self.peek()
-        if t is not None and t[1] == value:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, value: str):
-        t = self.peek()
-        if t is None:
-            raise ParseError(f"expected {value!r}", len(self.text))
-        if t[1] != value:
-            raise ParseError(f"expected {value!r}, found {t[1]!r}", t[2])
-        self.i += 1
 
 
 class _Side:
@@ -110,7 +64,7 @@ class _Side:
 
 class _MixedParser:
     def __init__(self, text: str, n_gamma: int | None):
-        self.toks = _Tokens(text)
+        self.toks = Tokens(text, _TOKEN)
         self.declared = n_gamma
         self.max_gvar = 0
 
@@ -138,15 +92,16 @@ class _MixedParser:
         t = self.toks.peek()
         if t is None:
             raise ParseError("unexpected end of input", len(self.toks.text))
+        if t[1] not in ("!", "("):
+            return self.atom()
+        self.toks.open_group()
         if t[1] == "!":
-            self.toks.next()
-            return _PendingNot(self.unary())
-        if t[1] == "(":
-            self.toks.next()
-            inner = self.disj()
+            node = _PendingNot(self.unary())
+        else:
+            node = self.disj()
             self.toks.expect(")")
-            return inner
-        return self.atom()
+        self.toks.depth -= 1
+        return node
 
     def atom(self):
         lhs = self.msum()

@@ -3,8 +3,12 @@
 Formulas are Boolean combinations of integer-coefficient linear
 constraints with exact rational constants.  The module provides
 disjunctive normal form, Fourier-Motzkin projection and emptiness,
-recursive cell decomposition, the two equivalent dimension
-characterizations, topological closure, and the constraint DSL parser.
+recursive cell decomposition, topological closure, and the constraint
+DSL parser.  The dimension is read off the DNF by implicit equalities
+and exact rank (:func:`dimension`, :func:`basic_dimension`); cells are
+built only by :func:`cell_decompose`.  A second, independent
+characterization by interior-carrying projections is kept as
+:func:`dimension_via_projection`.
 """
 
 from .atoms import (
@@ -18,7 +22,6 @@ from .atoms import (
     BasicSet,
     Bool,
     Formula,
-    GammaFormula,
     LinearAtom,
     Not,
     Or,
@@ -40,19 +43,19 @@ from .cells import (
     dimension_via_projection,
     has_interior,
 )
-from .elimination import atoms_empty, exists, is_empty, project, project_basic, sample_point
+from .elimination import basic_dimension, exists, is_empty, project, project_basic, sample_point
 from .intervals import IntervalType, one_var_canonical
 from .parser import parse_formula
 from .topology import closure, is_polyhedral
 
 __all__ = [
     "EQ", "FALSE", "LE", "LT", "TRUE",
-    "And", "Atom", "BasicSet", "Bool", "Formula", "GammaFormula",
+    "And", "Atom", "BasicSet", "Bool", "Formula",
     "LinearAtom", "Not", "Or", "atom", "formula_to_dsl", "negate_atom", "nnf", "normalize_dnf",
     "MINUS_INF", "PLUS_INF", "AffineBound", "GammaCell",
     "cell_decompose", "cell_from_json", "cell_to_json",
     "dimension", "dimension_via_projection", "has_interior",
-    "atoms_empty", "exists", "is_empty", "project", "project_basic", "sample_point",
+    "basic_dimension", "exists", "is_empty", "project", "project_basic", "sample_point",
     "IntervalType", "one_var_canonical",
     "parse_formula", "closure", "is_polyhedral",
 ]

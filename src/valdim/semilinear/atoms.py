@@ -252,8 +252,6 @@ class Not(Formula):
 TRUE = Bool(True)
 FALSE = Bool(False)
 
-GammaFormula = Formula
-
 RatLike = Union[Fraction, int, str]
 
 

@@ -19,6 +19,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
+from ..lowerset import NEG_INF
 from .atoms import EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, atom
 
 # Raw rows are (coeffs, rel, rhs) with integer coeffs and integer rhs.
@@ -180,11 +181,6 @@ def rows_infeasible(rows: list[Row], arity: int) -> bool:
     return False
 
 
-def atoms_empty(atoms: Sequence[LinearAtom], arity: int) -> bool:
-    """Emptiness of a bare conjunction, without building a BasicSet."""
-    return rows_infeasible(_to_rows(set(atoms)), arity)
-
-
 def atom_rows(atoms: Sequence[LinearAtom]) -> list[Row]:
     """Integer-scaled rows of a conjunction, for callers staying in row space."""
     return _to_rows(atoms)
@@ -212,6 +208,57 @@ def is_empty(b: BasicSet) -> bool:
     verdict = rows_infeasible(_to_rows(b.atoms), b.arity)
     object.__setattr__(b, "_empty", verdict)
     return verdict
+
+
+def _rank(matrix: list[tuple[int, ...]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot step every entry below the pivot rows is a minor of
+    the input, so the division by the previous pivot is exact and the
+    integers never leave Z.
+    """
+    m = [list(r) for r in matrix]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[col]
+        for i in range(rank + 1, len(m)):
+            a = m[i][col]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def basic_dimension(b: BasicSet) -> int | float:
+    """Dimension of one convex system: n minus the rank of its implicit equalities.
+
+    A weak row is an implicit equality when the system with that row made
+    strict is empty.  A nonempty convex set has a point where every other
+    weak row and every strict row holds strictly (the average of one
+    witness per row), so a neighbourhood of that point in the affine
+    space cut out by the explicit and implicit equalities lies in the
+    set.  Found implicit equalities are turned into equalities, which the
+    elimination substitutes away cheaply in the remaining tests.  Returns
+    ``NEG_INF`` for an empty system.
+    """
+    if is_empty(b):
+        return NEG_INF
+    n = b.arity
+    system = _to_rows(b.atoms)
+    weak = [i for i, row in enumerate(system) if row[1] == LE]
+    all_strict = [(c, LT if rel == LE else rel, q) for c, rel, q in system]
+    if weak and rows_infeasible(all_strict, n):
+        for i in weak:
+            coeffs, _, rhs = system[i]
+            trial = system[:i] + [(coeffs, LT, rhs)] + system[i + 1 :]
+            if rows_infeasible(trial, n):
+                system[i] = (coeffs, EQ, rhs)
+    return n - _rank([c for c, rel, _ in system if rel == EQ])
 
 
 def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:

@@ -34,13 +34,23 @@ _TOKEN = re.compile(
 )
 
 
-class _Tokens:
-    def __init__(self, text: str):
+#: Deepest nesting of '(', '!' and 'exists' groups either Boolean grammar
+#: accepts; deeper input is a parse error instead of a stack overflow.
+MAX_NESTING = 256
+
+
+class Tokens:
+    """Token stream shared by the linear and the mixed DSL parsers.
+
+    Also counts the open Boolean groups, so both grammars share one cap.
+    """
+
+    def __init__(self, text: str, pattern: re.Pattern = _TOKEN):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
-            m = _TOKEN.match(text, pos)
+            m = pattern.match(text, pos)
             if m is None or m.end() == pos:
                 stripped = text[pos:].lstrip()
                 if not stripped:
@@ -53,6 +63,7 @@ class _Tokens:
             self.items.append((kind, m.group(kind), m.start(kind)))
             pos = m.end()
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> tuple[str, str, int] | None:
         return self.items[self.i] if self.i < len(self.items) else None
@@ -79,6 +90,13 @@ class _Tokens:
             raise ParseError(f"expected {value!r}, found {t[1]!r}", t[2])
         self.i += 1
 
+    def open_group(self):
+        """Consume a group's opening token; the caller closes it with ``depth -= 1``."""
+        t = self.next()
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", t[2])
+
 
 _VAR = re.compile(r"^x(\d+)$")
 
@@ -87,7 +105,7 @@ class _Parser:
     """Parses one formula; collects the variable indices it saw."""
 
     def __init__(self, text: str, arity: int | None):
-        self.toks = _Tokens(text)
+        self.toks = Tokens(text)
         self.declared = arity
         self.max_var = 0
 
@@ -130,25 +148,24 @@ class _Parser:
         t = self.toks.peek()
         if t is None:
             raise ParseError("unexpected end of input", len(self.toks.text))
+        if t[1] not in ("!", "exists", "("):
+            return self.atom()
+        self.toks.open_group()
         if t[1] == "!":
-            self.toks.next()
-            return Not.of(self.unary())
-        if t[1] == "exists":
-            self.toks.next()
+            node = Not.of(self.unary())
+        elif t[1] == "exists":
             name = self.toks.next()
             if name[0] != "name":
                 raise ParseError("expected a variable after 'exists'", name[2])
             idx = self.var_index(name[1], name[2])
             self.toks.expect("(")
-            inner = self.disj()
+            node = _Exists(self.disj(), idx)
             self.toks.expect(")")
-            return _Exists(inner, idx)
-        if t[1] == "(":
-            self.toks.next()
-            inner = self.disj()
+        else:
+            node = self.disj()
             self.toks.expect(")")
-            return inner
-        return self.atom()
+        self.toks.depth -= 1
+        return node
 
     def atom(self) -> Formula:
         lhs_coeffs, lhs_const = self.linexpr()

@@ -71,8 +71,7 @@ class Polyhedron:
     def of(system: sl.BasicSet) -> "Polyhedron | None":
         if sl.is_empty(system):
             return None
-        d = sl.dimension(system.to_formula())
-        return Polyhedron(system, int(d))
+        return Polyhedron(system, sl.basic_dimension(system))
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         return self.system.holds(x)

@@ -446,8 +446,10 @@ def check_partition(f: sl.Formula, cells: list[sl.GammaCell]) -> list[str]:
 
 
 def suite_cells(seed: int = 0, cases: int = 500) -> SuiteResult:
-    """Partition checks plus agreement of the two dimension routes.
+    """Partition checks plus agreement of three dimension routes.
 
+    ``sl.dimension`` (implicit equalities) is compared with the largest
+    signature of the cells built here and with the projection route.
     Runs on the same instance family as the elimination suite.
     """
     r = SuiteResult("cells")
@@ -461,11 +463,13 @@ def suite_cells(seed: int = 0, cases: int = 500) -> SuiteResult:
         if bad:
             r.failures.append(f"case {case}: {bad[0]}")
             continue
-        via_cells = sl.dimension(f)
+        dim = sl.dimension(f)
+        via_cells = max((c.dimension() for c in cells), default=NEG_INF)
         via_proj = sl.dimension_via_projection(f)
-        if via_cells != via_proj:
+        if not dim == via_cells == via_proj:
             r.failures.append(
-                f"case {case}: dimension {via_cells} != projection route {via_proj}"
+                f"case {case}: dimension {dim}, cell route {via_cells},"
+                f" projection route {via_proj}"
             )
     return r
 
@@ -704,6 +708,9 @@ def suite_mixed(seed: int = 0, cases: int = 100, samples_per_case: int = 100) ->
             r.failures.append(bad)
             continue
         dim = mixed_dimension(f)
+        if dim != lower_closure({c.dim_pair() for c in cells}):
+            r.failures.append(f"case {case}: cell route disagrees")
+            continue
         if dim != mixed_dimension_via_fibers(f):
             r.failures.append(f"case {case}: fiber route disagrees")
             continue

@@ -1,7 +1,11 @@
+import io
 import json
+
+import pytest
 
 from valdim import cli, verify
 from valdim.semilinear import cell_from_json
+from valdim.semilinear.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -111,6 +115,30 @@ class TestMixed:
     def test_zero_poly_rejected(self, capsys):
         code, _, err = run(capsys, "mixed", "dim", "v(0*(x)) = 1")
         assert code in (2, 3) and err
+
+
+class TestDeepNesting:
+    """Nesting past the parsers' cap is a parse error (exit 2), not a crash."""
+
+    @pytest.mark.parametrize("dsl, atom", [("gamma", "x1 < 0"), ("mixed", "g1 < 0")])
+    @pytest.mark.parametrize("opener, count", [("(", 3000), ("!(", 1500)])
+    def test_past_cap_exit_2(self, capsys, monkeypatch, dsl, atom, opener, count):
+        text = opener * count + atom + ")" * count
+        monkeypatch.setattr("sys.stdin", io.StringIO(text))
+        code, _, err = run(capsys, dsl, "dim", "-n", "1", "-")
+        assert code == 2
+        assert f"nested deeper than {MAX_NESTING} levels (at position " in err
+
+    @pytest.mark.parametrize(
+        "dsl, opener, atom, answer",
+        [("gamma", "(", "x1 < 0", "1"), ("gamma", "!(", "x1 < 0", "1"),
+         ("mixed", "(", "g1 < 0", "(1, 1)")],
+    )
+    def test_at_cap_answers(self, capsys, monkeypatch, dsl, opener, atom, answer):
+        count = MAX_NESTING // len(opener)
+        monkeypatch.setattr("sys.stdin", io.StringIO(opener * count + atom + ")" * count))
+        code, out, _ = run(capsys, dsl, "dim", "-n", "1", "-")
+        assert code == 0 and out.strip() == answer
 
 
 class TestTrop:

@@ -5,7 +5,7 @@ import pytest
 
 from valdim import semilinear as sl
 from valdim.errors import ParseError, SemanticError
-from valdim.lowerset import dim_nat, principal
+from valdim.lowerset import dim_nat, lower_closure, principal
 from valdim.mixedcell import (
     INFINITY,
     FactoredPoly,
@@ -308,6 +308,47 @@ class TestBijections:
     def test_non_unimodular_rejected(self):
         with pytest.raises(SemanticError):
             apply_bijection(self.f, GammaUnimodular(((2, 0), (0, 1))))
+
+
+class TestMixedDimensionWithoutCells:
+    @staticmethod
+    def via_cells(f):
+        return lower_closure({c.dim_pair() for c in mixed_cell_decompose(f)})
+
+    @pytest.mark.parametrize(
+        "text, n, maxima",
+        [
+            ("v(x) < 0 & v(x) > 0", 1, ()),
+            ("v(x - 1) = inf & g1 <= 0 & g1 >= 0", 1, ((0, 0),)),
+            ("v(x - 1) = inf & g1 < g2", 2, ((0, 2),)),
+            ("v(x) = 1 & g1 <= v(x) & v(x) <= g1", 1, ((1, 0),)),
+            ("g1 <= v(x) & g2 <= g1 & v(x) <= g2", 2, ((1, 0),)),
+            ("0 < v(x) & v(x) < 1 & g1 < v(x) & g2 = g1", 2, ((1, 1),)),
+            ("v(x) >= 0 & g1 = g1 & g2 = g2", 2, ((1, 2),)),
+        ],
+    )
+    def test_edge_cases(self, text, n, maxima):
+        f = parse_mixed_formula(text, n)
+        d = mixed_dimension(f)
+        assert d.maxima == maxima
+        assert d == self.via_cells(f) == mixed_dimension_via_fibers(f)
+
+    def test_agrees_with_cells_on_seeded_formulas(self):
+        from valdim import verify
+
+        rng = random.Random(11)
+        for _ in range(30):
+            n = rng.choice([1, 1, 2])
+            polys = [verify.random_factored_poly(rng, rng.randint(1, 2))]
+            f = verify.random_mixed_formula(rng, n, polys)
+            d = mixed_dimension(f)
+            assert d == self.via_cells(f) == mixed_dimension_via_fibers(f)
+
+    def test_builds_no_cells(self, no_cells):
+        f = parse_mixed_formula("(g1 = v(x) & 0 < v(x)) | (v(x - t) = inf & g1 < 0)", 1)
+        assert mixed_dimension(f).maxima == ((0, 1), (1, 0))
+        with pytest.raises(AssertionError):
+            mixed_cell_decompose(f)
 
 
 class TestDimensionLaws:

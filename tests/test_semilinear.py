@@ -17,6 +17,11 @@ def dnf_atoms(f):
     return [[str(a) for a in b.atoms] for b in sl.normalize_dnf(f)]
 
 
+def cell_dimension(f):
+    """The dimension as the largest signature of a cell decomposition."""
+    return max((c.dimension() for c in sl.cell_decompose(f)), default=NEG_INF)
+
+
 class TestParser:
     def test_conjunction(self):
         f = sl.parse_formula("x1 < x2 & x2 <= 1")
@@ -218,6 +223,68 @@ class TestDimension:
     def test_point(self):
         f = sl.parse_formula("x1 = 0 & x2 = 5")
         assert sl.dimension(f) == 0 == sl.dimension_via_projection(f)
+
+
+class TestDimensionWithoutCells:
+    @pytest.mark.parametrize(
+        "text, n, expected",
+        [
+            ("x1 < 0 & x1 > 0", 2, NEG_INF),
+            ("x1 = x2 & x2 = x3", 3, 1),
+            ("x1 + x2 = 1 & x1 - x2 = 0 & x1 = 1/2", 2, 0),
+            ("0 < x1 & x1 < x2 & x2 < 1", 2, 2),
+            ("x1 <= 0 & x1 >= 0", 1, 0),
+            ("x1 <= 0 & x1 >= 0", 2, 1),
+            ("x1 + x2 <= 1 & x1 + x2 >= 1 & x2 - x3 <= 2 & x2 - x3 >= 2 & 0 <= x1", 3, 1),
+            ("x1 + x2 <= 1 & x1 + x2 >= 0 & x2 - x3 <= 2", 3, 3),
+            ("x1 <= x2 & x2 <= x3 & x3 <= x1", 3, 1),
+            ("x1 <= x2 & x2 <= x3 & x3 < x1", 3, NEG_INF),
+        ],
+    )
+    def test_edge_cases(self, text, n, expected):
+        f = sl.parse_formula(text, n)
+        assert sl.dimension(f) == expected == sl.dimension_via_projection(f) == cell_dimension(f)
+
+    def test_true_and_false(self):
+        assert sl.dimension(sl.Bool(True, 3)) == 3
+        assert sl.dimension(sl.Bool(False, 3)) == NEG_INF
+        assert sl.basic_dimension(sl.BasicSet((), 2)) == 2
+
+    def test_basic_dimension_of_empty_system(self):
+        (b,) = sl.normalize_dnf(sl.parse_formula("x1 <= x2 & x2 <= x1"))
+        assert sl.basic_dimension(b) == 1
+        strict = sl.BasicSet(tuple(sl.LinearAtom(a.coeffs, sl.LT, a.rhs) for a in b.atoms), 2)
+        assert sl.basic_dimension(strict) == NEG_INF
+
+    def test_rank(self):
+        from valdim.semilinear.elimination import _rank
+
+        assert _rank([]) == 0
+        assert _rank([(0, 0, 0)]) == 0
+        assert _rank([(2, 4, 6), (1, 2, 3), (0, 3, -1)]) == 2
+        assert _rank([(0, 2, 1), (3, 0, 0), (0, 0, 5), (1, 1, 1)]) == 3
+
+    def test_agrees_with_cells_on_seeded_instances(self):
+        import random
+
+        from valdim import verify
+
+        cases = [f for _, f in verify.formula_instances(0, 200)]
+        rng = random.Random(7)
+        cases += [verify.random_formula(rng, 3, rng.randint(3, 4)) for _ in range(12)]
+        for f in cases:
+            d = sl.dimension(f)
+            assert d == cell_dimension(f) == sl.dimension_via_projection(f), sl.formula_to_dsl(f)
+
+    def test_builds_no_cells(self, no_cells):
+        from valdim import trop
+
+        f = sl.parse_formula("(x1 <= x2 & x2 <= x1 & 0 < x3) | x1 + x2 + x3 = 1")
+        assert sl.dimension(f) == 2
+        (b,) = sl.normalize_dnf(sl.parse_formula("x1 <= x2 & x2 <= x1 & x3 = 0"))
+        assert trop.Polyhedron.of(b).dim == 1
+        with pytest.raises(AssertionError):
+            sl.cell_decompose(f)
 
 
 class TestClosure:

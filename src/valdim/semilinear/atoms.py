@@ -233,7 +233,7 @@ class Not(Formula):
     @staticmethod
     def of(part: Formula) -> Formula:
         if isinstance(part, Bool):
-            return Bool(not part.value)
+            return Bool(not part.value, part.arity)
         if isinstance(part, Not):
             return part.part
         return Not(part)

@@ -10,8 +10,11 @@ The decomposition refines the arrangement of every atom of the input
 formula: the last coordinate is sliced along the bound functions solved
 out of the atoms mentioning it, uniformly over a recursive decomposition
 of the base that keeps the relative order of those bounds constant.  On
-each resulting cell every atom has constant truth value, so a formula is
-decomposed by keeping the cells whose sample point satisfies it.
+each resulting cell every atom has constant truth value.  A formula is
+decomposed by deciding that truth while lifting, from the order of the
+bound values at each base cell's sample point, and keeping the cells on
+which the formula is true; this is exact because it is the truth of
+every atom at the cell's own sample point.
 
 Cells are built only when a caller asks for them.  :func:`dimension`
 works on the DNF by implicit equalities and exact rank; the largest
@@ -30,10 +33,14 @@ from ..lowerset import NEG_INF
 from .atoms import (
     EQ,
     LT,
+    And,
     Atom,
     BasicSet,
     Formula,
     LinearAtom,
+    Not,
+    Or,
+    Point,
     atom,
     normalize_dnf,
 )
@@ -268,10 +275,15 @@ def _pad(coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
     return coeffs + (0,) * (n - len(coeffs))
 
 
-def _arrangement_cells(atoms_: Sequence[LinearAtom], n: int) -> list[GammaCell]:
-    """Partition Q^n into cells on which every atom has constant truth."""
-    if n == 0:
-        return [GammaCell((), ())]
+def _lift(
+    atoms_: Sequence[LinearAtom], n: int
+) -> tuple[list[AffineBound], list[tuple[GammaCell, Point]]]:
+    """The bounds on x_n solved out of ``atoms_``, and the base arrangement.
+
+    The base arrangement of Q^(n-1) splits by the atoms without x_n and by
+    the sign of every difference of two bounds, so on each base cell the
+    atoms without x_n have constant truth and the bounds a constant order.
+    """
     j = n - 1
     bounds: dict[tuple, AffineBound] = {}
     base_atoms: dict[tuple, LinearAtom] = {}
@@ -286,44 +298,145 @@ def _arrangement_cells(atoms_: Sequence[LinearAtom], n: int) -> list[GammaCell]:
     for b1, b2 in combinations(blist, 2):
         for c in _comparison_atoms(b1, b2):
             base_atoms[c.key()] = c
-    base_cells = _arrangement_cells(
-        sorted(base_atoms.values(), key=LinearAtom.key), j
-    )
-    out: list[GammaCell] = []
-    for base in base_cells:
-        s = base.sample()
-        groups: dict[Fraction, AffineBound] = {}
-        for b in blist:
-            v = b.value(s)
-            cur = groups.get(v)
-            if cur is None or b.key() < cur.key():
-                groups[v] = b
-        ordered = [groups[v] for v in sorted(groups)]
-        strata: list[tuple[int, CoordSpec]] = []
-        if not ordered:
-            strata.append((1, (MINUS_INF, PLUS_INF)))
-        else:
-            strata.append((1, (MINUS_INF, ordered[0])))
-            for idx, b in enumerate(ordered):
-                strata.append((0, b))
-                upper = ordered[idx + 1] if idx + 1 < len(ordered) else PLUS_INF
-                strata.append((1, (b, upper)))
-        for i, spec in strata:
-            out.append(
-                GammaCell(base.signature + (i,), base.bounds + (spec,))
-            )
+    return blist, arrangement(sorted(base_atoms.values(), key=LinearAtom.key), j)
+
+
+def _order(
+    blist: list[AffineBound], s: Point
+) -> tuple[list[Fraction], list[AffineBound], list[int]]:
+    """The bound values at base sample ``s``, as the lifting sees them.
+
+    Returns the distinct values in ascending order, the bound of least key
+    for each, and for each bound of ``blist`` the position of its graph
+    among the strata: value k of m is stratum 2k + 1 of 0 .. 2m, and the
+    even strata are the bands between.
+    """
+    vals = [b.value(s) for b in blist]
+    values: list[Fraction] = []
+    reps: list[AffineBound] = []
+    slots = [0] * len(blist)
+    # A stable sort of a key-sorted list puts the least key first on ties.
+    for k in sorted(range(len(blist)), key=vals.__getitem__):
+        if not values or vals[k] != values[-1]:
+            values.append(vals[k])
+            reps.append(blist[k])
+        slots[k] = 2 * len(values) - 1
+    return values, reps, slots
+
+
+def _stratum(reps: list[AffineBound], p: int) -> tuple[int, CoordSpec]:
+    """Signature bit and bound data of stratum ``p``."""
+    k = p // 2
+    if p % 2:
+        return 0, reps[k]
+    lo = reps[k - 1] if k else MINUS_INF
+    hi = reps[k] if k < len(reps) else PLUS_INF
+    return 1, (lo, hi)
+
+
+def _stratum_sample(values: list[Fraction], p: int) -> Fraction:
+    """The x_n sample of stratum ``p``, as :meth:`GammaCell.sample` computes it."""
+    k = p // 2
+    if p % 2:
+        return values[k]
+    if not values:
+        return Fraction(0)
+    if k == 0:
+        return values[0] - 1
+    if k == len(values):
+        return values[-1] + 1
+    return (values[k - 1] + values[k]) / 2
+
+
+def arrangement(
+    atoms_: Sequence[LinearAtom], n: int
+) -> list[tuple[GammaCell, Point]]:
+    """Partition Q^n into cells on which every atom has constant truth.
+
+    Each cell comes with its sample point, carried up the lifting: the
+    sample of a stratum is built from the bound values at the base sample,
+    so it equals :meth:`GammaCell.sample` of the cell.
+    """
+    if n == 0:
+        return [(GammaCell((), ()), ())]
+    blist, base = _lift(atoms_, n)
+    out = []
+    for cell, s in base:
+        values, reps, _ = _order(blist, s)
+        for p in range(2 * len(values) + 1):
+            i, spec = _stratum(reps, p)
+            stratum = GammaCell(cell.signature + (i,), cell.bounds + (spec,))
+            out.append((stratum, s + (_stratum_sample(values, p),)))
     return out
+
+
+def _strata_where(f: Formula, masks: dict[LinearAtom, int], full: int) -> int:
+    """The strata where ``f`` holds, as a bit mask, from those of its atoms."""
+    if isinstance(f, Atom):
+        return masks[f.atom]
+    if isinstance(f, And):
+        out = full
+        for p in f.parts:
+            out &= _strata_where(p, masks, full)
+        return out
+    if isinstance(f, Or):
+        out = 0
+        for p in f.parts:
+            out |= _strata_where(p, masks, full)
+        return out
+    if isinstance(f, Not):
+        return full ^ _strata_where(f.part, masks, full)
+    return full if f.value else 0
 
 
 def cell_decompose(f: Formula) -> list[GammaCell]:
     """Partition the set of ``f`` into pairwise disjoint cells.
 
-    The returned cells cover exactly the set of ``f``; output order is
-    deterministic (base cells in recursive order, strata bottom to top).
+    The cells are those of the arrangement of the atoms of ``f`` on which
+    ``f`` is true.  Every atom has constant truth on a cell, so truth is
+    decided per base cell while lifting, for all strata above it at once:
+    an atom without x_n by its value at the base sample, and an atom with
+    x_n by the sign of x_n minus its bound, which is negative on the
+    strata below the graph of that bound, zero on it and positive above,
+    since the strata lie in the order of the bound values at the base
+    sample.  This is exactly the truth of the atom at each cell's sample
+    point.  With one bit per stratum, ``f`` is evaluated once per base
+    cell, and only the kept cells are built.  The returned cells cover
+    exactly the set of ``f``; output order is deterministic (base cells in
+    recursive order, strata bottom to top).
     """
-    all_atoms = sorted(f.atoms(), key=LinearAtom.key)
-    cells = _arrangement_cells(all_atoms, f.arity)
-    return [c for c in cells if f.holds(c.sample())]
+    n = f.arity
+    if n == 0:
+        return [GammaCell((), ())] if f.holds(()) else []
+    j = n - 1
+    atoms_ = sorted(f.atoms(), key=LinearAtom.key)
+    blist, base = _lift(atoms_, n)
+    index = {b.key(): k for k, b in enumerate(blist)}
+    flat = [a for a in atoms_ if a.coeffs[j] == 0]
+    # Each atom with x_n, its bound, and whether it holds where x_n minus
+    # that bound is negative, zero and positive.
+    lifted = []
+    for a in atoms_:
+        c = a.coeffs[j]
+        if c != 0:
+            k = index[_bound_from_atom(a, j).key()]
+            lifted.append((a, k, a.rel != EQ and c > 0, a.rel != LT, a.rel != EQ and c < 0))
+    out = []
+    for cell, s in base:
+        values, reps, slots = _order(blist, s)
+        top = 2 * len(values)
+        full = (2 << top) - 1
+        masks = {a: full if a.holds(s) else 0 for a in flat}
+        for a, k, neg, zero, pos in lifted:
+            on = 1 << slots[k]
+            below, above = on - 1, full ^ (2 * on - 1)
+            masks[a] = (below if neg else 0) | (on if zero else 0) | (above if pos else 0)
+        kept = _strata_where(f, masks, full)
+        for p in range(top + 1):
+            if kept >> p & 1:
+                i, spec = _stratum(reps, p)
+                out.append(GammaCell(cell.signature + (i,), cell.bounds + (spec,)))
+    return out
 
 
 def has_interior(b: BasicSet) -> bool:

@@ -47,6 +47,7 @@ from .mixedcell import (
     project_to_gamma,
 )
 from .mixedcell.puiseux import INFINITY
+from .semilinear import cells as sl_cells
 
 
 @dataclass
@@ -445,17 +446,34 @@ def check_partition(f: sl.Formula, cells: list[sl.GammaCell]) -> list[str]:
     return failures
 
 
-def suite_cells(seed: int = 0, cases: int = 500) -> SuiteResult:
-    """Partition checks plus agreement of three dimension routes.
+def filtered_arrangement(f: sl.Formula) -> list[sl.GammaCell]:
+    """The cells of ``f`` by the filtering route.
 
-    ``sl.dimension`` (implicit equalities) is compared with the largest
-    signature of the cells built here and with the projection route.
-    Runs on the same instance family as the elimination suite.
+    Builds the whole arrangement of the atoms of ``f`` and keeps the cells
+    where ``f`` holds at :meth:`GammaCell.sample`.  The samples are
+    recomputed from each cell's bounds, not taken from the lifting, so the
+    route is independent of how :func:`sl.cell_decompose` decides truth.
+    """
+    atoms = sorted(f.atoms(), key=sl.LinearAtom.key)
+    return [c for c, _ in sl_cells.arrangement(atoms, f.arity) if f.holds(c.sample())]
+
+
+def suite_cells(seed: int = 0, cases: int = 500) -> SuiteResult:
+    """Partition checks plus agreement of two cell and three dimension routes.
+
+    ``sl.cell_decompose`` must return the cells of
+    :func:`filtered_arrangement`, in the same order.  ``sl.dimension``
+    (implicit equalities) is compared with the largest signature of those
+    cells and with the projection route.  Runs on the same instance
+    family as the elimination suite.
     """
     r = SuiteResult("cells")
     for case, (n, f) in enumerate(formula_instances(seed, cases)):
         r.cases += 1
         cells = sl.cell_decompose(f)
+        if cells != filtered_arrangement(f):
+            r.failures.append(f"case {case}: cells differ from the filtered arrangement")
+            continue
         for c in cells:
             if not c.is_consistent():
                 r.failures.append(f"case {case}: inconsistent cell")

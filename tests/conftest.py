@@ -11,6 +11,7 @@ def no_cells(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("cell decomposition was built")
 
-    monkeypatch.setattr(cells, "_arrangement_cells", refuse)
+    monkeypatch.setattr(cells, "arrangement", refuse)
+    monkeypatch.setattr(cells, "_lift", refuse)
     monkeypatch.setattr(cells, "cell_decompose", refuse)
     monkeypatch.setattr(sl, "cell_decompose", refuse)

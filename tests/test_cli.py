@@ -63,6 +63,17 @@ class TestGamma:
         assert [c["signature"] for c in cells] == [[1, 0]]
         assert cell_from_json(cells[0]).signature == (1, 0)
 
+    def test_negated_constant_keeps_arity(self, capsys):
+        code, out, _ = run(capsys, "gamma", "dim", "!(0 > 1)", "-n", "2")
+        assert code == 0 and out.strip() == "2"
+        code, out, _ = run(capsys, "gamma", "cells", "!(0 > 1)", "-n", "2", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == [
+            {"signature": [1, 1], "bounds": [["-inf", "inf"], ["-inf", "inf"]]}
+        ]
+        code, out, _ = run(capsys, "gamma", "cells", "!(0 < 1)", "-n", "2", "--format", "json")
+        assert code == 0 and json.loads(out) == []
+
     def test_project(self, capsys):
         code, out, _ = run(capsys, "gamma", "project", "x1 < x2 & x2 <= 1", "--keep", "1")
         assert code == 0 and out.strip() == "x1 < 1"

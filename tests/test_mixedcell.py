@@ -325,6 +325,8 @@ class TestMixedDimensionWithoutCells:
             ("g1 <= v(x) & g2 <= g1 & v(x) <= g2", 2, ((1, 0),)),
             ("0 < v(x) & v(x) < 1 & g1 < v(x) & g2 = g1", 2, ((1, 1),)),
             ("v(x) >= 0 & g1 = g1 & g2 = g2", 2, ((1, 2),)),
+            ("!(v(x - 1) != inf)", 1, ((0, 1),)),
+            ("!(v(x - 1) != inf)", 2, ((0, 2),)),
         ],
     )
     def test_edge_cases(self, text, n, maxima):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from valdim import semilinear as sl
 from valdim.errors import ParseError, SemanticError
 from valdim.lowerset import NEG_INF
+from valdim.semilinear.cells import arrangement
 
 
 def grid(lo, hi, denom):
@@ -203,6 +205,128 @@ class TestCellDecompose:
             assert c.contains(c.sample())
 
 
+def dense_formula(rng, n, k):
+    """Boolean combination of k atoms in n variables, every coefficient nonzero."""
+    def part():
+        coeffs = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+        rel = rng.choice(("<", "<=", "=", "!=", ">=", ">"))
+        a = sl.atom(coeffs, rel, F(rng.randint(-6, 6), rng.choice((1, 2))))
+        return sl.Not.of(a) if rng.random() < 0.25 else a
+
+    f = part()
+    for _ in range(k - 1):
+        g = part()
+        f = sl.And.of(f, g) if rng.random() < 0.5 else sl.Or.of(f, g)
+        if rng.random() < 0.2:
+            f = sl.Not.of(f)
+    return f
+
+
+class TestCellTruthFromLifting:
+    """``cell_decompose`` against the arrangement filtered by sample points."""
+
+    def test_formula_instances(self):
+        from valdim import verify
+
+        for _, f in verify.formula_instances(0, 200):
+            assert sl.cell_decompose(f) == verify.filtered_arrangement(f), sl.formula_to_dsl(f)
+
+    def test_dense_formulas(self):
+        from valdim import verify
+
+        rng = random.Random(11)
+        cases = [dense_formula(rng, 2, rng.choice((5, 6))) for _ in range(16)]
+        cases += [dense_formula(rng, 3, 3) for _ in range(16)]
+        kept = 0
+        for f in cases:
+            cells = sl.cell_decompose(f)
+            assert cells == verify.filtered_arrangement(f), sl.formula_to_dsl(f)
+            kept += len(cells)
+            atoms = sorted(f.atoms(), key=sl.LinearAtom.key)
+            assert all(s == c.sample() for c, s in arrangement(atoms, f.arity))
+        assert kept > 0
+
+    def test_arity_zero(self):
+        assert sl.cell_decompose(sl.Bool(True)) == [sl.GammaCell((), ())]
+        assert sl.cell_decompose(sl.Bool(False)) == []
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_constant_formulas(self, n):
+        (cell,) = sl.cell_decompose(sl.Bool(True, n))
+        assert cell.signature == (1,) * n
+        assert sl.cell_decompose(sl.Bool(False, n)) == []
+
+    def test_negated_constant_keeps_arity(self):
+        f = sl.Not.of(sl.atom((0, 0), ">", 1))
+        assert f == sl.Bool(True, 2) and f.arity == 2
+        assert [c.signature for c in sl.cell_decompose(f)] == [(1, 1)]
+        assert sl.dimension(f) == 2
+        assert sl.Not.of(sl.Bool(True, 3)).arity == 3
+
+    @pytest.mark.parametrize(
+        "text, signatures",
+        [
+            ("x1 < 1 | x1 = 2", [(1,), (0,)]),
+            ("!(x1 <= 1) & x1 != 3", [(1,), (1,)]),
+            ("x1 >= 0 & -x1 >= 0", [(0,)]),
+        ],
+    )
+    def test_arity_one(self, text, signatures):
+        f = sl.parse_formula(text, 1)
+        cells = sl.cell_decompose(f)
+        assert [c.signature for c in cells] == signatures
+        for x in grid(-4, 4, 4):
+            assert sum(c.contains((x,)) for c in cells) == f.holds((x,))
+
+    @pytest.mark.parametrize(
+        "text, signatures",
+        [
+            ("x2 <= x1 + 1 & 2*x2 >= 2*x1 + 2", [(1, 0)]),
+            ("x2 < x1 + 1 & -x2 <= -x1 - 1", []),
+            ("x2 < x1 + 1 | x2 = x1 + 1", [(1, 1), (1, 0)]),
+            ("-3*x2 > -3*x1 - 3 & x2 != x1 + 1", [(1, 1)]),
+        ],
+    )
+    def test_atoms_with_the_same_bound(self, text, signatures):
+        f = sl.parse_formula(text, 2)
+        cells = sl.cell_decompose(f)
+        assert [c.signature for c in cells] == signatures
+        for x in grid(-2, 2, 2):
+            for y in grid(-2, 3, 2):
+                assert sum(c.contains((x, y)) for c in cells) == f.holds((x, y))
+
+    def test_coinciding_bounds_keep_the_least_key(self):
+        # x2 = x1 and x2 = 2*x1 meet over x1 = 0, where one graph stands for both.
+        f = sl.parse_formula("x2 = x1 | x2 = 2*x1", 2)
+        over_zero = [c for c in sl.cell_decompose(f) if c.signature[0] == 0]
+        assert [c.signature for c in over_zero] == [(0, 0)]
+        assert over_zero[0].bounds[1] == sl.AffineBound((1,), F(0))
+
+    @pytest.mark.parametrize(
+        "rel, signatures",
+        [
+            ("<", [(1, 1)]),
+            ("<=", [(1, 0), (1, 1)]),
+            ("=", [(1, 0)]),
+            ("!=", [(1, 1), (1, 1)]),
+            (">=", [(1, 1), (1, 0)]),
+            (">", [(1, 1)]),
+        ],
+    )
+    def test_negative_last_coefficient(self, rel, signatures):
+        from valdim import verify
+
+        # After normalization the x2 coefficient stays -2 under <, <= and =;
+        # > and >= flip it to +2, and != gives one atom of each sign.
+        f = sl.parse_formula(f"x1 - 2*x2 {rel} 1", 2)
+        cells = sl.cell_decompose(f)
+        assert [c.signature for c in cells] == signatures
+        assert cells == verify.filtered_arrangement(f)
+        for x in grid(-2, 2, 2):
+            for y in grid(-2, 2, 4):
+                assert sum(c.contains((x, y)) for c in cells) == f.holds((x, y))
+
+
 class TestDimension:
     def test_full_plane(self):
         f = sl.parse_formula("x1 = x1 | x1 < x2")
@@ -265,8 +389,6 @@ class TestDimensionWithoutCells:
         assert _rank([(0, 2, 1), (3, 0, 0), (0, 0, 5), (1, 1, 1)]) == 3
 
     def test_agrees_with_cells_on_seeded_instances(self):
-        import random
-
         from valdim import verify
 
         cases = [f for _, f in verify.formula_instances(0, 200)]

@@ -15,7 +15,7 @@ gamma signature), and the mixed dimension of a set is the lower set
 generated by its cells' dimension pairs.  :func:`mixed_dimension`
 computes that lower set without building cells, from the largest
 gamma-fiber of each convex DNF disjunct; cells are built only by
-:func:`mixed_cell_decompose` and by the independent fiber-locus route.
+:func:`mixed_cell_decompose`.
 """
 
 from __future__ import annotations
@@ -25,9 +25,10 @@ from fractions import Fraction
 from typing import Sequence, Union
 
 from .. import semilinear as sl
+from ..boolean import Atom, Formula, map_atoms
 from ..errors import SemanticError
 from ..lowerset import LowerSet2, lower_closure
-from .formula import MAnd, MAtom, MBool, MNot, MOr, MixedAtom, MixedFormula
+from .formula import MixedAtom, polys
 from .pieces import MonomialValuation, SwissPiece, monomial_decompose, piece_k_dimension
 from .puiseux import INFINITY, PuiseuxElement
 
@@ -126,25 +127,6 @@ def _atom_on_piece(
     return sl.atom(coeffs, a.rel, a.rhs - a.weight * mv.const)
 
 
-def _formula_on_piece(
-    f: MixedFormula,
-    vals: dict[tuple, MonomialValuation],
-    n: int,
-    at_point: bool,
-) -> sl.Formula:
-    if isinstance(f, MBool):
-        return sl.Bool(f.value, n if at_point else n + 1)
-    if isinstance(f, MAtom):
-        return _atom_on_piece(f.data, vals, n, at_point)
-    if isinstance(f, MNot):
-        return sl.Not.of(_formula_on_piece(f.part, vals, n, at_point))
-    if isinstance(f, MAnd):
-        return sl.And.of(*[_formula_on_piece(p, vals, n, at_point) for p in f.parts])
-    if isinstance(f, MOr):
-        return sl.Or.of(*[_formula_on_piece(p, vals, n, at_point) for p in f.parts])
-    raise TypeError(f"not a mixed formula: {f!r}")
-
-
 def _rho_constraints(piece: SwissPiece, n: int) -> list[sl.Formula]:
     rho = (1,) + (0,) * n
     out = []
@@ -159,36 +141,38 @@ def _rho_constraints(piece: SwissPiece, n: int) -> list[sl.Formula]:
 
 
 def piece_formulas(
-    f: MixedFormula,
+    f: Formula,
 ) -> list[tuple[SwissPiece, sl.Formula]]:
     """Per-piece linear formulas over (rho, gamma) or gamma (point pieces).
 
     The conjunction of the translated formula with the piece's radius
     window; together the pairs describe the set of ``f`` exactly.
     """
-    n = f.n_gamma
-    polys = f.polys()
+    n = f.arity
+    tracked = polys(f)
     out = []
-    for piece, vals in monomial_decompose(polys):
-        vmap = {p.key(): v for p, v in zip(polys, vals)}
+    for piece, vals in monomial_decompose(tracked):
+        vmap = {p.key(): v for p, v in zip(tracked, vals)}
         at_point = piece.kind == "points"
-        g = _formula_on_piece(f, vmap, n, at_point)
+        g = map_atoms(
+            f, lambda a: _atom_on_piece(a, vmap, n, at_point), n if at_point else n + 1
+        )
         if not at_point:
             g = sl.And.of(g, *_rho_constraints(piece, n))
         out.append((piece, g))
     return out
 
 
-def mixed_cell_decompose(f: MixedFormula) -> list[MixedCell]:
-    """Partition the set of ``f`` into mixed cells."""
+def mixed_cell_decompose(f: Formula) -> list[MixedCell]:
+    """Partition the set of ``f`` into mixed cells, grouped by piece."""
     return [
-        MixedCell(piece, cell, f.n_gamma)
+        MixedCell(piece, cell, f.arity)
         for piece, g in piece_formulas(f)
         for cell in sl.cell_decompose(g)
     ]
 
 
-def mixed_dimension(f: MixedFormula) -> LowerSet2:
+def mixed_dimension(f: Formula) -> LowerSet2:
     """The lower set generated by the dimension pairs of the cells, without cells.
 
     Each DNF disjunct P of a piece formula contributes (0, dim P) on a
@@ -218,65 +202,9 @@ def mixed_dimension(f: MixedFormula) -> LowerSet2:
     return lower_closure(pairs)
 
 
-def mixed_dimension_via_fibers(f: MixedFormula) -> LowerSet2:
-    """Independent route: dimensions of the fiber-dimension loci.
-
-    For each i, the locus of valued-line points whose gamma-fiber has
-    dimension i contributes (its own dimension, i); the mixed dimension
-    is the lower set generated by these pairs.  The loci are computed by
-    slicing each piece's radius line at the endpoints of its cells'
-    rho-windows.
-    """
-    contributions: set[tuple[int, int]] = set()
-    for piece, g in piece_formulas(f):
-        cells = sl.cell_decompose(g)
-        if not cells:
-            continue
-        if piece.kind == "points":
-            fib = max(sum(c.signature) for c in cells)
-            contributions.add((0, fib))
-            continue
-        windows: list[tuple[Fraction | None, Fraction | None, bool, int]] = []
-        cuts: set[Fraction] = set()
-        for c in cells:
-            spec = c.bounds[0]
-            gsig = sum(c.signature[1:])
-            if c.signature[0] == 0:
-                at = spec.value(())
-                windows.append((at, at, True, gsig))
-                cuts.add(at)
-            else:
-                lo, hi = spec
-                lo_v = lo.value(()) if isinstance(lo, sl.AffineBound) else None
-                hi_v = hi.value(()) if isinstance(hi, sl.AffineBound) else None
-                windows.append((lo_v, hi_v, False, gsig))
-                cuts.update(v for v in (lo_v, hi_v) if v is not None)
-        ordered = sorted(cuts)
-        samples = list(ordered)
-        samples.extend(
-            (a + b) / 2 for a, b in zip(ordered, ordered[1:])
-        )
-        if ordered:
-            samples.extend((ordered[0] - 1, ordered[-1] + 1))
-        else:
-            samples.append(Fraction(0))
-        for s in samples:
-            fib = -1
-            for lo_v, hi_v, is_point, gsig in windows:
-                if is_point:
-                    inside = s == lo_v
-                else:
-                    inside = (lo_v is None or lo_v < s) and (hi_v is None or s < hi_v)
-                if inside:
-                    fib = max(fib, gsig)
-            if fib >= 0:
-                contributions.add((1, fib))
-    return lower_closure(contributions)
-
-
-def project_to_gamma(f: MixedFormula) -> sl.Formula:
+def project_to_gamma(f: Formula) -> sl.Formula:
     """Formula for { gamma : some x makes (x, gamma) satisfy f }."""
-    n = f.n_gamma
+    n = f.arity
     parts = []
     for piece, g in piece_formulas(f):
         if piece.kind == "points":
@@ -375,71 +303,57 @@ def _unimodular_inverse(u: tuple[tuple[int, ...], ...]) -> list[list[int]]:
     return inv
 
 
-def _map_atoms(f: MixedFormula, fn) -> MixedFormula:
-    if isinstance(f, MBool):
-        return f
-    if isinstance(f, MAtom):
-        return fn(f.data)
-    if isinstance(f, MNot):
-        return MNot.of(_map_atoms(f.part, fn))
-    if isinstance(f, MAnd):
-        return MAnd.of(*[_map_atoms(p, fn) for p in f.parts])
-    if isinstance(f, MOr):
-        return MOr.of(*[_map_atoms(p, fn) for p in f.parts])
-    raise TypeError(f"not a mixed formula: {f!r}")
-
-
-def apply_bijection(f: MixedFormula, b: BijectionSpec) -> MixedFormula:
+def apply_bijection(f: Formula, b: BijectionSpec) -> Formula:
     """Formula for the image of the set of ``f`` under the bijection ``b``."""
-    n = f.n_gamma
+    n = f.arity
 
     if isinstance(b, GammaPermutation):
         if sorted(b.perm) != list(range(n)):
             raise SemanticError(f"{b.perm} is not a permutation of 0..{n - 1}")
 
-        def permute(a: MixedAtom) -> MixedFormula:
+        def permute(a: MixedAtom) -> Formula:
             coeffs = [0] * n
             for i, c in enumerate(a.gcoeffs):
                 coeffs[b.perm[i]] = c
-            return MAtom(MixedAtom(a.weight, a.poly, tuple(coeffs), a.rel, a.rhs))
+            return Atom(MixedAtom(a.weight, a.poly, tuple(coeffs), a.rel, a.rhs))
 
-        return _map_atoms(f, permute)
+        return map_atoms(f, permute, n)
 
     if isinstance(b, GammaTranslation):
         if len(b.offsets) != n:
             raise SemanticError("translation arity mismatch")
         offs = tuple(Fraction(d) for d in b.offsets)
 
-        def translate(a: MixedAtom) -> MixedFormula:
+        def translate(a: MixedAtom) -> Formula:
             if a.rhs is INFINITY:
-                return MAtom(a)
+                return Atom(a)
             shift = sum(c * d for c, d in zip(a.gcoeffs, offs))
-            return MAtom(MixedAtom(a.weight, a.poly, a.gcoeffs, a.rel, a.rhs + shift))
+            return Atom(MixedAtom(a.weight, a.poly, a.gcoeffs, a.rel, a.rhs + shift))
 
-        return _map_atoms(f, translate)
+        return map_atoms(f, translate, n)
 
     if isinstance(b, GammaUnimodular):
         if len(b.matrix) != n or any(len(r) != n for r in b.matrix):
             raise SemanticError("matrix arity mismatch")
         inv = _unimodular_inverse(b.matrix)
 
-        def substitute(a: MixedAtom) -> MixedFormula:
+        def substitute(a: MixedAtom) -> Formula:
             coeffs = tuple(
                 sum(a.gcoeffs[i] * inv[i][j] for i in range(n)) for j in range(n)
             )
-            return MAtom(MixedAtom(a.weight, a.poly, coeffs, a.rel, a.rhs))
+            return Atom(MixedAtom(a.weight, a.poly, coeffs, a.rel, a.rhs))
 
-        return _map_atoms(f, substitute)
+        return map_atoms(f, substitute, n)
 
     if isinstance(b, KTranslation):
 
-        def shift_poly(a: MixedAtom) -> MixedFormula:
+        def shift_poly(a: MixedAtom) -> Formula:
             if a.poly is None:
-                return MAtom(a)
-            return MAtom(
+                return Atom(a)
+            return Atom(
                 MixedAtom(a.weight, a.poly.translate(b.shift), a.gcoeffs, a.rel, a.rhs)
             )
 
-        return _map_atoms(f, shift_poly)
+        return map_atoms(f, shift_poly, n)
 
     raise SemanticError(f"unknown bijection spec {b!r}")

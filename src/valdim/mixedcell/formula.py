@@ -9,14 +9,19 @@ infinite, a negative-weight one is minus infinite.
 The zero element of the valued coordinate never reaches the group-sort
 engine: point loci are split off explicitly during decomposition, and
 only there do infinite valuations occur.
+
+Mixed formulas are the shared Boolean nodes of :mod:`valdim.boolean`
+over ``MixedAtom`` leaves; their arity is the number of group
+coordinates, and ``f.holds(x, gamma)`` evaluates them.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
+from ..boolean import Atom, Bool, Formula, Or
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
 _REL_FLIP = {">": "<", ">=": "<="}
@@ -75,7 +80,7 @@ class MixedAtom:
             object.__setattr__(self, "rhs", Fraction(self.rhs))
 
     @property
-    def n_gamma(self) -> int:
+    def arity(self) -> int:
         return len(self.gcoeffs)
 
     def holds(self, x: PuiseuxElement, gamma: Sequence[Fraction]) -> bool:
@@ -90,138 +95,13 @@ class MixedAtom:
         return _ext_compare(lhs, self.rel, self.rhs)
 
 
-class MixedFormula:
-    """Base class for Boolean nodes over mixed atoms."""
-
-    n_gamma: int
-
-    def holds(self, x: PuiseuxElement, gamma: Sequence[Fraction]) -> bool:
-        raise NotImplementedError
-
-    def atoms(self) -> list[MixedAtom]:
-        raise NotImplementedError
-
-    def polys(self) -> list[FactoredPoly]:
-        seen: dict[tuple, FactoredPoly] = {}
-        for a in self.atoms():
-            if a.poly is not None:
-                seen[a.poly.key()] = a.poly
-        return sorted(seen.values(), key=FactoredPoly.key)
-
-    def __and__(self, other):
-        return MAnd.of(self, other)
-
-    def __or__(self, other):
-        return MOr.of(self, other)
-
-    def __invert__(self):
-        return MNot.of(self)
-
-
-@dataclass(frozen=True)
-class MBool(MixedFormula):
-    value: bool
-    n_gamma: int = 0
-
-    def holds(self, x, gamma):
-        return self.value
-
-    def atoms(self):
-        return []
-
-
-@dataclass(frozen=True)
-class MAtom(MixedFormula):
-    data: MixedAtom
-
-    @property
-    def n_gamma(self) -> int:
-        return self.data.n_gamma
-
-    def holds(self, x, gamma):
-        return self.data.holds(x, gamma)
-
-    def atoms(self):
-        return [self.data]
-
-
-def _arity(parts) -> int:
-    return max((p.n_gamma for p in parts), default=0)
-
-
-@dataclass(frozen=True)
-class MAnd(MixedFormula):
-    parts: tuple[MixedFormula, ...]
-    n_gamma: int = field(compare=False, default=0)
-
-    @staticmethod
-    def of(*parts):
-        n = _arity(parts)
-        flat = []
-        for p in parts:
-            if isinstance(p, MBool):
-                if not p.value:
-                    return MBool(False, n)
-                continue
-            flat.extend(p.parts if isinstance(p, MAnd) else [p])
-        if not flat:
-            return MBool(True, n)
-        return flat[0] if len(flat) == 1 else MAnd(tuple(flat), n)
-
-    def holds(self, x, gamma):
-        return all(p.holds(x, gamma) for p in self.parts)
-
-    def atoms(self):
-        return [a for p in self.parts for a in p.atoms()]
-
-
-@dataclass(frozen=True)
-class MOr(MixedFormula):
-    parts: tuple[MixedFormula, ...]
-    n_gamma: int = field(compare=False, default=0)
-
-    @staticmethod
-    def of(*parts):
-        n = _arity(parts)
-        flat = []
-        for p in parts:
-            if isinstance(p, MBool):
-                if p.value:
-                    return MBool(True, n)
-                continue
-            flat.extend(p.parts if isinstance(p, MOr) else [p])
-        if not flat:
-            return MBool(False, n)
-        return flat[0] if len(flat) == 1 else MOr(tuple(flat), n)
-
-    def holds(self, x, gamma):
-        return any(p.holds(x, gamma) for p in self.parts)
-
-    def atoms(self):
-        return [a for p in self.parts for a in p.atoms()]
-
-
-@dataclass(frozen=True)
-class MNot(MixedFormula):
-    part: MixedFormula
-
-    @staticmethod
-    def of(part):
-        if isinstance(part, MBool):
-            return MBool(not part.value, part.n_gamma)
-        if isinstance(part, MNot):
-            return part.part
-        return MNot(part)
-
-    @property
-    def n_gamma(self) -> int:
-        return self.part.n_gamma
-
-    def holds(self, x, gamma):
-        return not self.part.holds(x, gamma)
-
-    def atoms(self):
-        return self.part.atoms()
+def polys(f: Formula) -> list[FactoredPoly]:
+    """The distinct polynomials of the atoms of ``f``, in key order."""
+    seen: dict[tuple, FactoredPoly] = {}
+    for a in f.atoms():
+        if a.poly is not None:
+            seen[a.poly.key()] = a.poly
+    return sorted(seen.values(), key=FactoredPoly.key)
 
 
 def matom(
@@ -230,7 +110,7 @@ def matom(
     gcoeffs: Sequence[int],
     rel: str,
     rhs,
-) -> MixedFormula:
+) -> Formula:
     """Atomic mixed formula with the relation normalized into {<, <=, =}.
 
     Comparisons against INFINITY reduce first: t <= inf is vacuous,
@@ -241,17 +121,17 @@ def matom(
     gcoeffs = tuple(int(c) for c in gcoeffs)
     if rhs is INFINITY:
         if rel in ("<=",):
-            return MBool(True, len(gcoeffs))
+            return Bool(True, len(gcoeffs))
         if rel == ">":
-            return MBool(False, len(gcoeffs))
+            return Bool(False, len(gcoeffs))
         if rel == ">=":
             rel = "="
         if rel == "!=":
             rel = "<"
         if weight == 0:
             # finite lhs against infinity
-            return MBool(rel == "<", len(gcoeffs))
-        return MAtom(MixedAtom(weight, poly, gcoeffs, rel, INFINITY))
+            return Bool(rel == "<", len(gcoeffs))
+        return Atom(MixedAtom(weight, poly, gcoeffs, rel, INFINITY))
     rhs = Fraction(rhs)
     if rel in _REL_FLIP:
         return matom(
@@ -262,7 +142,7 @@ def matom(
             -rhs,
         )
     if rel == "!=":
-        return MOr.of(
+        return Or.of(
             matom(weight, poly, gcoeffs, "<", rhs),
             matom(-weight, poly, tuple(-c for c in gcoeffs), "<", -rhs),
         )
@@ -271,5 +151,5 @@ def matom(
     if weight == 0 and all(c == 0 for c in gcoeffs):
         zero = Fraction(0)
         val = zero < rhs if rel == "<" else (zero <= rhs if rel == "<=" else zero == rhs)
-        return MBool(val, len(gcoeffs))
-    return MAtom(MixedAtom(weight, poly if weight != 0 else None, gcoeffs, rel, rhs))
+        return Bool(val, len(gcoeffs))
+    return Atom(MixedAtom(weight, poly if weight != 0 else None, gcoeffs, rel, rhs))

@@ -1,8 +1,10 @@
 """Parser for formulas mixing one valued coordinate with group coordinates.
 
-Extends the linear-constraint DSL with valuation terms:
+The Boolean structure is the shared grammar of :mod:`valdim.boolean`;
+this module parses its atoms, which extend the linear-constraint DSL
+with valuation terms:
 
-    matom    :=  msum REL msum                REL in < <= = >= > !=
+    atom     :=  msum REL msum                REL in < <= = >= > !=
     msum     :=  ['-'] mterm (('+'|'-') mterm)*
     mterm    :=  [INT '*'] 'v' '(' poly ')'   weighted valuation term
               |  INT '*' GVAR | GVAR | RAT | 'inf'
@@ -24,9 +26,9 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
+from ..boolean import Atom, Formula, Grammar, Tokens, map_atoms
 from ..errors import ParseError, SemanticError
-from ..semilinear.parser import Tokens
-from .formula import MAnd, MNot, MOr, MixedFormula, matom
+from .formula import matom
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
 _TOKEN = re.compile(
@@ -68,49 +70,19 @@ class _MixedParser:
         self.declared = n_gamma
         self.max_gvar = 0
 
-    def parse(self) -> MixedFormula:
-        f = self.disj()
-        t = self.toks.peek()
-        if t is not None:
-            raise ParseError(f"trailing input {t[1]!r}", t[2])
+    def parse(self) -> Formula:
+        f = Grammar(self.toks, self.atom).parse()
         n = self.declared if self.declared is not None else self.max_gvar
-        return _fix(f, n)
+        return map_atoms(f, lambda p: _build_atom(p, n), n)
 
-    def disj(self):
-        parts = [self.conj()]
-        while self.toks.accept("|"):
-            parts.append(self.conj())
-        return _Pending(MOr, parts) if len(parts) > 1 else parts[0]
-
-    def conj(self):
-        parts = [self.unary()]
-        while self.toks.accept("&"):
-            parts.append(self.unary())
-        return _Pending(MAnd, parts) if len(parts) > 1 else parts[0]
-
-    def unary(self):
-        t = self.toks.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.toks.text))
-        if t[1] not in ("!", "("):
-            return self.atom()
-        self.toks.open_group()
-        if t[1] == "!":
-            node = _PendingNot(self.unary())
-        else:
-            node = self.disj()
-            self.toks.expect(")")
-        self.toks.depth -= 1
-        return node
-
-    def atom(self):
+    def atom(self) -> Formula:
         lhs = self.msum()
         t = self.toks.next()
         if t[0] != "rel":
             raise ParseError(f"expected a relation, found {t[1]!r}", t[2])
         rel = "=" if t[1] == "==" else t[1]
         rhs = self.msum()
-        return _PendingAtom(lhs, rel, rhs, t[2])
+        return Atom(_PendingAtom(lhs, rel, rhs, t[2]))
 
     def msum(self) -> _Side:
         side = _Side()
@@ -271,32 +243,16 @@ class _MixedParser:
         return idx - 1
 
 
-class _Pending:
-    def __init__(self, cls, parts):
-        self.cls, self.parts = cls, parts
-
-
-class _PendingNot:
-    def __init__(self, part):
-        self.part = part
-
-
 class _PendingAtom:
+    """A comparison, built into an atom once the group arity is known."""
+
+    arity = 0
+
     def __init__(self, lhs: _Side, rel: str, rhs: _Side, pos: int):
         self.lhs, self.rel, self.rhs, self.pos = lhs, rel, rhs, pos
 
 
-def _fix(node, n: int) -> MixedFormula:
-    if isinstance(node, _Pending):
-        return node.cls.of(*[_fix(p, n) for p in node.parts])
-    if isinstance(node, _PendingNot):
-        return MNot.of(_fix(node.part, n))
-    if isinstance(node, _PendingAtom):
-        return _build_atom(node, n)
-    raise TypeError(f"unexpected node {node!r}")
-
-
-def _build_atom(node: _PendingAtom, n: int) -> MixedFormula:
+def _build_atom(node: _PendingAtom, n: int) -> Formula:
     lhs, rhs = node.lhs, node.rhs
     for side in (lhs, rhs):
         if side.has_inf and side.extra:
@@ -310,7 +266,7 @@ def _build_atom(node: _PendingAtom, n: int) -> MixedFormula:
     return _combine(lhs, rhs, node.rel, n, node.pos)
 
 
-def _combine(lhs: _Side, rhs: _Side, rel: str, n: int, pos: int) -> MixedFormula:
+def _combine(lhs: _Side, rhs: _Side, rel: str, n: int, pos: int) -> Formula:
     polys: dict[tuple, tuple[FactoredPoly, int]] = dict(lhs.polys)
     for key, (f, w) in rhs.polys.items():
         old = polys.get(key)
@@ -330,7 +286,7 @@ def _combine(lhs: _Side, rhs: _Side, rel: str, n: int, pos: int) -> MixedFormula
     return matom(weight, poly, tuple(gcoeffs), rel, q)
 
 
-def parse_mixed_formula(text: str, n_gamma: int | None = None) -> MixedFormula:
+def parse_mixed_formula(text: str, n_gamma: int | None = None) -> Formula:
     """Parse mixed DSL text; group arity is inferred unless declared."""
     return _MixedParser(text, n_gamma).parse()
 

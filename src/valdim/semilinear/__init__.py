@@ -1,7 +1,10 @@
 """Engine for definable sets over the ordered divisible group (Q, +, <).
 
 Formulas are Boolean combinations of integer-coefficient linear
-constraints with exact rational constants.  The module provides
+constraints with exact rational constants, built from the Boolean nodes
+of :mod:`valdim.boolean` that the mixed engine shares; they are
+re-exported here (``And``, ``Or``, ``Not``, ``Bool``, ``Atom``,
+``Formula``).  The module provides
 disjunctive normal form, Fourier-Motzkin projection and emptiness,
 recursive cell decomposition, topological closure, and the constraint
 DSL parser.  The dimension is read off the DNF by implicit equalities
@@ -26,6 +29,7 @@ from .atoms import (
     Not,
     Or,
     atom,
+    embed,
     formula_to_dsl,
     negate_atom,
     nnf,
@@ -51,7 +55,8 @@ from .topology import closure, is_polyhedral
 __all__ = [
     "EQ", "FALSE", "LE", "LT", "TRUE",
     "And", "Atom", "BasicSet", "Bool", "Formula",
-    "LinearAtom", "Not", "Or", "atom", "formula_to_dsl", "negate_atom", "nnf", "normalize_dnf",
+    "LinearAtom", "Not", "Or", "atom", "embed", "formula_to_dsl",
+    "negate_atom", "nnf", "normalize_dnf",
     "MINUS_INF", "PLUS_INF", "AffineBound", "GammaCell",
     "cell_decompose", "cell_from_json", "cell_to_json",
     "dimension", "dimension_via_projection", "has_interior",

@@ -5,7 +5,8 @@ An atom is an integer-coefficient linear constraint ``c . x REL q`` with
 relations ``>``, ``>=``, ``!=`` are normalized away at construction time
 (sign flip, or a disjunction for ``!=``), and an atom whose coefficients
 are all zero collapses to a Boolean constant.  Formulas are Boolean trees
-over atoms with a fixed variable arity.
+over atoms with a fixed variable arity, built from the shared nodes of
+:mod:`valdim.boolean`.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
+
+from ..boolean import And, Atom, Bool, Formula, Not, Or, map_atoms
 
 LT = "<"
 LE = "<="
@@ -101,154 +104,6 @@ class LinearAtom:
         return f"{' '.join(parts)} {self.rel} {self.rhs}"
 
 
-class Formula:
-    """Base class for Boolean formula nodes; all nodes carry an arity."""
-
-    arity: int
-
-    def holds(self, point: Sequence[Fraction]) -> bool:
-        raise NotImplementedError
-
-    def atoms(self) -> set[LinearAtom]:
-        raise NotImplementedError
-
-    def __and__(self, other: "Formula") -> "Formula":
-        return And.of(self, other)
-
-    def __or__(self, other: "Formula") -> "Formula":
-        return Or.of(self, other)
-
-    def __invert__(self) -> "Formula":
-        return Not.of(self)
-
-
-@dataclass(frozen=True)
-class Bool(Formula):
-    value: bool
-    arity: int = 0
-
-    def holds(self, point):
-        return self.value
-
-    def atoms(self):
-        return set()
-
-
-@dataclass(frozen=True)
-class Atom(Formula):
-    atom: LinearAtom
-
-    @property
-    def arity(self) -> int:
-        return self.atom.arity
-
-    def holds(self, point):
-        return self.atom.holds(point)
-
-    def atoms(self):
-        return {self.atom}
-
-
-def _common_arity(parts: Sequence[Formula]) -> int:
-    arities = {p.arity for p in parts if not isinstance(p, Bool)}
-    if len(arities) > 1:
-        raise ValueError(f"mixed formula arities {sorted(arities)}")
-    if arities:
-        return arities.pop()
-    return max((p.arity for p in parts), default=0)
-
-
-@dataclass(frozen=True)
-class And(Formula):
-    parts: tuple[Formula, ...]
-    arity: int = field(compare=False, default=0)
-
-    @staticmethod
-    def of(*parts: Formula) -> Formula:
-        n = _common_arity(parts)
-        flat: list[Formula] = []
-        for p in parts:
-            if isinstance(p, Bool):
-                if not p.value:
-                    return Bool(False, n)
-                continue
-            if isinstance(p, And):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        if not flat:
-            return Bool(True, n)
-        if len(flat) == 1:
-            return flat[0]
-        return And(tuple(flat), n)
-
-    def holds(self, point):
-        return all(p.holds(point) for p in self.parts)
-
-    def atoms(self):
-        out: set[LinearAtom] = set()
-        for p in self.parts:
-            out |= p.atoms()
-        return out
-
-
-@dataclass(frozen=True)
-class Or(Formula):
-    parts: tuple[Formula, ...]
-    arity: int = field(compare=False, default=0)
-
-    @staticmethod
-    def of(*parts: Formula) -> Formula:
-        n = _common_arity(parts)
-        flat: list[Formula] = []
-        for p in parts:
-            if isinstance(p, Bool):
-                if p.value:
-                    return Bool(True, n)
-                continue
-            if isinstance(p, Or):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        if not flat:
-            return Bool(False, n)
-        if len(flat) == 1:
-            return flat[0]
-        return Or(tuple(flat), n)
-
-    def holds(self, point):
-        return any(p.holds(point) for p in self.parts)
-
-    def atoms(self):
-        out: set[LinearAtom] = set()
-        for p in self.parts:
-            out |= p.atoms()
-        return out
-
-
-@dataclass(frozen=True)
-class Not(Formula):
-    part: Formula
-
-    @staticmethod
-    def of(part: Formula) -> Formula:
-        if isinstance(part, Bool):
-            return Bool(not part.value, part.arity)
-        if isinstance(part, Not):
-            return part.part
-        return Not(part)
-
-    @property
-    def arity(self) -> int:
-        return self.part.arity
-
-    def holds(self, point):
-        return not self.part.holds(point)
-
-    def atoms(self):
-        return self.part.atoms()
-
-
 TRUE = Bool(True)
 FALSE = Bool(False)
 
@@ -289,6 +144,21 @@ def negate_atom(a: LinearAtom) -> Formula:
     return Or.of(
         atom(a.coeffs, LT, a.rhs), atom(tuple(-c for c in a.coeffs), LT, -a.rhs)
     )
+
+
+def embed(f: Formula, coords: Sequence[int], arity: int) -> Formula:
+    """``f`` in a space of ``arity`` variables, variable i moved to ``coords[i]``.
+
+    The other variables are unconstrained, so the result is a cylinder.
+    """
+
+    def move(a: LinearAtom) -> Formula:
+        coeffs = [0] * arity
+        for c, j in zip(a.coeffs, coords):
+            coeffs[j] = c
+        return Atom(LinearAtom(tuple(coeffs), a.rel, a.rhs))
+
+    return map_atoms(f, move, arity)
 
 
 @dataclass(frozen=True)

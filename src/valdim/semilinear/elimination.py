@@ -20,7 +20,7 @@ from math import gcd
 from typing import Sequence
 
 from ..lowerset import NEG_INF
-from .atoms import EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, atom
+from .atoms import EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, embed
 
 # Raw rows are (coeffs, rel, rhs) with integer coeffs and integer rhs.
 Row = tuple[tuple[int, ...], str, int]
@@ -314,30 +314,15 @@ def project(f: Formula, keep: Sequence[int]) -> Formula:
 def exists(f: Formula, var: int) -> Formula:
     """Existential quantification of one variable, keeping the ambient arity.
 
-    The result is a cylinder: variable ``var`` is eliminated and then
-    reintroduced unconstrained, so the formula composes with the rest of
-    an enclosing Boolean tree.
+    The result is a cylinder: the projection that eliminates variable
+    ``var``, embedded back with ``var`` unconstrained, so the formula
+    composes with the rest of an enclosing Boolean tree.
     """
-    from .atoms import And, Bool, normalize_dnf
-
     n = f.arity
     if not (0 <= var < n):
         raise ValueError(f"variable {var} out of range for arity {n}")
     keep = [j for j in range(n) if j != var]
-    parts = []
-    for b in normalize_dnf(f):
-        p = project_basic(b, keep)
-        if p is None:
-            continue
-        lifted = []
-        for a in p.atoms:
-            coeffs = list(a.coeffs)
-            coeffs.insert(var, 0)
-            lifted.append(atom(coeffs, a.rel, a.rhs))
-        parts.append(And.of(*lifted) if lifted else Bool(True, n))
-    if not parts:
-        return Bool(False, n)
-    return Or.of(*parts)
+    return embed(project(f, keep), keep, n)
 
 
 def sample_point(b: BasicSet) -> tuple[Fraction, ...] | None:

@@ -21,6 +21,7 @@ from typing import Sequence
 
 from . import semilinear as sl
 from .errors import SemanticError
+from .semilinear.elimination import atom_rows, negate_row, rows_infeasible
 
 
 @dataclass(frozen=True)
@@ -151,13 +152,13 @@ def _pair_face(p: TropPoly, i: int, j: int) -> sl.BasicSet | None:
 
 
 def _subset(a: sl.BasicSet, b: sl.BasicSet) -> bool:
-    """a subset of b, checked one face of b at a time."""
-    for at in b.atoms:
-        neg = sl.negate_atom(at)
-        for disjunct in sl.normalize_dnf(a.to_formula() & neg, a.arity):
-            if not sl.is_empty(disjunct):
-                return False
-    return True
+    """a subset of b: no piece of the complement of a face of b meets a."""
+    rows = atom_rows(a.atoms)
+    return all(
+        rows_infeasible(rows + [neg], a.arity)
+        for row in atom_rows(b.atoms)
+        for neg in negate_row(row)
+    )
 
 
 def trop_hypersurface(p: TropPoly) -> PolyhedralComplex:
@@ -209,7 +210,7 @@ def trop_image_monomial(domain: sl.Formula, mp: MonomialMap) -> sl.Formula:
         raise SemanticError(
             f"domain arity {domain.arity} does not match map inputs {n}"
         )
-    lift = _pad_formula(domain, n + k)
+    lift = sl.embed(domain, range(n), n + k)
     links = []
     for r, row in enumerate(mp.matrix):
         coeffs = list(row) + [0] * k
@@ -217,22 +218,6 @@ def trop_image_monomial(domain: sl.Formula, mp: MonomialMap) -> sl.Formula:
         links.append(sl.atom(tuple(coeffs), "=", 0))
     combined = sl.And.of(lift, *links)
     return sl.project(combined, list(range(n, n + k)))
-
-
-def _pad_formula(f: sl.Formula, n: int) -> sl.Formula:
-    """Re-embed a formula in a larger ambient space (extra trailing vars)."""
-    if isinstance(f, sl.Bool):
-        return sl.Bool(f.value, n)
-    if isinstance(f, sl.Atom):
-        a = f.atom
-        return sl.atom(a.coeffs + (0,) * (n - len(a.coeffs)), a.rel, a.rhs)
-    if isinstance(f, sl.Not):
-        return sl.Not.of(_pad_formula(f.part, n))
-    if isinstance(f, sl.And):
-        return sl.And.of(*[_pad_formula(p, n) for p in f.parts])
-    if isinstance(f, sl.Or):
-        return sl.Or.of(*[_pad_formula(p, n) for p in f.parts])
-    raise TypeError(f"not a formula: {f!r}")
 
 
 def trop_poly_from_text(text: str) -> TropPoly:

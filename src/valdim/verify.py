@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, groupby
 from math import gcd
 
 from . import semilinear as sl
@@ -33,16 +33,12 @@ from .mixedcell import (
     GammaTranslation,
     GammaUnimodular,
     KTranslation,
-    MAnd,
-    MNot,
-    MOr,
-    MixedFormula,
+    MixedCell,
     PuiseuxElement,
     apply_bijection,
     matom,
     mixed_cell_decompose,
     mixed_dimension,
-    mixed_dimension_via_fibers,
     monomial_decompose,
     project_to_gamma,
 )
@@ -495,22 +491,6 @@ def suite_cells(seed: int = 0, cases: int = 500) -> SuiteResult:
 # --- dimension axiom suite ---------------------------------------------------
 
 
-def _shift_formula(f: sl.Formula, offset: int, total: int) -> sl.Formula:
-    if isinstance(f, sl.Bool):
-        return sl.Bool(f.value, total)
-    if isinstance(f, sl.Atom):
-        a = f.atom
-        coeffs = (0,) * offset + a.coeffs
-        return sl.atom(coeffs + (0,) * (total - len(coeffs)), a.rel, a.rhs)
-    if isinstance(f, sl.Not):
-        return sl.Not.of(_shift_formula(f.part, offset, total))
-    if isinstance(f, sl.And):
-        return sl.And.of(*[_shift_formula(p, offset, total) for p in f.parts])
-    if isinstance(f, sl.Or):
-        return sl.Or.of(*[_shift_formula(p, offset, total) for p in f.parts])
-    raise TypeError(f"not a formula: {f!r}")
-
-
 def suite_dim_axioms(seed: int = 0, cases: int = 200) -> SuiteResult:
     """Union, product, projection and frontier laws for the dimension."""
     rng = random.Random(seed)
@@ -528,7 +508,7 @@ def suite_dim_axioms(seed: int = 0, cases: int = 200) -> SuiteResult:
         m = rng.choice([1, 2])
         h = random_formula(rng, m, rng.randint(1, 2))
         dh = sl.dimension(h)
-        prod = sl.And.of(_shift_formula(f, 0, n + m), _shift_formula(h, n, n + m))
+        prod = sl.And.of(sl.embed(f, range(n), n + m), sl.embed(h, range(n, n + m), n + m))
         dp = sl.dimension(prod)
         expected = NEG_INF if (df == NEG_INF or dh == NEG_INF) else df + dh
         if dp != expected:
@@ -635,7 +615,7 @@ def random_factored_poly(rng: random.Random, max_roots: int) -> FactoredPoly:
 
 def random_mixed_formula(
     rng: random.Random, n: int, polys: list[FactoredPoly]
-) -> MixedFormula:
+) -> sl.Formula:
     parts = []
     for _ in range(rng.randint(2, 4)):
         kind = rng.random()
@@ -655,11 +635,11 @@ def random_mixed_formula(
     for p in parts[1:]:
         roll = rng.random()
         if roll < 0.5:
-            f = MAnd.of(f, p)
+            f = sl.And.of(f, p)
         elif roll < 0.9:
-            f = MOr.of(f, p)
+            f = sl.Or.of(f, p)
         else:
-            f = MAnd.of(f, MNot.of(p))
+            f = sl.And.of(f, sl.Not.of(p))
     return f
 
 
@@ -682,6 +662,52 @@ def _sample_points_for(
     while len(points) < count:
         points.append(random_puiseux(rng, max_terms=3))
     return points[:count]
+
+
+def mixed_dimension_via_fibers(cells: list[MixedCell]) -> LowerSet2:
+    """Independent route: dimensions of the fiber-dimension loci.
+
+    ``cells`` is a mixed cell decomposition with the cells of each piece
+    next to each other, as :func:`mixed_cell_decompose` returns them.  For
+    each i, the locus of valued-line points whose gamma-fiber has
+    dimension i contributes (its own dimension, i); the mixed dimension
+    is the lower set generated by these pairs.  The loci are computed by
+    slicing each piece's radius line at the endpoints of its cells'
+    rho-windows.
+    """
+    contributions: set[tuple[int, int]] = set()
+    for piece, group in groupby(cells, key=lambda c: c.piece):
+        fibers = [c.fiber for c in group]
+        if piece.kind == "points":
+            contributions.add((0, max(sum(c.signature) for c in fibers)))
+            continue
+        windows: list[tuple[Fraction | None, Fraction | None, bool, int]] = []
+        cuts: set[Fraction] = set()
+        for c in fibers:
+            spec = c.bounds[0]
+            gsig = sum(c.signature[1:])
+            if c.signature[0] == 0:
+                at = spec.value(())
+                windows.append((at, at, True, gsig))
+                cuts.add(at)
+            else:
+                lo, hi = spec
+                lo_v = lo.value(()) if isinstance(lo, sl.AffineBound) else None
+                hi_v = hi.value(()) if isinstance(hi, sl.AffineBound) else None
+                windows.append((lo_v, hi_v, False, gsig))
+                cuts.update(v for v in (lo_v, hi_v) if v is not None)
+        for s in _with_mid_and_outer(cuts):
+            fib = -1
+            for lo_v, hi_v, is_point, gsig in windows:
+                if is_point:
+                    inside = s == lo_v
+                else:
+                    inside = (lo_v is None or lo_v < s) and (hi_v is None or s < hi_v)
+                if inside:
+                    fib = max(fib, gsig)
+            if fib >= 0:
+                contributions.add((1, fib))
+    return lower_closure(contributions)
 
 
 def suite_mixed(seed: int = 0, cases: int = 100, samples_per_case: int = 100) -> SuiteResult:
@@ -729,7 +755,7 @@ def suite_mixed(seed: int = 0, cases: int = 100, samples_per_case: int = 100) ->
         if dim != lower_closure({c.dim_pair() for c in cells}):
             r.failures.append(f"case {case}: cell route disagrees")
             continue
-        if dim != mixed_dimension_via_fibers(f):
+        if dim != mixed_dimension_via_fibers(cells):
             r.failures.append(f"case {case}: fiber route disagrees")
             continue
         bijections = [

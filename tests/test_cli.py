@@ -1,11 +1,14 @@
 import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
 from valdim import cli, verify
+from valdim.boolean import MAX_NESTING
 from valdim.semilinear import cell_from_json
-from valdim.semilinear.parser import MAX_NESTING
 
 
 def run(capsys, *argv):
@@ -94,6 +97,14 @@ class TestGamma:
         code, _, err = run(capsys, "gamma", "dim", "x1 < x5", "-n", "2")
         assert code == 3 and "unknown variable" in err
 
+    def test_constants_read_back(self, capsys):
+        code, out, _ = run(capsys, "gamma", "project", "x1 < x2", "--keep", "1")
+        assert code == 0 and out.strip() == "true"
+        code, out, _ = run(capsys, "gamma", "dim", out.strip(), "-n", "1")
+        assert code == 0 and out.strip() == "1"
+        code, out, _ = run(capsys, "gamma", "dim", "false | x1 = 0", "-n", "2")
+        assert code == 0 and out.strip() == "1"
+
     def test_stdin(self, capsys, monkeypatch):
         import io
 
@@ -123,9 +134,36 @@ class TestMixed:
         code, out, _ = run(capsys, "mixed", "project", "g1 = v(x) & 0 < v(x)")
         assert code == 0 and out.strip() == "-x1 < 0"
 
+    def test_constants(self, capsys):
+        code, out, _ = run(capsys, "mixed", "dim", "true", "-n", "1")
+        assert code == 0 and out.strip() == "(1, 1)"
+        code, out, _ = run(capsys, "mixed", "dim", "false | g1 < 0", "-n", "2")
+        assert code == 0 and out.strip() == "(1, 2)"
+
     def test_zero_poly_rejected(self, capsys):
         code, _, err = run(capsys, "mixed", "dim", "v(0*(x)) = 1")
         assert code in (2, 3) and err
+
+
+class TestReadme:
+    """Every quick-tour command with a ``# ->`` note prints that note."""
+
+    EXAMPLES = [
+        m.groups()
+        for m in re.finditer(
+            r"^valdim (.*?)\s+# -> (.*)$",
+            (Path(__file__).parents[1] / "README.md").read_text(),
+            re.MULTILINE,
+        )
+    ]
+
+    def test_examples_found(self):
+        assert len(self.EXAMPLES) >= 6
+
+    @pytest.mark.parametrize("command, expected", EXAMPLES)
+    def test_example(self, capsys, command, expected):
+        code, out, _ = run(capsys, *shlex.split(command))
+        assert code == 0 and out.strip() == expected
 
 
 class TestDeepNesting:

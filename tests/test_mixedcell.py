@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from valdim import semilinear as sl
+from valdim import verify
 from valdim.errors import ParseError, SemanticError
 from valdim.lowerset import dim_nat, lower_closure, principal
 from valdim.mixedcell import (
@@ -17,7 +18,6 @@ from valdim.mixedcell import (
     apply_bijection,
     mixed_cell_decompose,
     mixed_dimension,
-    mixed_dimension_via_fibers,
     monomial_decompose,
     parse_mixed_formula,
     piece_k_dimension,
@@ -28,6 +28,10 @@ from valdim.mixedcell import (
 T = PuiseuxElement.of((1, 1))
 ZERO = PuiseuxElement()
 ONE = PuiseuxElement.constant(1)
+
+
+def via_fibers(f):
+    return verify.mixed_dimension_via_fibers(mixed_cell_decompose(f))
 
 
 def pe(*terms):
@@ -156,7 +160,7 @@ class TestPieceKDimension:
 class TestMixedParser:
     def test_valuation_atom(self):
         f = parse_mixed_formula("v((x)*(x - t)) + 2*g1 <= 3/2", 1)
-        assert f.n_gamma == 1
+        assert f.arity == 1
 
     def test_bare_linear_factor(self):
         f = parse_mixed_formula("v(x - 1 - t) >= 1", 0)
@@ -236,7 +240,7 @@ class TestMixedDimension:
         d = mixed_dimension(f)
         assert d.maxima == ((0, 2), (1, 0))
         assert dim_nat(d) == 2
-        assert mixed_dimension_via_fibers(f) == d
+        assert via_fibers(f) == d
 
     def test_full_space(self):
         f = parse_mixed_formula("v(x) >= 0 & g1 = g1 & g2 = g2", 2)
@@ -248,7 +252,7 @@ class TestMixedDimension:
 
     def test_fiber_route_agrees(self):
         f = parse_mixed_formula("g1 < v(x) & v(x) < 1 & g1 > -1", 1)
-        assert mixed_dimension(f) == mixed_dimension_via_fibers(f)
+        assert mixed_dimension(f) == via_fibers(f)
 
 
 class TestProjectToGamma:
@@ -333,7 +337,7 @@ class TestMixedDimensionWithoutCells:
         f = parse_mixed_formula(text, n)
         d = mixed_dimension(f)
         assert d.maxima == maxima
-        assert d == self.via_cells(f) == mixed_dimension_via_fibers(f)
+        assert d == self.via_cells(f) == via_fibers(f)
 
     def test_agrees_with_cells_on_seeded_formulas(self):
         from valdim import verify
@@ -344,7 +348,7 @@ class TestMixedDimensionWithoutCells:
             polys = [verify.random_factored_poly(rng, rng.randint(1, 2))]
             f = verify.random_mixed_formula(rng, n, polys)
             d = mixed_dimension(f)
-            assert d == self.via_cells(f) == mixed_dimension_via_fibers(f)
+            assert d == self.via_cells(f) == via_fibers(f)
 
     def test_builds_no_cells(self, no_cells):
         f = parse_mixed_formula("(g1 = v(x) & 0 < v(x)) | (v(x - t) = inf & g1 < 0)", 1)
@@ -356,24 +360,24 @@ class TestMixedDimensionWithoutCells:
 class TestDimensionLaws:
     def test_union_is_join(self):
         from valdim.lowerset import join
-        from valdim.mixedcell import MOr
+        from valdim.boolean import Or
 
         f = parse_mixed_formula("g1 = v(x) & 0 < v(x) & v(x) < 1", 1)
         g = parse_mixed_formula("v(x - t) = inf & g1 < 0", 1)
-        u = MOr.of(f, g)
+        u = Or.of(f, g)
         assert mixed_dimension(u) == join(mixed_dimension(f), mixed_dimension(g))
 
     def test_random_unions(self):
         from valdim import verify
         from valdim.lowerset import join
-        from valdim.mixedcell import MOr
+        from valdim.boolean import Or
 
         rng = random.Random(42)
         for _ in range(10):
             polys = [verify.random_factored_poly(rng, 3)]
             f = verify.random_mixed_formula(rng, 1, polys)
             g = verify.random_mixed_formula(rng, 1, polys)
-            assert mixed_dimension(MOr.of(f, g)) == join(
+            assert mixed_dimension(Or.of(f, g)) == join(
                 mixed_dimension(f), mixed_dimension(g)
             )
 
@@ -381,11 +385,11 @@ class TestDimensionLaws:
         # appending an independent block of group coordinates adds its
         # dimension to the group component
         from valdim.lowerset import add, principal
-        from valdim.mixedcell import MAnd
+        from valdim.boolean import And
 
         f = parse_mixed_formula("g1 = v(x) & 0 < v(x) & v(x) < 1", 3)
         block = parse_mixed_formula("0 < g2 & g2 < 1 & g3 = 0", 3)
-        product = MAnd.of(f, block)
+        product = And.of(f, block)
         assert mixed_dimension(product) == add(
             mixed_dimension(parse_mixed_formula("g1 = v(x) & 0 < v(x) & v(x) < 1", 1)),
             principal((0, 1)),
@@ -403,7 +407,7 @@ class TestProjectToGammaPointwise:
     def _exists_x(self, f, gamma):
         from valdim.mixedcell.engine import piece_formulas
 
-        n = f.n_gamma
+        n = f.arity
         for piece, g in piece_formulas(f):
             if piece.kind in ("points", "sphere"):
                 if f.holds(piece.sample(), gamma):

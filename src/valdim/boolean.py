@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, ClassVar, Sequence
 
 from .errors import ParseError
 
@@ -38,7 +38,8 @@ class Formula:
     arity: int
 
     def holds(self, *point) -> bool:
-        raise NotImplementedError
+        """Truth at ``point``; each atom reads the point as ``atom.holds(*point)``."""
+        return evaluate(self, lambda a: a.holds(*point))
 
     def atoms(self) -> set:
         raise NotImplementedError
@@ -58,9 +59,6 @@ class Bool(Formula):
     value: bool
     arity: int = 0
 
-    def holds(self, *point):
-        return self.value
-
     def atoms(self):
         return set()
 
@@ -74,9 +72,6 @@ class Atom(Formula):
     @property
     def arity(self) -> int:
         return self.atom.arity
-
-    def holds(self, *point):
-        return self.atom.holds(*point)
 
     def atoms(self):
         return {self.atom}
@@ -92,31 +87,36 @@ def _common_arity(parts: Sequence[Formula]) -> int:
 
 
 @dataclass(frozen=True)
-class And(Formula):
+class Junction(Formula):
+    """A conjunction or disjunction; the subclasses differ only in ``unit``.
+
+    ``unit`` is the neutral constant: True for ``And``, False for ``Or``.
+    The other constant absorbs the node.  Dataclass equality compares the
+    class, so an ``And`` never equals an ``Or`` over the same parts.
+    """
+
     parts: tuple[Formula, ...]
     arity: int = field(compare=False, default=0)
+    unit: ClassVar[bool]
 
-    @staticmethod
-    def of(*parts: Formula) -> Formula:
+    @classmethod
+    def of(cls, *parts: Formula) -> Formula:
         n = _common_arity(parts)
         flat: list[Formula] = []
         for p in parts:
             if isinstance(p, Bool):
-                if not p.value:
-                    return Bool(False, n)
+                if p.value != cls.unit:
+                    return Bool(p.value, n)
                 continue
-            if isinstance(p, And):
+            if isinstance(p, cls):
                 flat.extend(p.parts)
             else:
                 flat.append(p)
         if not flat:
-            return Bool(True, n)
+            return Bool(cls.unit, n)
         if len(flat) == 1:
             return flat[0]
-        return And(tuple(flat), n)
-
-    def holds(self, *point):
-        return all(p.holds(*point) for p in self.parts)
+        return cls(tuple(flat), n)
 
     def atoms(self):
         out: set = set()
@@ -125,38 +125,12 @@ class And(Formula):
         return out
 
 
-@dataclass(frozen=True)
-class Or(Formula):
-    parts: tuple[Formula, ...]
-    arity: int = field(compare=False, default=0)
+class And(Junction):
+    unit = True
 
-    @staticmethod
-    def of(*parts: Formula) -> Formula:
-        n = _common_arity(parts)
-        flat: list[Formula] = []
-        for p in parts:
-            if isinstance(p, Bool):
-                if p.value:
-                    return Bool(True, n)
-                continue
-            if isinstance(p, Or):
-                flat.extend(p.parts)
-            else:
-                flat.append(p)
-        if not flat:
-            return Bool(False, n)
-        if len(flat) == 1:
-            return flat[0]
-        return Or(tuple(flat), n)
 
-    def holds(self, *point):
-        return any(p.holds(*point) for p in self.parts)
-
-    def atoms(self):
-        out: set = set()
-        for p in self.parts:
-            out |= p.atoms()
-        return out
+class Or(Junction):
+    unit = False
 
 
 @dataclass(frozen=True)
@@ -175,11 +149,40 @@ class Not(Formula):
     def arity(self) -> int:
         return self.part.arity
 
-    def holds(self, *point):
-        return not self.part.holds(*point)
-
     def atoms(self):
         return self.part.atoms()
+
+
+def evaluate(f: Formula, value: Callable[[Any], Any], top: Any = True) -> Any:
+    """Truth of ``f`` from the truths ``value(atom)`` of its atoms.
+
+    Truths combine with ``&``, ``|`` and complement ``top ^``, so they may
+    be bools (``top=True``) or bit masks, one bit per position, with
+    ``top`` the mask of all positions.  A conjunction stops at the false
+    element and a disjunction at ``top``: the atoms after that are not
+    evaluated.
+    """
+    if isinstance(f, Atom):
+        return value(f.atom)
+    if isinstance(f, Junction):
+        if f.unit:
+            acc = top
+            for p in f.parts:
+                acc &= evaluate(p, value, top)
+                if not acc:
+                    break
+        else:
+            acc = top ^ top
+            for p in f.parts:
+                acc |= evaluate(p, value, top)
+                if acc == top:
+                    break
+        return acc
+    if isinstance(f, Not):
+        return top ^ evaluate(f.part, value, top)
+    if isinstance(f, Bool):
+        return top if f.value else top ^ top
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def map_atoms(f: Formula, fn: Callable[[Any], Formula], arity: int) -> Formula:
@@ -194,7 +197,7 @@ def map_atoms(f: Formula, fn: Callable[[Any], Formula], arity: int) -> Formula:
         return Bool(f.value, arity)
     if isinstance(f, Not):
         return Not.of(map_atoms(f.part, fn, arity))
-    if isinstance(f, (And, Or)):
+    if isinstance(f, Junction):
         return f.of(*[map_atoms(p, fn, arity) for p in f.parts])
     raise TypeError(f"not a formula: {f!r}")
 

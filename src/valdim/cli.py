@@ -6,8 +6,7 @@ coordinate, ``trop`` for tropical hypersurfaces and images, and
 ``verify`` for the randomized oracle suites.  Inputs are inline strings
 or ``-`` for stdin; output is plain text or ``--format json``.  Exit
 codes: 0 success, 1 verification mismatch, 2 parse error, 3 semantic
-error.  Output depends only on (argv, seed); the only environment
-variable consulted is NO_COLOR, and output is never colored anyway.
+error.  Output depends only on (argv, seed) and is never colored.
 """
 
 from __future__ import annotations
@@ -44,9 +43,13 @@ def _read_arg(text: str) -> str:
 def _parse_points(text: str) -> list[tuple[int, ...]]:
     try:
         data = json.loads(text)
-        return [tuple(int(c) for c in p) for p in data]
-    except (json.JSONDecodeError, TypeError, ValueError) as exc:
+        if not isinstance(data, list) or not all(
+            isinstance(p, list) and all(type(c) is int for c in p) for p in data
+        ):
+            raise ValueError(f"got {text!r}")
+    except ValueError as exc:  # json.JSONDecodeError is a ValueError
         raise ParseError(f"expected a JSON list of integer points: {exc}") from exc
+    return [tuple(p) for p in data]
 
 
 def _parse_lowerset(text: str) -> ls.LowerSet2:
@@ -68,14 +71,17 @@ def _emit_lowerset(a: ls.LowerSet2, fmt: str) -> str:
 
 def _run_lowerset(args) -> int:
     op = args.op
-    if op in ("join", "add"):
+    count = 2 if op in ("join", "add") else 1
+    if len(args.inputs) != count:
+        raise SemanticError(
+            f"lowerset {op} takes exactly {'two inputs' if count == 2 else 'one input'}"
+        )
+    if count == 2:
         a = _parse_lowerset(_read_arg(args.inputs[0]))
         b = _parse_lowerset(_read_arg(args.inputs[1]))
         out = ls.join(a, b) if op == "join" else ls.add(a, b)
         print(_emit_lowerset(out, args.format))
         return EXIT_OK
-    if len(args.inputs) != 1:
-        raise SemanticError(f"lowerset {op} takes exactly one input")
     text = _read_arg(args.inputs[0])
     if op == "closure":
         print(_emit_lowerset(_parse_lowerset(text), args.format))

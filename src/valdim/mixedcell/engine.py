@@ -28,7 +28,7 @@ from .. import semilinear as sl
 from ..boolean import Atom, Formula, map_atoms
 from ..errors import SemanticError
 from ..lowerset import LowerSet2, lower_closure
-from .formula import MixedAtom, polys
+from .formula import MixedAtom, _ext_compare, polys
 from .pieces import MonomialValuation, SwissPiece, monomial_decompose, piece_k_dimension
 from .puiseux import INFINITY, PuiseuxElement
 
@@ -85,7 +85,7 @@ class MixedCell:
         p = sl.project_basic(b, list(range(1, self.n_gamma + 1)))
         if p is None:
             return sl.Bool(False, self.n_gamma)
-        return p.to_formula() if p.atoms else sl.Bool(True, self.n_gamma)
+        return p.to_formula()
 
 
 def _atom_on_piece(
@@ -100,29 +100,21 @@ def _atom_on_piece(
     arity n (and resolve infinite valuations to constants).
     """
     arity = n if at_point else n + 1
+    if a.weight != 0 and at_point:
+        v = vals[a.poly.key()].value(INFINITY)
+        if v is INFINITY:
+            lhs = INFINITY if a.weight > 0 else "-inf"
+            return sl.Bool(_ext_compare(lhs, a.rel, a.rhs), arity)
+    # From here the left side is finite: off the point pieces every tracked
+    # valuation is finite, and at a point piece v was checked above.
+    if a.rhs is INFINITY:
+        return sl.Bool(_ext_compare(Fraction(0), a.rel, a.rhs), arity)
     if a.weight == 0:
         coeffs = a.gcoeffs if at_point else (0, *a.gcoeffs)
-        if a.rhs is INFINITY:
-            return sl.Bool(a.rel != "=", arity)
         return sl.atom(coeffs, a.rel, a.rhs)
-    mv = vals[a.poly.key()]
     if at_point:
-        v = mv.value(INFINITY)
-        if v is INFINITY:
-            # lhs is +inf for positive weight, -inf for negative weight
-            if a.rhs is INFINITY:
-                value = a.weight > 0 if a.rel == "=" else (
-                    a.weight < 0 if a.rel == "<" else True
-                )
-            else:
-                value = a.weight < 0 and a.rel in ("<", "<=")
-            return sl.Bool(value, arity)
-        if a.rhs is INFINITY:
-            return sl.Bool(a.rel != "=", arity)
         return sl.atom(a.gcoeffs, a.rel, a.rhs - a.weight * v)
-    # off the point pieces every tracked valuation is finite
-    if a.rhs is INFINITY:
-        return sl.Bool(a.rel != "=", arity)
+    mv = vals[a.poly.key()]
     coeffs = (a.weight * mv.slope, *a.gcoeffs)
     return sl.atom(coeffs, a.rel, a.rhs - a.weight * mv.const)
 

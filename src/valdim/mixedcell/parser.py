@@ -288,6 +288,8 @@ def _combine(lhs: _Side, rhs: _Side, rel: str, n: int, pos: int) -> Formula:
 
 def parse_mixed_formula(text: str, n_gamma: int | None = None) -> Formula:
     """Parse mixed DSL text; group arity is inferred unless declared."""
+    if n_gamma is not None and n_gamma < 0:
+        raise SemanticError(f"negative group coordinate count {n_gamma}")
     return _MixedParser(text, n_gamma).parse()
 
 

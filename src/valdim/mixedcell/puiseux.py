@@ -157,16 +157,6 @@ class FactoredPoly:
         object.__setattr__(self, "lead", lead)
         object.__setattr__(self, "roots", tuple(fixed))
 
-    @property
-    def degree(self) -> int:
-        return sum(m for _, m in self.roots)
-
-    def multiplicity(self, r: PuiseuxElement) -> int:
-        for root, m in self.roots:
-            if root == r:
-                return m
-        return 0
-
     def valuation_at(self, x: PuiseuxElement) -> Val:
         """v(f(x)) computed term by term from the factored form."""
         total = Fraction(0)
@@ -176,9 +166,6 @@ class FactoredPoly:
                 return INFINITY
             total += m * v
         return total
-
-    def is_root(self, x: PuiseuxElement) -> bool:
-        return any(x == r for r, _ in self.roots)
 
     def translate(self, a: PuiseuxElement) -> "FactoredPoly":
         """The polynomial x -> f(x + a); roots shift by -a."""

@@ -32,7 +32,6 @@ from .atoms import (
     embed,
     formula_to_dsl,
     negate_atom,
-    nnf,
     normalize_dnf,
 )
 from .cells import (
@@ -56,7 +55,7 @@ __all__ = [
     "EQ", "FALSE", "LE", "LT", "TRUE",
     "And", "Atom", "BasicSet", "Bool", "Formula",
     "LinearAtom", "Not", "Or", "atom", "embed", "formula_to_dsl",
-    "negate_atom", "nnf", "normalize_dnf",
+    "negate_atom", "normalize_dnf",
     "MINUS_INF", "PLUS_INF", "AffineBound", "GammaCell",
     "cell_decompose", "cell_from_json", "cell_to_json",
     "dimension", "dimension_via_projection", "has_interior",

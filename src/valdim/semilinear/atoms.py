@@ -16,7 +16,7 @@ from fractions import Fraction
 from math import gcd
 from typing import Iterable, Sequence, Union
 
-from ..boolean import And, Atom, Bool, Formula, Not, Or, map_atoms
+from ..boolean import And, Atom, Bool, Formula, Junction, Not, Or, map_atoms
 
 LT = "<"
 LE = "<="
@@ -85,9 +85,6 @@ class LinearAtom:
         if self.rel == LE:
             return lhs <= self.rhs
         return lhs == self.rhs
-
-    def is_strict(self) -> bool:
-        return self.rel == LT
 
     def key(self) -> tuple:
         return self._key
@@ -217,40 +214,28 @@ def formula_to_dsl(f: Formula) -> str:
     return " | ".join(parts)
 
 
-def nnf(f: Formula, positive: bool = True) -> Formula:
-    """Negation normal form: negations pushed onto atoms and resolved."""
-    if isinstance(f, Bool):
-        return Bool(f.value if positive else not f.value, f.arity)
-    if isinstance(f, Atom):
-        return f if positive else negate_atom(f.atom)
-    if isinstance(f, Not):
-        return nnf(f.part, not positive)
-    if isinstance(f, And):
-        parts = [nnf(p, positive) for p in f.parts]
-        return And.of(*parts) if positive else Or.of(*parts)
-    if isinstance(f, Or):
-        parts = [nnf(p, positive) for p in f.parts]
-        return Or.of(*parts) if positive else And.of(*parts)
-    raise TypeError(f"not a formula: {f!r}")
+def _dnf_lists(f: Formula, positive: bool = True) -> list[tuple[LinearAtom, ...]]:
+    """The atom tuples of the DNF of ``f``, or of its negation if not ``positive``.
 
-
-def _dnf_lists(f: Formula) -> list[tuple[LinearAtom, ...]]:
-    if isinstance(f, Bool):
-        return [()] if f.value else []
+    Negations are pushed down by De Morgan on the way, onto the atoms,
+    where :func:`negate_atom` resolves them; a conjunction multiplies its
+    parts' disjunct lists out in order, a disjunction concatenates them.
+    """
     if isinstance(f, Atom):
-        return [(f.atom,)]
-    if isinstance(f, Or):
-        out = []
-        for p in f.parts:
-            out.extend(_dnf_lists(p))
-        return out
-    if isinstance(f, And):
+        return [(f.atom,)] if positive else _dnf_lists(negate_atom(f.atom))
+    if isinstance(f, Junction):
+        if f.unit != positive:  # a disjunction once the polarity is applied
+            return [d for p in f.parts for d in _dnf_lists(p, positive)]
         disjuncts: list[tuple[LinearAtom, ...]] = [()]
         for p in f.parts:
-            branch = _dnf_lists(p)
+            branch = _dnf_lists(p, positive)
             disjuncts = [d + b for d in disjuncts for b in branch]
         return disjuncts
-    raise TypeError(f"unexpected node in NNF: {f!r}")
+    if isinstance(f, Not):
+        return _dnf_lists(f.part, not positive)
+    if isinstance(f, Bool):
+        return [()] if f.value == positive else []
+    raise TypeError(f"not a formula: {f!r}")
 
 
 def normalize_dnf(f: Formula, arity: int | None = None) -> list[BasicSet]:
@@ -265,7 +250,7 @@ def normalize_dnf(f: Formula, arity: int | None = None) -> list[BasicSet]:
     n = f.arity if arity is None else arity
     seen = set()
     out: list[BasicSet] = []
-    for atoms_ in _dnf_lists(nnf(f)):
+    for atoms_ in _dnf_lists(f):
         b = BasicSet(atoms_, n)
         if b.atoms in seen:
             continue

@@ -29,17 +29,15 @@ from itertools import combinations
 from math import gcd
 from typing import Sequence, Union
 
+from ..boolean import evaluate
 from ..lowerset import NEG_INF
 from .atoms import (
     EQ,
     LT,
-    And,
     Atom,
     BasicSet,
     Formula,
     LinearAtom,
-    Not,
-    Or,
     Point,
     atom,
     normalize_dnf,
@@ -370,25 +368,6 @@ def arrangement(
     return out
 
 
-def _strata_where(f: Formula, masks: dict[LinearAtom, int], full: int) -> int:
-    """The strata where ``f`` holds, as a bit mask, from those of its atoms."""
-    if isinstance(f, Atom):
-        return masks[f.atom]
-    if isinstance(f, And):
-        out = full
-        for p in f.parts:
-            out &= _strata_where(p, masks, full)
-        return out
-    if isinstance(f, Or):
-        out = 0
-        for p in f.parts:
-            out |= _strata_where(p, masks, full)
-        return out
-    if isinstance(f, Not):
-        return full ^ _strata_where(f.part, masks, full)
-    return full if f.value else 0
-
-
 def cell_decompose(f: Formula) -> list[GammaCell]:
     """Partition the set of ``f`` into pairwise disjoint cells.
 
@@ -431,7 +410,7 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
             on = 1 << slots[k]
             below, above = on - 1, full ^ (2 * on - 1)
             masks[a] = (below if neg else 0) | (on if zero else 0) | (above if pos else 0)
-        kept = _strata_where(f, masks, full)
+        kept = evaluate(f, masks.__getitem__, full)
         for p in range(top + 1):
             if kept >> p & 1:
                 i, spec = _stratum(reps, p)

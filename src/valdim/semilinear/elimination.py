@@ -305,7 +305,7 @@ def project(f: Formula, keep: Sequence[int]) -> Formula:
         p = project_basic(b, keep)
         if p is None:
             continue
-        parts.append(p.to_formula() if p.atoms else Bool(True, len(keep)))
+        parts.append(p.to_formula())
     if not parts:
         return Bool(False, len(keep))
     return Or.of(*parts)

@@ -164,4 +164,6 @@ def parse_formula(text: str, arity: int | None = None) -> Formula:
     With ``arity`` given, variable indices beyond it are rejected;
     otherwise the arity is the largest index mentioned.
     """
+    if arity is not None and arity < 0:
+        raise SemanticError(f"negative variable count {arity}")
     return _Parser(text, arity).parse()

@@ -18,6 +18,7 @@ from math import gcd
 
 from . import semilinear as sl
 from . import trop
+from .boolean import evaluate
 from .lowerset import (
     NEG_INF,
     LowerSet2,
@@ -198,50 +199,25 @@ def _with_mid_and_outer(values: set) -> list[Fraction]:
     return cands
 
 
-# Compiled formulas evaluate on integer-scaled points: a point (p_1/d, ...,
-# p_n/d) is passed as numerators plus the common positive denominator d, and
-# every atom comparison becomes an integer comparison.  Exactness is
-# preserved; only the Fraction object churn goes away.
+def _holds_scaled(f: sl.Formula, nums, den: int) -> bool:
+    """Truth of ``f`` at the point ``(nums[0]/den, ...)``, with ``den > 0``.
 
-_ATOM, _AND, _OR, _NOT, _CONST = range(5)
+    Every atom comparison is an integer comparison on the numerators, so
+    exactness holds without building a Fraction per coordinate.
+    """
 
-
-def _compile(f: sl.Formula):
-    if isinstance(f, sl.Bool):
-        return (_CONST, f.value)
-    if isinstance(f, sl.Atom):
-        a = f.atom
-        rel = 0 if a.rel == sl.LT else (1 if a.rel == sl.LE else 2)
-        return (_ATOM, a.coeffs, rel, a.rhs.numerator, a.rhs.denominator)
-    if isinstance(f, sl.Not):
-        return (_NOT, _compile(f.part))
-    if isinstance(f, sl.And):
-        return (_AND, tuple(_compile(p) for p in f.parts))
-    if isinstance(f, sl.Or):
-        return (_OR, tuple(_compile(p) for p in f.parts))
-    raise TypeError(f"not a formula: {f!r}")
-
-
-def _eval_scaled(node, nums, den: int) -> bool:
-    tag = node[0]
-    if tag == _ATOM:
-        _, coeffs, rel, qn, qd = node
+    def value(a: sl.LinearAtom) -> bool:
         lhs = 0
-        for c, v in zip(coeffs, nums):
+        for c, v in zip(a.coeffs, nums):
             lhs += c * v
-        left, right = lhs * qd, qn * den
-        if rel == 0:
+        left, right = lhs * a.rhs.denominator, a.rhs.numerator * den
+        if a.rel == sl.LT:
             return left < right
-        if rel == 1:
+        if a.rel == sl.LE:
             return left <= right
         return left == right
-    if tag == _AND:
-        return all(_eval_scaled(p, nums, den) for p in node[1])
-    if tag == _OR:
-        return any(_eval_scaled(p, nums, den) for p in node[1])
-    if tag == _NOT:
-        return not _eval_scaled(node[1], nums, den)
-    return node[1]
+
+    return evaluate(f, value)
 
 
 def _scale(point) -> tuple[tuple[int, ...], int]:
@@ -251,9 +227,7 @@ def _scale(point) -> tuple[tuple[int, ...], int]:
     return tuple(v.numerator * (den // v.denominator) for v in point), den
 
 
-def brute_exists_1(
-    f: sl.Formula, point: list, var: int, atoms=None, compiled=None
-) -> bool:
+def brute_exists_1(f: sl.Formula, point: list, var: int, atoms=None) -> bool:
     """Complete one-variable existential: test every arrangement candidate.
 
     Any satisfying value lies in a union of intervals whose endpoints are
@@ -263,8 +237,6 @@ def brute_exists_1(
     """
     if atoms is None:
         atoms = list(f.atoms())
-    if compiled is None:
-        compiled = _compile(f)
     n = len(point)
     den = 1
     for i in range(n):
@@ -292,14 +264,12 @@ def brute_exists_1(
         scale = g // den
         full = [v * scale for v in nums]
         full[var] = cand.numerator * (g // cd)
-        if _eval_scaled(compiled, full, g):
+        if _holds_scaled(f, full, g):
             return True
     return False
 
 
-def brute_exists_2(
-    f: sl.Formula, point: list, v1: int, v2: int, atoms=None, compiled=None
-) -> bool:
+def brute_exists_2(f: sl.Formula, point: list, v1: int, v2: int, atoms=None) -> bool:
     """Two-variable existential via arrangement-vertex candidates for v1.
 
     The projection of the satisfied region onto the v1 axis is a union of
@@ -310,8 +280,6 @@ def brute_exists_2(
     """
     if atoms is None:
         atoms = list(f.atoms())
-    if compiled is None:
-        compiled = _compile(f)
     fixed = [
         (i, point[i])
         for i in range(len(point))
@@ -332,7 +300,7 @@ def brute_exists_2(
         values.add(Fraction(rests[ia] * b.coeffs[v2] - rests[ib] * a.coeffs[v2], d))
     for c in _with_mid_and_outer(values):
         point[v1] = c
-        if brute_exists_1(f, point, v2, atoms, compiled):
+        if brute_exists_1(f, point, v2, atoms):
             point[v1] = None
             return True
     point[v1] = None
@@ -355,21 +323,19 @@ def suite_elimination(seed: int = 0, cases: int = 500) -> SuiteResult:
         proj = sl.project(f, keep)
         elim = [i for i in range(n) if i not in keep]
         atoms = list(f.atoms())
-        cf = _compile(f)
-        cproj = _compile(proj)
         if not keep:
-            expected = brute_exists_1(f, [None], 0, atoms, cf)
-            if _eval_scaled(cproj, (), 1) != expected:
+            expected = brute_exists_1(f, [None], 0, atoms)
+            if _holds_scaled(proj, (), 1) != expected:
                 r.failures.append(f"case {case}: emptiness mismatch")
         elif len(keep) == 1:
             point: list = [None] * n
             for x in grid:
                 point[keep[0]] = x
                 if len(elim) == 1:
-                    expected = brute_exists_1(f, point, elim[0], atoms, cf)
+                    expected = brute_exists_1(f, point, elim[0], atoms)
                 else:
-                    expected = brute_exists_2(f, point, elim[0], elim[1], atoms, cf)
-                if _eval_scaled(cproj, (x.numerator,), x.denominator) != expected:
+                    expected = brute_exists_2(f, point, elim[0], elim[1], atoms)
+                if _holds_scaled(proj, (x.numerator,), x.denominator) != expected:
                     r.failures.append(f"case {case}: mismatch at {x}")
                     break
         else:
@@ -381,9 +347,9 @@ def suite_elimination(seed: int = 0, cases: int = 500) -> SuiteResult:
                 point[keep[0]] = x
                 for y in grid:
                     point[keep[1]] = y
-                    expected = brute_exists_1(f, point, elim[0], atoms, cf)
+                    expected = brute_exists_1(f, point, elim[0], atoms)
                     nums, den = _scale((x, y))
-                    if _eval_scaled(cproj, nums, den) != expected:
+                    if _holds_scaled(proj, nums, den) != expected:
                         r.failures.append(f"case {case}: mismatch at {(x, y)}")
                         bad = True
                         break
@@ -926,15 +892,3 @@ def suite_lowerset(seed: int = 0, cases: int = 300) -> SuiteResult:
             f"case {case}: join is the union",
         )
     return r
-
-
-SUITES = {
-    "figures": suite_figures,
-    "lowerset": suite_lowerset,
-    "elimination": suite_elimination,
-    "cells": suite_cells,
-    "dim-axioms": suite_dim_axioms,
-    "closure": suite_closure,
-    "mixed": suite_mixed,
-    "tropical": suite_trop,
-}

@@ -9,6 +9,7 @@ from valdim import boolean, verify
 from valdim import mixedcell as mc
 from valdim import semilinear as sl
 from valdim.errors import ParseError
+from valdim.semilinear.atoms import _dnf_lists as dnf_lists
 
 NODES = (boolean.Bool, boolean.Atom, boolean.And, boolean.Or, boolean.Not)
 
@@ -105,3 +106,137 @@ class TestMapAtoms:
         assert sl.exists(sl.parse_formula("x1 < x2 & x2 < x3"), 1) == sl.parse_formula(
             "x1 - x3 < 0", 3
         )
+
+
+class Var:
+    """An atom that reads one position of a tuple of bools."""
+
+    arity = 0
+
+    def __init__(self, i):
+        self.i = i
+
+    def holds(self, bits):
+        return bits[self.i]
+
+
+VARS = 3
+ASSIGNMENTS = [tuple(bool(p >> i & 1) for i in range(VARS)) for p in range(2**VARS)]
+
+
+def random_tree(rng, depth):
+    """A tree built with the node constructors, not ``of``: constants may sit
+    anywhere, under ``Not`` too, and ``And``/``Or`` may have one part."""
+    if depth == 0 or rng.random() < 0.25:
+        if rng.random() < 0.3:
+            return boolean.Bool(rng.random() < 0.5)
+        return boolean.Atom(Var(rng.randrange(VARS)))
+    kind = rng.choice((boolean.And, boolean.Or, boolean.Not))
+    if kind is boolean.Not:
+        return boolean.Not(random_tree(rng, depth - 1))
+    return kind(tuple(random_tree(rng, depth - 1) for _ in range(rng.randint(1, 3))))
+
+
+def reference(f, bits):
+    if isinstance(f, boolean.Bool):
+        return f.value
+    if isinstance(f, boolean.Atom):
+        return bits[f.atom.i]
+    if isinstance(f, boolean.Not):
+        return not reference(f.part, bits)
+    if isinstance(f, boolean.And):
+        return all(reference(p, bits) for p in f.parts)
+    return any(reference(p, bits) for p in f.parts)
+
+
+TREES = [random_tree(random.Random(seed), 5) for seed in range(300)]
+
+
+class TestEvaluate:
+    def test_bools_match_the_reference(self):
+        for f in TREES:
+            for bits in ASSIGNMENTS:
+                expected = reference(f, bits)
+                assert boolean.evaluate(f, lambda a: bits[a.i]) is expected
+                assert f.holds(bits) is expected
+
+    def test_masks_stack_the_bool_evaluations(self):
+        top = (1 << len(ASSIGNMENTS)) - 1
+        masks = [sum(1 << p for p, bits in enumerate(ASSIGNMENTS) if bits[i]) for i in range(VARS)]
+        for f in TREES + [boolean.Not(boolean.Bool(True)), boolean.Or((boolean.Bool(False),))]:
+            expected = sum(reference(f, bits) << p for p, bits in enumerate(ASSIGNMENTS))
+            assert boolean.evaluate(f, lambda a: masks[a.i], top) == expected
+
+    def test_junctions_stop_at_their_absorbing_value(self):
+        seen = []
+
+        def value(a):
+            seen.append(a.i)
+            return a.i == 1
+
+        x0, x1, x2 = (boolean.Atom(Var(i)) for i in range(3))
+        assert boolean.evaluate(boolean.And((x0, x1, x2)), value) is False
+        assert seen == [0]
+        seen.clear()
+        assert boolean.evaluate(boolean.Or((x0, x1, x2)), value) is True
+        assert seen == [0, 1]
+
+
+def reference_nnf(f, positive=True):
+    """Negation normal form through the ``of`` constructors."""
+    if isinstance(f, sl.Bool):
+        return sl.Bool(f.value if positive else not f.value, f.arity)
+    if isinstance(f, sl.Atom):
+        return f if positive else sl.negate_atom(f.atom)
+    if isinstance(f, sl.Not):
+        return reference_nnf(f.part, not positive)
+    parts = [reference_nnf(p, positive) for p in f.parts]
+    conj = isinstance(f, sl.And) == positive
+    return sl.And.of(*parts) if conj else sl.Or.of(*parts)
+
+
+def reference_distribute(f):
+    """The disjunct atom tuples of an NNF tree, distributed in order."""
+    if isinstance(f, sl.Bool):
+        return [()] if f.value else []
+    if isinstance(f, sl.Atom):
+        return [(f.atom,)]
+    if isinstance(f, sl.Or):
+        return [d for p in f.parts for d in reference_distribute(p)]
+    disjuncts = [()]
+    for p in f.parts:
+        disjuncts = [d + b for d in disjuncts for b in reference_distribute(p)]
+    return disjuncts
+
+
+class TestDnf:
+    def test_one_pass_equals_nnf_then_distribute(self):
+        for _, f in verify.formula_instances(0, 200):
+            for g in (f, sl.Not.of(f)):
+                assert dnf_lists(g) == reference_distribute(reference_nnf(g))
+
+    def test_negated_equality_splits_in_two(self):
+        a = sl.atom((1, -1), "=", 0)
+        assert dnf_lists(sl.Not.of(a)) == reference_distribute(sl.negate_atom(a.atom))
+        assert len(dnf_lists(sl.Not.of(a))) == 2
+
+
+class TestJunctions:
+    def test_and_and_or_are_told_apart(self):
+        a, b = sl.atom((1, 0), "<", 1), sl.atom((0, 1), "<", 1)
+        conj, disj = sl.And.of(a, b), sl.Or.of(a, b)
+        assert conj.parts == disj.parts and conj != disj
+        assert repr(conj).startswith("And(") and repr(disj).startswith("Or(")
+        assert conj == sl.And.of(a, b) and hash(conj) == hash(sl.And.of(a, b))
+
+    def test_of_flattens_folds_and_keeps_arity(self):
+        a, b, c = (sl.atom(cs, "<", 1) for cs in ((1, 0), (0, 1), (1, 1)))
+        for node, unit in ((sl.And, True), (sl.Or, False)):
+            assert node.of(node.of(a, b), c).parts == (a, b, c)
+            assert node.of(a, sl.Bool(unit, 2)) == a
+            assert node.of(a, sl.Bool(not unit)) == sl.Bool(not unit, 2)
+            assert node.of(sl.Bool(unit, 2), sl.Bool(unit)) == sl.Bool(unit, 2)
+            assert node.of() == sl.Bool(unit, 0)
+            assert node.of(a, b).arity == 2
+        mixed = sl.And.of(sl.Or.of(a, b), c)
+        assert isinstance(mixed, sl.And) and isinstance(mixed.parts[0], sl.Or)

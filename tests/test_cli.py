@@ -50,6 +50,21 @@ class TestLowerset:
         code, out, _ = run(capsys, "lowerset", "render", "[[1,1]]")
         assert code == 0 and "1 | • •" in out
 
+    @pytest.mark.parametrize(
+        "op, inputs",
+        [("join", ["[[1,2]]"]), ("add", ["[[1,2]]", "[[0,1]]", "[[5,5]]"]),
+         ("closure", ["[[1,2]]", "[[0,1]]"])],
+    )
+    def test_wrong_input_count_exit_3(self, capsys, op, inputs):
+        code, out, err = run(capsys, "lowerset", op, *inputs)
+        assert code == 3 and not out and "exactly" in err
+
+    @pytest.mark.parametrize("text", ["[[1.5,1]]", "[[true,1]]", "{}", "[1,2]", '[["1"]]', "[[1,"])
+    def test_non_integer_points_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "lowerset", "closure", text)
+        assert code == 2 and not out
+        assert "expected a JSON list of integer points" in err
+
 
 class TestGamma:
     def test_dim(self, capsys):
@@ -97,6 +112,11 @@ class TestGamma:
         code, _, err = run(capsys, "gamma", "dim", "x1 < x5", "-n", "2")
         assert code == 3 and "unknown variable" in err
 
+    @pytest.mark.parametrize("op", ["dim", "cells"])
+    def test_negative_arity_exit_3(self, capsys, op):
+        code, out, err = run(capsys, "gamma", op, "true", "-n", "-1")
+        assert code == 3 and not out and "negative" in err
+
     def test_constants_read_back(self, capsys):
         code, out, _ = run(capsys, "gamma", "project", "x1 < x2", "--keep", "1")
         assert code == 0 and out.strip() == "true"
@@ -139,6 +159,10 @@ class TestMixed:
         assert code == 0 and out.strip() == "(1, 1)"
         code, out, _ = run(capsys, "mixed", "dim", "false | g1 < 0", "-n", "2")
         assert code == 0 and out.strip() == "(1, 2)"
+
+    def test_negative_arity_exit_3(self, capsys):
+        code, out, err = run(capsys, "mixed", "dim", "v(x) < 1", "-n", "-1")
+        assert code == 3 and not out and "negative" in err
 
     def test_zero_poly_rejected(self, capsys):
         code, _, err = run(capsys, "mixed", "dim", "v(0*(x)) = 1")

@@ -214,6 +214,9 @@ def _run_trop(args) -> int:
 
 
 def _run_verify(args) -> int:
+    for flag, count in (("--cases", args.cases), ("--trop-cases", args.trop_cases)):
+        if count < 0:
+            raise SemanticError(f"{flag} must be non-negative, got {count}")
     if args.op == "figures":
         r = verify.suite_figures()
         print(r.line())

@@ -169,14 +169,15 @@ class _MixedParser:
 
     def linear_tail(self) -> PuiseuxElement:
         """The optional signed puiseux expression following 'x'."""
-        shift = PuiseuxElement()
+        terms = []
         while True:
             if self.toks.accept("+"):
-                shift = shift + self.pterm()
+                terms.append(self.pterm())
             elif self.toks.accept("-"):
-                shift = shift - self.pterm()
+                e, c = self.pterm()
+                terms.append((e, -c))
             else:
-                return shift
+                return PuiseuxElement.of(*terms)
 
     def factor(self) -> tuple[PuiseuxElement, int]:
         self.toks.expect("(")
@@ -193,7 +194,8 @@ class _MixedParser:
             mult = int(m[1])
         return -shift, mult
 
-    def pterm(self) -> PuiseuxElement:
+    def pterm(self) -> tuple[Fraction, Fraction]:
+        """One (exponent, coefficient) term; the coefficient may be 0."""
         t = self.toks.peek()
         if t is None:
             raise ParseError("unexpected end of input", len(self.toks.text))
@@ -203,11 +205,11 @@ class _MixedParser:
                 name = self.toks.next()
                 if name[0] != "name" or name[1] != "t":
                     raise ParseError("expected 't' after '*'", name[2])
-                return PuiseuxElement.of((self.texp(), coeff))
-            return PuiseuxElement.constant(coeff)
+                return self.texp(), coeff
+            return Fraction(0), coeff
         if t[0] == "name" and t[1] == "t":
             self.toks.next()
-            return PuiseuxElement.of((self.texp(), Fraction(1)))
+            return self.texp(), Fraction(1)
         raise ParseError(f"expected a coefficient or 't', found {t[1]!r}", t[2])
 
     def texp(self) -> Fraction:
@@ -296,11 +298,11 @@ def parse_mixed_formula(text: str, n_gamma: int | None = None) -> Formula:
 def parse_puiseux(text: str) -> PuiseuxElement:
     """Parse a standalone Puiseux literal like ``1/2*t^-1 + 3 - t^2/3``."""
     parser = _MixedParser(text, 0)
-    value = PuiseuxElement()
+    terms = []
     sign = -1 if parser.toks.accept("-") else 1
     while True:
-        term = parser.pterm()
-        value = value + term if sign > 0 else value - term
+        e, c = parser.pterm()
+        terms.append((e, c) if sign > 0 else (e, -c))
         if parser.toks.accept("+"):
             sign = 1
         elif parser.toks.accept("-"):
@@ -310,4 +312,4 @@ def parse_puiseux(text: str) -> PuiseuxElement:
     trailing = parser.toks.peek()
     if trailing is not None:
         raise ParseError(f"trailing input {trailing[1]!r}", trailing[2])
-    return value
+    return PuiseuxElement.of(*terms)

@@ -66,11 +66,11 @@ class SwissPiece:
     def contains(self, x: PuiseuxElement) -> bool:
         if self.kind == "points":
             return any(x == e for e in self.elements)
-        rho = (x - self.center).valuation()
+        rho = x.distance(self.center)
         if self.kind == "sphere":
             if rho != self.radius:
                 return False
-            return all((x - a).valuation() == self.radius for a in self.avoid)
+            return all(x.distance(a) == self.radius for a in self.avoid)
         if rho is INFINITY:
             return False
         if self.lo is not None and not (self.lo < rho):
@@ -83,7 +83,7 @@ class SwissPiece:
         """The radius coordinate of a member point."""
         if self.kind == "points":
             return INFINITY
-        return (x - self.center).valuation()
+        return x.distance(self.center)
 
     def sample(self, rho: Fraction | None = None) -> PuiseuxElement:
         """A member of the piece, optionally at a prescribed radius."""
@@ -199,8 +199,7 @@ def monomial_decompose(
         for other in clist:
             if other == c:
                 continue
-            d = (c - other).valuation()
-            dist_of[other.key()] = d
+            dist_of[other.key()] = c.distance(other)
         radii = sorted(set(dist_of.values()))
 
         def least_of_cluster(threshold: Fraction | None, strict: bool) -> PuiseuxElement:

@@ -5,12 +5,21 @@ coefficients q and strictly increasing rational exponents e.  The
 valuation of an element is its least exponent; the valuation of zero is
 the symbolic top element ``INFINITY``.  All root distances and polynomial
 valuations computed from this data are exact.
+
+Every element keeps its terms canonical: ``(exponent, coefficient)``
+pairs of ``Fraction``s, exponents strictly increasing, no zero
+coefficient.  The public constructors (``PuiseuxElement(...)``, ``of``,
+``constant``) check and coerce their input, and accept only ``int`` and
+``Fraction`` values.  The operators build their results from canonical
+terms, so they go through ``_canonical``, which stores the terms as
+given.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Union
 
 
@@ -49,6 +58,15 @@ INFINITY = _Infinity()
 Val = Union[Fraction, _Infinity]
 
 
+def _rational(q, what: str) -> Fraction:
+    """``q`` as a Fraction; only ints (not bools) and Fractions are exact data."""
+    if isinstance(q, Fraction):
+        return q
+    if isinstance(q, int) and not isinstance(q, bool):
+        return Fraction(q)
+    raise TypeError(f"{what} must be an int or a Fraction, got {type(q).__name__} {q!r}")
+
+
 @dataclass(frozen=True)
 class PuiseuxElement:
     """Finite list of (exponent, coefficient) terms, exponents increasing."""
@@ -59,7 +77,7 @@ class PuiseuxElement:
         cleaned = []
         last = None
         for e, c in self.terms:
-            e, c = Fraction(e), Fraction(c)
+            e, c = _rational(e, "exponent"), _rational(c, "coefficient")
             if c == 0:
                 continue
             if last is not None and e <= last:
@@ -68,18 +86,31 @@ class PuiseuxElement:
             cleaned.append((e, c))
         object.__setattr__(self, "terms", tuple(cleaned))
 
+    @classmethod
+    def _canonical(cls, terms: tuple) -> "PuiseuxElement":
+        """Wrap terms that are already canonical, skipping the checks."""
+        el = object.__new__(cls)
+        object.__setattr__(el, "terms", terms)
+        return el
+
     @staticmethod
     def of(*terms: tuple) -> "PuiseuxElement":
         """Build from (exponent, coefficient) pairs in any order."""
-        acc: dict[Fraction, Fraction] = {}
-        for e, c in terms:
-            e = Fraction(e)
-            acc[e] = acc.get(e, Fraction(0)) + Fraction(c)
-        return PuiseuxElement(tuple(sorted((e, c) for e, c in acc.items() if c != 0)))
+        pairs = sorted(
+            ((_rational(e, "exponent"), _rational(c, "coefficient")) for e, c in terms),
+            key=itemgetter(0),
+        )
+        out = []
+        for e, c in pairs:
+            if out and out[-1][0] == e:
+                out[-1] = (e, out[-1][1] + c)
+            else:
+                out.append((e, c))
+        return PuiseuxElement._canonical(tuple(t for t in out if t[1]))
 
     @staticmethod
     def constant(q) -> "PuiseuxElement":
-        return PuiseuxElement.of((Fraction(0), Fraction(q)))
+        return PuiseuxElement.of((0, q))
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -87,14 +118,48 @@ class PuiseuxElement:
     def valuation(self) -> Val:
         return self.terms[0][0] if self.terms else INFINITY
 
-    def __add__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        return PuiseuxElement.of(*self.terms, *other.terms)
+    def distance(self, other: "PuiseuxElement") -> Val:
+        """v(self - other): the least exponent where the term lists differ."""
+        a, b = self.terms, other.terms
+        for ta, tb in zip(a, b):
+            if ta != tb:
+                return min(ta[0], tb[0])
+        if len(a) == len(b):
+            return INFINITY
+        return a[len(b)][0] if len(a) > len(b) else b[len(a)][0]
 
-    def __neg__(self) -> "PuiseuxElement":
-        return PuiseuxElement(tuple((e, -c) for e, c in self.terms))
+    def _merge(self, other: "PuiseuxElement", sub: bool) -> "PuiseuxElement":
+        """self + other, or self - other, by one merge of the sorted term lists."""
+        a, b = self.terms, other.terms
+        out = []
+        i = j = 0
+        while i < len(a) and j < len(b):
+            ea, ca = a[i]
+            eb, cb = b[j]
+            if ea == eb:
+                c = ca - cb if sub else ca + cb
+                if c:
+                    out.append((ea, c))
+                i += 1
+                j += 1
+            elif ea < eb:
+                out.append(a[i])
+                i += 1
+            else:
+                out.append((eb, -cb) if sub else b[j])
+                j += 1
+        out.extend(a[i:])
+        out.extend(((e, -c) for e, c in b[j:]) if sub else b[j:])
+        return PuiseuxElement._canonical(tuple(out))
+
+    def __add__(self, other: "PuiseuxElement") -> "PuiseuxElement":
+        return self._merge(other, False)
 
     def __sub__(self, other: "PuiseuxElement") -> "PuiseuxElement":
-        return self + (-other)
+        return self._merge(other, True)
+
+    def __neg__(self) -> "PuiseuxElement":
+        return PuiseuxElement._canonical(tuple((e, -c) for e, c in self.terms))
 
     def coefficient(self, e) -> Fraction:
         e = Fraction(e)
@@ -138,7 +203,7 @@ class FactoredPoly:
     roots: tuple[tuple[PuiseuxElement, int], ...] = ()
 
     def __post_init__(self):
-        lead = Fraction(self.lead)
+        lead = _rational(self.lead, "lead")
         if lead == 0:
             raise ValueError("zero polynomial rejected: valuation identically infinite")
         seen = set()
@@ -146,7 +211,8 @@ class FactoredPoly:
         for r, m in self.roots:
             if not isinstance(r, PuiseuxElement):
                 r = PuiseuxElement.constant(r)
-            m = int(m)
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise TypeError(f"root multiplicity must be an int, got {m!r}")
             if m < 1:
                 raise ValueError("root multiplicities must be positive")
             if r.key() in seen:
@@ -161,7 +227,7 @@ class FactoredPoly:
         """v(f(x)) computed term by term from the factored form."""
         total = Fraction(0)
         for r, m in self.roots:
-            v = (x - r).valuation()
+            v = x.distance(r)
             if v is INFINITY:
                 return INFINITY
             total += m * v

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -169,6 +170,52 @@ class TestMixed:
         assert code in (2, 3) and err
 
 
+class TestMixedOutputDigests:
+    """Printed mixed output on seeded formulas, fixed byte for byte.
+
+    The formulas are the first eight of the seed-0 ``mixed`` benchmark
+    pool, one of each shape.  Each digest covers the stdout of ``mixed
+    dim``, ``mixed cells --format json`` and ``mixed project``, so a change
+    to the Puiseux arithmetic or to any printer cannot alter output unseen.
+    """
+
+    CASES = [
+        (1, "(-v((x - 3/2*t^-1 - t^2)^2*(x + 1/2*t^-2 + t^-1)^2*(x)) - g1 >= -1/2"
+            " & g1 > -1) & v((x - 3/2*t^-1 - t^2)^2*(x + 1/2*t^-2 + t^-1)^2*(x)) <= -2",
+         "783982b1fd305c7e"),
+        (1, "v(3*(x - 1/2*t^-1/2)^2*(x)^2*(x + t)) + g1 <= -3 & g1 <= 1/2",
+         "fbfee0702fb9353e"),
+        (1, "(v(2*(x + 2*t^3/2)*(x)*(x - 3/2*t^3)^2*(x + 3/2 - 2*t^3)*(x - 1/2 + t^4))"
+            " + 2*g1 >= 0 & g1 < -2) | v(2*(x + 2*t^3/2)*(x)*(x - 3/2*t^3)^2"
+            "*(x + 3/2 - 2*t^3)*(x - 1/2 + t^4)) + 2*g1 >= 2",
+         "49ac144d3fe80854"),
+        (1, "((v(2*(x + 2*t^-1 - 2*t^2)*(x)^2) + 2*g1 < -3 | g1 < 2)"
+            " | -v(3*(x)*(x - 1/2*t^2)^2) + g1 >= 3) | v(2*(x + 2*t^-1 - 2*t^2)*(x)^2) = inf",
+         "b0e786e4f4e6e349"),
+        (2, "v(2*(x - 3/2*t^-1)*(x)) - 2*g1 + 2*g2 = -3 & g1 + 2*g2 = 0",
+         "910644d5b35f5d34"),
+        (1, "v((x - t - t^4)*(x)*(x + 2*t)^2) + 2*g1 >= -3 & g1 = 1",
+         "95e2407bda6c7985"),
+        (1, "(2*v(2*(x - 1/2)^2*(x + 1/2*t)*(x + 1 + 3/2*t^2)*(x - 1/2*t + 1/2*t^4))"
+            " - 2*g1 <= -2 | -2*g1 <= -1) & -v((x)*(x - 3*t^-2)*(x - t^3)^2"
+            "*(x + 3/2 - 3*t^2)) + g1 > -3/2",
+         "becf8d41e50df3a4"),
+        (2, "v((x)*(x - 3*t^3/2)) + 2*g1 + g2 >= -1 | -2*g2 < 2",
+         "6241ac5edd229d14"),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, text, digest", CASES, ids=[f"seed0-{i}" for i in range(len(CASES))]
+    )
+    def test_output_unchanged(self, capsys, n, text, digest):
+        h = hashlib.sha256()
+        for op, options in (("dim", ()), ("cells", ("--format", "json")), ("project", ())):
+            code, out, err = run(capsys, "mixed", op, *options, "-n", str(n), "--", text)
+            assert code == 0, err
+            h.update(out.encode())
+        assert h.hexdigest()[:16] == digest
+
+
 class TestReadme:
     """Every quick-tour command with a ``# ->`` note prints that note."""
 
@@ -248,6 +295,19 @@ class TestVerifyAndDeterminism:
         )
         assert code == 0
         assert "total:" in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("axioms", "--cases", "-3", "--trop-cases", "0"),
+            ("axioms", "--cases", "0", "--trop-cases", "-1"),
+            ("figures", "--cases", "-1"),
+            ("paper-suite", "--trop-cases", "-2"),
+        ],
+    )
+    def test_negative_case_count_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 3 and not out and "non-negative" in err
 
     def test_byte_identical_reruns(self, capsys):
         args = ("verify", "axioms", "--cases", "4", "--trop-cases", "2", "--seed", "3")

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from valdim import semilinear as sl
 from valdim import verify
@@ -20,6 +22,7 @@ from valdim.mixedcell import (
     mixed_dimension,
     monomial_decompose,
     parse_mixed_formula,
+    parse_puiseux,
     piece_k_dimension,
     project_to_gamma,
     valuation,
@@ -68,6 +71,137 @@ class TestPuiseux:
         x = pe((F(1, 2), 1))
         assert f.valuation_at(x) == F(1, 2) + F(1, 2)
         assert f.valuation_at(T) is INFINITY
+
+    def test_distance_examples(self):
+        a = pe((0, 1), (1, 2))
+        assert a.distance(a) is INFINITY
+        assert a.distance(pe((0, 1), (1, 3))) == 1
+        assert a.distance(pe((0, 1))) == 1
+        assert ZERO.distance(a) == 0
+        assert a.distance(pe((-1, 5), (0, 1), (1, 2))) == -1
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: pe((0.1, 1)),
+            lambda: pe((1, 0.5)),
+            lambda: pe((True, 1)),
+            lambda: PuiseuxElement(((F(0), 1.5),)),
+            lambda: PuiseuxElement.constant(0.5),
+            lambda: PuiseuxElement.constant("1/2"),
+            lambda: FactoredPoly(1.5, ()),
+            lambda: FactoredPoly(1, ((ONE, 1.9),)),
+            lambda: FactoredPoly(1, ((ONE, True),)),
+            lambda: FactoredPoly(1, ((0.5, 1),)),
+        ],
+    )
+    def test_constructors_reject_inexact_data(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_constructors_accept_ints_and_fractions(self):
+        assert pe((1, 2), (F(1, 2), F(-1))).terms == ((F(1, 2), F(-1)), (F(1), F(2)))
+        f = FactoredPoly(F(3, 2), ((F(1, 2), 2), (T, 1)))
+        assert str(f) == "3/2*(x - 1/2)^2*(x - t)"
+
+
+EXPONENTS = [F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]
+COEFFICIENTS = [F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(3)]
+term_dicts = st.dictionaries(
+    st.sampled_from(EXPONENTS), st.sampled_from(COEFFICIENTS), max_size=5
+)
+
+
+@st.composite
+def dict_pairs(draw):
+    """Two term dicts sharing exponents, often with equal coefficients."""
+    a = draw(term_dicts)
+    b = {e: c for e, c in a.items() if draw(st.booleans())}
+    b.update(draw(st.dictionaries(st.sampled_from(EXPONENTS), st.sampled_from(COEFFICIENTS),
+                                  max_size=2)))
+    return (b, a) if draw(st.booleans()) else (a, b)
+
+
+def element(d):
+    return PuiseuxElement.of(*d.items())
+
+
+def ref_sum(a, b, sign):
+    """The terms of a + sign * b, computed on dicts."""
+    out = dict(a)
+    for e, c in b.items():
+        out[e] = out.get(e, 0) + sign * c
+    return tuple(sorted((e, c) for e, c in out.items() if c))
+
+
+def ref_valuation(terms):
+    return terms[0][0] if terms else INFINITY
+
+
+def is_canonical(x):
+    exps = [e for e, _ in x.terms]
+    return exps == sorted(set(exps)) and all(
+        type(e) is F and type(c) is F and c != 0 for e, c in x.terms
+    )
+
+
+class TestPuiseuxArithmetic:
+    @settings(max_examples=300, deadline=None)
+    @given(dict_pairs())
+    def test_distance_is_valuation_of_difference(self, pair):
+        a, b = pair
+        assert element(a).distance(element(b)) == ref_valuation(ref_sum(a, b, -1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(dict_pairs())
+    def test_sum_difference_and_negation(self, pair):
+        a, b = pair
+        x, y = element(a), element(b)
+        for got, want in (
+            (x + y, ref_sum(a, b, 1)),
+            (x - y, ref_sum(a, b, -1)),
+            (-x, ref_sum({}, a, -1)),
+        ):
+            assert got.terms == want and is_canonical(got)
+            assert got == PuiseuxElement(want) and hash(got) == hash(PuiseuxElement(want))
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(term_dicts, st.integers(1, 3)), min_size=1, max_size=4),
+           st.integers(0, 3), term_dicts, st.booleans())
+    def test_valuation_at_matches_term_by_term(self, roots, pick, change, perturb):
+        distinct = {}
+        for d, m in roots:
+            distinct.setdefault(tuple(sorted(d.items())), (d, m))
+        roots = list(distinct.values())
+        # x is a root, or a root with some terms replaced, so distances vary
+        x = dict(roots[pick % len(roots)][0])
+        if perturb:
+            x.update(change)
+        f = FactoredPoly(1, tuple((element(d), m) for d, m in roots))
+        want = F(0)
+        for d, m in roots:
+            v = ref_valuation(ref_sum(x, d, -1))
+            if v is INFINITY:
+                want = INFINITY
+                break
+            want += m * v
+        assert f.valuation_at(element(x)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(EXPONENTS), st.sampled_from(COEFFICIENTS)),
+                    max_size=6))
+    def test_of_sums_repeated_exponents(self, pairs):
+        acc = {}
+        for e, c in pairs:
+            acc[e] = acc.get(e, 0) + c
+        x = PuiseuxElement.of(*pairs)
+        assert x.terms == ref_sum(acc, {}, 1) and is_canonical(x)
+
+    @settings(max_examples=300, deadline=None)
+    @given(term_dicts)
+    def test_parse_round_trip(self, d):
+        e = element(d)
+        assert parse_puiseux(str(e)) == e
 
 
 class TestMonomialDecompose:

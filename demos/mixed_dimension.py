@@ -9,9 +9,8 @@ N^2 and behave themselves under bijections and projections.
 from valdim import semilinear as sl
 from valdim.lowerset import dim_nat, shift_closure
 from valdim.mixedcell import (
+    AffineBijection,
     FactoredPoly,
-    GammaPermutation,
-    KTranslation,
     PuiseuxElement,
     apply_bijection,
     mixed_cell_decompose,
@@ -52,9 +51,12 @@ print("\na point times a group square, next to a ball times a group point:")
 print("  dimension", d.maxima, "-- both candidates kept; collapse", dim_nat(d))
 
 print("\nbijections leave the dimension alone:")
-for b in (GammaPermutation((1, 0)), KTranslation(t)):
+for name, b in (
+    ("g1 <-> g2", AffineBijection(((0, 1), (1, 0)), (0, 0), zero)),
+    ("x -> x - t", AffineBijection(((1, 0), (0, 1)), (0, 0), t)),
+):
     moved = apply_bijection(hesitation, b)
-    print(f"  under {type(b).__name__:17}", mixed_dimension(moved).maxima)
+    print(f"  under {name:17}", mixed_dimension(moved).maxima)
 
 proj = project_to_gamma(hesitation)
 print("\nprojection dimension", sl.dimension(proj), "respects the shift bound",

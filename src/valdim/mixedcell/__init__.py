@@ -3,7 +3,7 @@
 Provides exact Puiseux arithmetic, the piecewise-monomial decomposition
 of the valued line, relative cell decomposition of mixed formulas, the
 mixed dimension as a lower set of N^2, exact projection to the group
-sort, and the definable bijections the dimension is invariant under.
+sort, and the affine bijections the dimension is invariant under.
 Mixed formulas are the shared Boolean nodes of :mod:`valdim.boolean`
 (``And``, ``Or``, ``Not``, ...) over ``MixedAtom`` leaves; their arity is
 the number of group coordinates.
@@ -11,11 +11,7 @@ the number of group coordinates.
 
 from ..boolean import Not
 from .engine import (
-    BijectionSpec,
-    GammaPermutation,
-    GammaTranslation,
-    GammaUnimodular,
-    KTranslation,
+    AffineBijection,
     MixedCell,
     apply_bijection,
     mixed_cell_decompose,
@@ -39,8 +35,7 @@ from .puiseux import INFINITY, FactoredPoly, PuiseuxElement, valuation
 MNot = Not
 
 __all__ = [
-    "BijectionSpec", "GammaPermutation", "GammaTranslation", "GammaUnimodular",
-    "KTranslation", "MixedCell", "apply_bijection", "mixed_cell_decompose", "mixed_cell_to_json",
+    "AffineBijection", "MixedCell", "apply_bijection", "mixed_cell_decompose", "mixed_cell_to_json",
     "mixed_dimension", "piece_formulas", "piece_to_json", "project_to_gamma",
     "MNot", "MixedAtom", "matom", "polys",
     "parse_mixed_formula", "parse_puiseux",

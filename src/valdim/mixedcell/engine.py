@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from .. import semilinear as sl
 from ..boolean import Atom, Formula, map_atoms
@@ -238,114 +238,67 @@ def mixed_cell_to_json(c: MixedCell) -> dict:
 
 
 @dataclass(frozen=True)
-class GammaPermutation:
-    """gamma_i moves to position perm[i]."""
+class AffineBijection:
+    """(x, gamma) -> (x - shift, matrix . gamma + offsets).
 
-    perm: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class GammaTranslation:
-    offsets: tuple[Fraction, ...]
-
-
-@dataclass(frozen=True)
-class GammaUnimodular:
-    """gamma -> U gamma for an integer matrix with determinant +-1."""
+    ``matrix`` is an integer n x n matrix with determinant +-1.  A
+    permutation of the gamma coordinates is a permutation matrix; a
+    translation is the identity matrix with offsets.
+    """
 
     matrix: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class KTranslation:
-    """x -> x - shift on the valued coordinate."""
-
+    offsets: tuple[Fraction, ...]
     shift: PuiseuxElement
 
 
-BijectionSpec = Union[GammaPermutation, GammaTranslation, GammaUnimodular, KTranslation]
+def _integer_inverse(matrix: Sequence[Sequence[int]]) -> list[list[int]]:
+    """The inverse of a square matrix, by exact Gauss-Jordan elimination.
+
+    Raises ``SemanticError`` when the matrix is singular or its inverse
+    is not integral, that is, when it is not unimodular.
+    """
+    n = len(matrix)
+    rows = [
+        [Fraction(c) for c in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(matrix)
+    ]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if rows[r][col]), None)
+        if pivot is None:
+            raise SemanticError("singular matrix is not a bijection")
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        rows[col] = top = [v / rows[col][col] for v in rows[col]]
+        for r in range(n):
+            factor = rows[r][col]
+            if r != col and factor:
+                rows[r] = [v - factor * w for v, w in zip(rows[r], top)]
+    inverse = [row[n:] for row in rows]
+    if any(v.denominator != 1 for row in inverse for v in row):
+        raise SemanticError("matrix is not unimodular: its inverse is not integral")
+    return [[int(v) for v in row] for row in inverse]
 
 
-def _det(m: list[list[int]]) -> int:
-    if len(m) == 1:
-        return m[0][0]
-    total = 0
-    for j in range(len(m)):
-        minor = [row[:j] + row[j + 1 :] for row in m[1:]]
-        total += (-1) ** j * m[0][j] * _det(minor)
-    return total
+def apply_bijection(f: Formula, b: AffineBijection) -> Formula:
+    """Formula for the image of the set of ``f`` under the bijection ``b``.
 
-
-def _unimodular_inverse(u: tuple[tuple[int, ...], ...]) -> list[list[int]]:
-    n = len(u)
-    m = [list(row) for row in u]
-    d = _det(m)
-    if d not in (1, -1):
-        raise SemanticError(f"matrix with determinant {d} is not unimodular")
-    inv = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [
-                [m[r][c] for c in range(n) if c != i]
-                for r in range(n)
-                if r != j
-            ]
-            cof = (-1) ** (i + j) * (_det(minor) if minor else 1)
-            inv[i][j] = cof * d  # divide by det = multiply, since det is +-1
-    return inv
-
-
-def apply_bijection(f: Formula, b: BijectionSpec) -> Formula:
-    """Formula for the image of the set of ``f`` under the bijection ``b``."""
+    The image holds at (y, delta) iff ``f`` holds at the preimage
+    (y + shift, U^-1 (delta - offsets)).  So every polynomial is
+    translated by the shift, group coefficients c become c U^-1, and a
+    finite right side gains (c U^-1) . offsets.
+    """
     n = f.arity
+    if len(b.matrix) != n or any(len(r) != n for r in b.matrix) or len(b.offsets) != n:
+        raise SemanticError(f"bijection shape does not fit {n} group coordinates")
+    inverse = _integer_inverse(b.matrix)
 
-    if isinstance(b, GammaPermutation):
-        if sorted(b.perm) != list(range(n)):
-            raise SemanticError(f"{b.perm} is not a permutation of 0..{n - 1}")
+    def image(a: MixedAtom) -> Formula:
+        coeffs = tuple(
+            sum(c * row[j] for c, row in zip(a.gcoeffs, inverse)) for j in range(n)
+        )
+        rhs = a.rhs
+        if rhs is not INFINITY:
+            rhs += sum(c * d for c, d in zip(coeffs, b.offsets))
+        poly = None if a.poly is None else a.poly.translate(b.shift)
+        return Atom(MixedAtom(a.weight, poly, coeffs, a.rel, rhs))
 
-        def permute(a: MixedAtom) -> Formula:
-            coeffs = [0] * n
-            for i, c in enumerate(a.gcoeffs):
-                coeffs[b.perm[i]] = c
-            return Atom(MixedAtom(a.weight, a.poly, tuple(coeffs), a.rel, a.rhs))
-
-        return map_atoms(f, permute, n)
-
-    if isinstance(b, GammaTranslation):
-        if len(b.offsets) != n:
-            raise SemanticError("translation arity mismatch")
-        offs = tuple(Fraction(d) for d in b.offsets)
-
-        def translate(a: MixedAtom) -> Formula:
-            if a.rhs is INFINITY:
-                return Atom(a)
-            shift = sum(c * d for c, d in zip(a.gcoeffs, offs))
-            return Atom(MixedAtom(a.weight, a.poly, a.gcoeffs, a.rel, a.rhs + shift))
-
-        return map_atoms(f, translate, n)
-
-    if isinstance(b, GammaUnimodular):
-        if len(b.matrix) != n or any(len(r) != n for r in b.matrix):
-            raise SemanticError("matrix arity mismatch")
-        inv = _unimodular_inverse(b.matrix)
-
-        def substitute(a: MixedAtom) -> Formula:
-            coeffs = tuple(
-                sum(a.gcoeffs[i] * inv[i][j] for i in range(n)) for j in range(n)
-            )
-            return Atom(MixedAtom(a.weight, a.poly, coeffs, a.rel, a.rhs))
-
-        return map_atoms(f, substitute, n)
-
-    if isinstance(b, KTranslation):
-
-        def shift_poly(a: MixedAtom) -> Formula:
-            if a.poly is None:
-                return Atom(a)
-            return Atom(
-                MixedAtom(a.weight, a.poly.translate(b.shift), a.gcoeffs, a.rel, a.rhs)
-            )
-
-        return map_atoms(f, shift_poly, n)
-
-    raise SemanticError(f"unknown bijection spec {b!r}")
+    return map_atoms(f, image, n)

@@ -8,7 +8,8 @@ with valuation terms:
     msum     :=  ['-'] mterm (('+'|'-') mterm)*
     mterm    :=  [INT '*'] 'v' '(' poly ')'   weighted valuation term
               |  INT '*' GVAR | GVAR | RAT | 'inf'
-    poly     :=  [RAT '*'] factor ('*' factor)*
+    poly     :=  'x' [('+'|'-') puiseux]      bare degree-1 form
+              |  [['-'] RAT '*'] factor ('*' factor)*
     factor   :=  '(' 'x' [('+'|'-') puiseux] ')' ['^' INT]
     puiseux  :=  pterm (('+'|'-') pterm)*
     pterm    :=  RAT ['*' 't' ['^' EXP]]  |  't' ['^' EXP]
@@ -153,9 +154,10 @@ class _MixedParser:
             self.toks.next()
             root = -self.linear_tail()
             return FactoredPoly(Fraction(1), ((root, 1),))
-        lead = Fraction(1)
-        if t is not None and t[0] == "num":
-            lead = self.rational()
+        sign = -1 if self.toks.accept("-") else 1
+        lead = Fraction(sign)
+        if sign < 0 or (t is not None and t[0] == "num"):
+            lead = sign * self.rational()
             self.toks.expect("*")
         roots: dict[tuple, tuple[PuiseuxElement, int]] = {}
         while True:

@@ -175,15 +175,15 @@ class PuiseuxElement:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for e, c in self.terms:
-            if e == 0:
-                parts.append(str(c))
-            elif e == 1:
-                parts.append(f"{c}*t" if c != 1 else "t")
-            else:
-                parts.append(f"{c}*t^{e}" if c != 1 else f"t^{e}")
-        return " + ".join(parts).replace("+ -", "- ")
+        return " + ".join(_term(e, c) for e, c in self.terms).replace("+ -", "- ")
+
+
+def _term(e: Fraction, c: Fraction) -> str:
+    """The term c * t^e, with a coefficient 1 left out before t."""
+    if e == 0:
+        return str(c)
+    power = "t" if e == 1 else f"t^{e}"
+    return power if c == 1 else f"{c}*{power}"
 
 
 def valuation(e: PuiseuxElement) -> Val:
@@ -243,10 +243,10 @@ class FactoredPoly:
     def __str__(self) -> str:
         parts = [] if self.lead == 1 and self.roots else [str(self.lead)]
         for r, m in self.roots:
-            if r.is_zero():
-                base = "(x)"
-            else:
-                s = str(r)
-                base = f"(x - {s})" if not s.startswith("-") else f"(x + {s[1:]})"
+            # x - r, each term of -r with its own sign.
+            tail = "".join(
+                f" - {_term(e, c)}" if c > 0 else f" + {_term(e, -c)}" for e, c in r.terms
+            )
+            base = f"(x{tail})"
             parts.append(base if m == 1 else f"{base}^{m}")
         return "*".join(parts) if parts else str(self.lead)

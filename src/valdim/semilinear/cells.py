@@ -183,15 +183,15 @@ class GammaCell:
         Decided by emptiness of the violating system, coordinate by
         coordinate.
         """
-        n = self.arity
         for k, (i, spec) in enumerate(zip(self.signature, self.bounds)):
             if i != 1:
                 continue
             lo, hi = spec
             if isinstance(lo, _Inf) or isinstance(hi, _Inf):
                 continue
-            # lo >= hi anywhere on the base would break the cell.
-            coeffs = [0] * n
+            # lo >= hi anywhere on the base would break the cell; both
+            # bounds and the base live on the first k coordinates.
+            coeffs = [0] * k
             for idx, c in enumerate(lo.coeffs):
                 coeffs[idx] += c * hi.div
             for idx, c in enumerate(hi.coeffs):
@@ -203,10 +203,7 @@ class GammaCell:
                     return False
                 continue
             base = GammaCell(self.signature[:k], self.bounds[:k]).to_basicset()
-            padded = tuple(
-                LinearAtom(_pad(a.coeffs, n), a.rel, a.rhs) for a in base.atoms
-            )
-            if not is_empty(BasicSet(padded + (bad.atom,), n)):
+            if not is_empty(BasicSet(base.atoms + (bad.atom,), k)):
                 return False
         return True
 
@@ -267,10 +264,6 @@ def _comparison_atoms(b1: AffineBound, b2: AffineBound) -> list[LinearAtom]:
         if isinstance(f, Atom):
             out.append(f.atom)
     return out
-
-
-def _pad(coeffs: tuple[int, ...], n: int) -> tuple[int, ...]:
-    return coeffs + (0,) * (n - len(coeffs))
 
 
 def _lift(

@@ -26,7 +26,8 @@ from .atoms import EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, embed
 Row = tuple[tuple[int, ...], str, int]
 
 
-def _to_rows(atoms: Sequence[LinearAtom]) -> list[Row]:
+def atom_rows(atoms: Sequence[LinearAtom]) -> list[Row]:
+    """Integer-scaled rows of a conjunction, for callers staying in row space."""
     rows = []
     for a in atoms:
         d = a.rhs.denominator
@@ -181,11 +182,6 @@ def rows_infeasible(rows: list[Row], arity: int) -> bool:
     return False
 
 
-def atom_rows(atoms: Sequence[LinearAtom]) -> list[Row]:
-    """Integer-scaled rows of a conjunction, for callers staying in row space."""
-    return _to_rows(atoms)
-
-
 def negate_row(row: Row) -> list[Row]:
     """Rows covering the complement of one row (two pieces for equality)."""
     coeffs, rel, rhs = row
@@ -205,7 +201,7 @@ def is_empty(b: BasicSet) -> bool:
     """
     if b._empty is not None:
         return b._empty
-    verdict = rows_infeasible(_to_rows(b.atoms), b.arity)
+    verdict = rows_infeasible(atom_rows(b.atoms), b.arity)
     object.__setattr__(b, "_empty", verdict)
     return verdict
 
@@ -249,7 +245,7 @@ def basic_dimension(b: BasicSet) -> int | float:
     if is_empty(b):
         return NEG_INF
     n = b.arity
-    system = _to_rows(b.atoms)
+    system = atom_rows(b.atoms)
     weak = [i for i, row in enumerate(system) if row[1] == LE]
     all_strict = [(c, LT if rel == LE else rel, q) for c, rel, q in system]
     if weak and rows_infeasible(all_strict, n):
@@ -272,7 +268,7 @@ def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:
         # contradictions purely among kept coordinates would otherwise
         # survive the elimination untouched
         return None
-    rows = _to_rows(b.atoms)
+    rows = atom_rows(b.atoms)
     for j in range(b.arity):
         if j in keep:
             continue
@@ -333,7 +329,7 @@ def sample_point(b: BasicSet) -> tuple[Fraction, ...] | None:
     up, picking midpoints of the remaining feasible interval.
     """
     stages: list[list[Row]] = [None] * (b.arity + 1)  # type: ignore[list-item]
-    stages[b.arity] = _to_rows(b.atoms)
+    stages[b.arity] = atom_rows(b.atoms)
     rows = stages[b.arity]
     for j in range(b.arity - 1, -1, -1):
         result = _eliminate_var(rows, j)

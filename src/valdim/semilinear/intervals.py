@@ -12,7 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .atoms import Formula
+from .atoms import Formula, embed
+from .cells import AffineBound, cell_decompose
 
 #: (lo, lo_closed, hi, hi_closed); None stands for the missing endpoint of
 #: a half-line or the full line.
@@ -47,79 +48,38 @@ class IntervalType:
         return x in self.points
 
 
-def _breakpoints(f: Formula) -> list[Fraction]:
-    values = set()
-    for a in f.atoms():
-        c = a.coeffs[0]
-        values.add(Fraction(a.rhs, c))
-    return sorted(values)
-
-
 def one_var_canonical(f: Formula) -> IntervalType:
-    """Canonical decomposition of a one-variable formula.
+    """Canonical decomposition of a formula in at most one variable.
 
-    Samples the endpoint arrangement (each breakpoint, each gap between
-    consecutive breakpoints, and one point beyond each end), then merges
-    consecutive pieces into maximal intervals.
+    Reads the cells of :func:`cell_decompose` bottom to top and merges
+    two consecutive cells when they share an endpoint that one of them
+    contains.  A closed run of one point is an isolated point.  A formula
+    without variables is read as a cylinder over the line.
     """
     if f.arity > 1:
         raise ValueError(f"one_var_canonical needs 1 free variable, got {f.arity}")
-    bps = _breakpoints(f)
-    # Alternating arrangement pieces: gap, point, gap, ..., point, gap.
-    # pieces[i] truth value, piece 2k is a gap, piece 2k+1 is bps[k].
-    truths: list[bool] = []
-    if not bps:
-        return _assemble([f.holds((Fraction(0),))], [])
-    for i, b in enumerate(bps):
-        if i == 0:
-            truths.append(f.holds((b - 1,)))
+    if f.arity == 0:
+        f = embed(f, (0,), 1)
+    runs: list[list] = []
+    for cell in cell_decompose(f):
+        [spec] = cell.bounds
+        if cell.signature == (0,):
+            v = spec.value(())
+            lo, lc, hi, hc = v, True, v, True
         else:
-            truths.append(f.holds(((bps[i - 1] + b) / 2,)))
-        truths.append(f.holds((b,)))
-    truths.append(f.holds((bps[-1] + 1,)))
-    return _assemble(truths, bps)
-
-
-def _assemble(truths: list[bool], bps: list[Fraction]) -> IntervalType:
-    intervals: list[Interval] = []
-    points: list[Fraction] = []
-    i = 0
-    npieces = len(truths)
-
-    def piece_bounds(k: int) -> Interval:
-        if k % 2 == 1:
-            b = bps[k // 2]
-            return (b, True, b, True)
-        lo = bps[k // 2 - 1] if k > 0 else None
-        hi = bps[k // 2] if k // 2 < len(bps) else None
-        return (lo, False, hi, False)
-
-    while i < npieces:
-        if not truths[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < npieces and truths[j + 1]:
-            j += 1
-        lo, lc, _, _ = piece_bounds(i)
-        _, _, hi, hc = piece_bounds(j)
-        if i == j and i % 2 == 1:
-            points.append(bps[i // 2])
+            lo, hi = (b.value(()) if isinstance(b, AffineBound) else None for b in spec)
+            lc = hc = False
+        if runs and runs[-1][2] == lo and (runs[-1][3] or lc):
+            runs[-1][2:] = hi, hc
         else:
-            intervals.append((lo, lc, hi, hc))
-        i = j + 1
-
-    boundary = set()
-    for lo, _, hi, _ in intervals:
-        if lo is not None:
-            boundary.add(lo)
-        if hi is not None:
-            boundary.add(hi)
-    boundary.update(points)
+            runs.append([lo, lc, hi, hc])
+    intervals = tuple(tuple(r) for r in runs if r[0] is None or r[0] != r[2])
+    points = tuple(r[0] for r in runs if r[0] is not None and r[0] == r[2])
+    boundary = {e for lo, _, hi, _ in intervals for e in (lo, hi) if e is not None}
     return IntervalType(
         M=len(intervals),
         N=len(points),
-        intervals=tuple(intervals),
-        points=tuple(sorted(points)),
-        boundary=tuple(sorted(boundary)),
+        intervals=intervals,
+        points=points,
+        boundary=tuple(sorted(boundary.union(points))),
     )

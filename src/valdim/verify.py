@@ -29,11 +29,8 @@ from .lowerset import (
     shift_closure,
 )
 from .mixedcell import (
+    AffineBijection,
     FactoredPoly,
-    GammaPermutation,
-    GammaTranslation,
-    GammaUnimodular,
-    KTranslation,
     MixedCell,
     PuiseuxElement,
     apply_bijection,
@@ -724,19 +721,20 @@ def suite_mixed(seed: int = 0, cases: int = 100, samples_per_case: int = 100) ->
         if dim != mixed_dimension_via_fibers(cells):
             r.failures.append(f"case {case}: fiber route disagrees")
             continue
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        zero, origin = (0,) * n, PuiseuxElement()
         bijections = [
-            GammaTranslation(tuple(random_rational(rng, -2, 2) for _ in range(n))),
-            KTranslation(random_puiseux(rng)),
+            AffineBijection(eye, tuple(random_rational(rng, -2, 2) for _ in range(n)), origin),
+            AffineBijection(eye, zero, random_puiseux(rng)),
         ]
         if n == 2:
-            bijections.append(GammaPermutation((1, 0)))
-            bijections.append(GammaUnimodular(((1, 1), (0, 1))))
+            bijections.append(AffineBijection(((0, 1), (1, 0)), zero, origin))
+            bijections.append(AffineBijection(((1, 1), (0, 1)), zero, origin))
         else:
-            bijections.append(GammaPermutation(tuple(range(n))))
-            bijections.append(GammaUnimodular(((1,),) if n == 1 else ((1, 0), (0, 1))))
+            bijections.append(AffineBijection(((-1,),), zero, origin))
         for b in bijections:
             if mixed_dimension(apply_bijection(f, b)) != dim:
-                r.failures.append(f"case {case}: dimension moved under {type(b).__name__}")
+                r.failures.append(f"case {case}: dimension moved under {b}")
                 bad = "x"
                 break
         if bad:

@@ -11,11 +11,8 @@ from valdim.errors import ParseError, SemanticError
 from valdim.lowerset import dim_nat, lower_closure, principal
 from valdim.mixedcell import (
     INFINITY,
+    AffineBijection,
     FactoredPoly,
-    GammaPermutation,
-    GammaTranslation,
-    GammaUnimodular,
-    KTranslation,
     PuiseuxElement,
     apply_bijection,
     mixed_cell_decompose,
@@ -104,6 +101,22 @@ class TestPuiseux:
         f = FactoredPoly(F(3, 2), ((F(1, 2), 2), (T, 1)))
         assert str(f) == "3/2*(x - 1/2)^2*(x - t)"
 
+    @pytest.mark.parametrize(
+        "f, text",
+        [
+            (FactoredPoly(1, ((T, 1),)), "(x - t)"),
+            (FactoredPoly(1, ((-T, 1),)), "(x + t)"),
+            (FactoredPoly(1, ((ONE + T, 1),)), "(x - 1 - t)"),
+            (FactoredPoly(1, ((T - ONE, 1),)), "(x + 1 - t)"),
+            (FactoredPoly(-1, ((T, 1),)), "-1*(x - t)"),
+            (FactoredPoly(F(-1, 2), ((ZERO, 2),)), "-1/2*(x)^2"),
+        ],
+    )
+    def test_factored_poly_prints_each_root_term_with_its_sign(self, f, text):
+        assert str(f) == text
+        [a] = parse_mixed_formula(f"v({text}) < 1", 0).atoms()
+        assert a.poly == f
+
 
 EXPONENTS = [F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]
 COEFFICIENTS = [F(-2), F(-1), F(-1, 2), F(1, 3), F(1), F(3)]
@@ -186,6 +199,17 @@ class TestPuiseuxArithmetic:
                 break
             want += m * v
         assert f.valuation_at(element(x)) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(COEFFICIENTS),
+           st.lists(st.tuples(term_dicts, st.integers(1, 3)), min_size=1, max_size=3))
+    def test_printed_factored_poly_reads_back(self, lead, roots):
+        distinct = {}
+        for d, m in roots:
+            distinct.setdefault(tuple(sorted(d.items())), (d, m))
+        f = FactoredPoly(lead, tuple((element(d), m) for d, m in distinct.values()))
+        [a] = parse_mixed_formula(f"v({f}) < 1", 0).atoms()
+        assert a.poly == f
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(EXPONENTS), st.sampled_from(COEFFICIENTS)),
@@ -410,6 +434,28 @@ class TestProjectToGamma:
         assert p.holds((F(0),)) and not p.holds((F(1),))
 
 
+SWAP = ((0, 1), (1, 0))
+SHEAR = ((1, 1), (0, 1))
+EYE2 = ((1, 0), (0, 1))
+
+
+@st.composite
+def unimodular(draw, n):
+    """A product of integer row additions, row swaps and sign flips."""
+    m = [[int(i == j) for j in range(n)] for i in range(n)]
+    for _ in range(draw(st.integers(0, 6))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(["add", "swap", "flip"]))
+        if op == "add" and i != j:
+            k = draw(st.integers(-2, 2))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        elif op == "swap":
+            m[i], m[j] = m[j], m[i]
+        elif op == "flip":
+            m[i] = [-a for a in m[i]]
+    return tuple(tuple(row) for row in m)
+
+
 class TestBijections:
     def setup_method(self):
         self.f = parse_mixed_formula("g1 = v(x) & g2 <= 2*v(x) & 0 < v(x)", 2)
@@ -417,35 +463,73 @@ class TestBijections:
 
     def test_swap(self):
         g = apply_bijection(
-            parse_mixed_formula("g1 = v(x)", 2), GammaPermutation((1, 0))
+            parse_mixed_formula("g1 = v(x)", 2), AffineBijection(SWAP, (0, 0), ZERO)
         )
         [atom] = g.atoms()
         assert atom.gcoeffs == (0, 1)
 
     def test_k_translation(self):
         g = apply_bijection(
-            parse_mixed_formula("v(x) = 0", 0), KTranslation(T)
+            parse_mixed_formula("v(x) = 0", 0), AffineBijection((), (), T)
         )
         [atom] = g.atoms()
         assert atom.poly.roots[0][0] == -T  # v(x + t) = 0
 
     def test_gamma_translation(self):
         f = parse_mixed_formula("0 < g1 & g1 < 1", 1)
-        g = apply_bijection(f, GammaTranslation((F(1),)))
+        g = apply_bijection(f, AffineBijection(((1,),), (F(1),), ZERO))
         assert g.holds(ZERO, (F(3, 2),)) and not g.holds(ZERO, (F(1, 2),))
 
     def test_invariance(self):
         for b in (
-            GammaPermutation((1, 0)),
-            GammaTranslation((F(1), F(-1, 2))),
-            GammaUnimodular(((1, 1), (0, 1))),
-            KTranslation(T),
+            AffineBijection(SWAP, (0, 0), ZERO),
+            AffineBijection(EYE2, (F(1), F(-1, 2)), ZERO),
+            AffineBijection(SHEAR, (0, 0), ZERO),
+            AffineBijection(EYE2, (0, 0), T),
         ):
             assert mixed_dimension(apply_bijection(self.f, b)) == self.dim
 
     def test_non_unimodular_rejected(self):
+        for matrix in (((2, 0), (0, 1)), ((1, 2), (2, 1))):  # determinants 2 and -3
+            with pytest.raises(SemanticError):
+                apply_bijection(self.f, AffineBijection(matrix, (0, 0), ZERO))
+
+    @pytest.mark.parametrize(
+        "matrix, offsets",
+        [
+            (((1, 1), (1, 1)), (0, 0)),  # singular
+            (((0, 0), (0, 0)), (0, 0)),  # singular
+            (((1, 0),), (0, 0)),  # not square
+            (((1, 0), (0,)), (0, 0)),  # ragged
+            (((1,),), (0,)),  # one coordinate of two
+            (((1, 0, 0), (0, 1, 0), (0, 0, 1)), (0, 0, 0)),  # three of two
+            (EYE2, (0,)),  # offsets too short
+        ],
+    )
+    def test_singular_or_misshaped_rejected(self, matrix, offsets):
         with pytest.raises(SemanticError):
-            apply_bijection(self.f, GammaUnimodular(((2, 0), (0, 1))))
+            apply_bijection(self.f, AffineBijection(matrix, offsets, ZERO))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data(), st.integers(1, 3), st.integers(0, 2**32))
+    def test_image_is_the_moved_set(self, data, n, seed):
+        rng = random.Random(seed)
+        polys = [verify.random_factored_poly(rng, 3) for _ in range(rng.randint(1, 2))]
+        f = verify.random_mixed_formula(rng, n, polys)
+        u = data.draw(unimodular(n))
+        d = tuple(verify.random_rational(rng, -2, 2) for _ in range(n))
+        shift = verify.random_puiseux(rng)
+        g = apply_bijection(f, AffineBijection(u, d, shift))
+        xs = [r for p in polys for r, _ in p.roots]
+        xs += [verify.random_puiseux(rng, 3) for _ in range(4)]
+        for x in xs:
+            for _ in range(4):
+                gamma = tuple(verify.random_rational(rng, -3, 3) for _ in range(n))
+                moved = tuple(
+                    sum(a * b for a, b in zip(row, gamma)) + o for row, o in zip(u, d)
+                )
+                assert f.holds(x, gamma) == g.holds(x - shift, moved)
+        assert mixed_dimension(g) == mixed_dimension(f)
 
 
 class TestMixedDimensionWithoutCells:

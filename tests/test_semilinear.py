@@ -167,6 +167,41 @@ class TestOneVarCanonical:
         with pytest.raises(ValueError):
             sl.one_var_canonical(sl.parse_formula("x1 < x2"))
 
+    @pytest.mark.parametrize(
+        "text, intervals",
+        [("true", ((None, False, None, False),)), ("0 < 1", ((None, False, None, False),)),
+         ("false", ()), ("!(0 < 1)", ())],
+    )
+    def test_no_variable_is_a_cylinder(self, text, intervals):
+        f = sl.parse_formula(text)
+        assert f.arity == 0
+        t = sl.one_var_canonical(f)
+        assert (t.M, t.N) == (len(intervals), 0)
+        assert t.intervals == intervals and t.points == () and t.boundary == ()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.integers(1, 5), st.booleans())
+    def test_pieces_match_the_formula_and_are_maximal(self, seed, k, negate):
+        from valdim import verify
+
+        f = verify.random_formula(random.Random(seed), 1, k)
+        if negate:
+            f = sl.Not.of(f)
+        t = sl.one_var_canonical(f)
+        bps = sorted({F(a.rhs, a.coeffs[0]) for a in f.atoms()})
+        probes = bps + [(a + b) / 2 for a, b in zip(bps, bps[1:])]
+        probes += [bps[0] - 1, bps[-1] + 1] if bps else [F(0)]
+        for x in probes:
+            assert t.holds(x) == f.holds((x,)), x
+        pieces = sorted(
+            list(t.intervals) + [(p, True, p, True) for p in t.points],
+            key=lambda r: (r[0] is not None, r[0]),
+        )
+        assert (t.M, t.N) == (len(t.intervals), len(t.points))
+        for (_, _, hi, hc), (lo, lc, _, _) in zip(pieces, pieces[1:]):
+            assert hi is not None and lo is not None and hi <= lo
+            assert not (hi == lo and (hc or lc))
+
 
 class TestCellDecompose:
     def test_open_interval(self):
@@ -203,6 +238,16 @@ class TestCellDecompose:
         for c in sl.cell_decompose(f):
             assert c.is_consistent()
             assert c.contains(c.sample())
+
+    def test_inconsistent_band_below_the_top_coordinate(self):
+        # x2 between x1 and 0 is empty wherever x1 >= 0, and x1 ranges over Q.
+        line = (sl.MINUS_INF, sl.PLUS_INF)
+        x1 = sl.AffineBound((1,), F(0))
+        zero = sl.AffineBound((0,), F(0))
+        broken = sl.GammaCell((1, 1, 1), (line, (x1, zero), line))
+        assert not broken.is_consistent()
+        x1_plus_1 = sl.AffineBound((1,), F(1))
+        assert sl.GammaCell((1, 1, 1), (line, (x1, x1_plus_1), line)).is_consistent()
 
 
 def dense_formula(rng, n, k):

@@ -90,18 +90,20 @@ class MixedCell:
 
 def _atom_on_piece(
     a: MixedAtom,
-    vals: dict[tuple, MonomialValuation],
+    mv: MonomialValuation | None,
     n: int,
     at_point: bool,
 ) -> sl.Formula:
     """Translate one mixed atom into a linear formula on one piece.
 
-    Non-point pieces get arity n+1 with rho first; point pieces get
-    arity n (and resolve infinite valuations to constants).
+    ``mv`` is the valuation of the atom's polynomial on the piece (None
+    for a pure group atom).  Non-point pieces get arity n+1 with rho
+    first; point pieces get arity n (and resolve infinite valuations to
+    constants).
     """
     arity = n if at_point else n + 1
     if a.weight != 0 and at_point:
-        v = vals[a.poly.key()].value(INFINITY)
+        v = mv.value(INFINITY)
         if v is INFINITY:
             lhs = INFINITY if a.weight > 0 else "-inf"
             return sl.Bool(_ext_compare(lhs, a.rel, a.rhs), arity)
@@ -114,7 +116,6 @@ def _atom_on_piece(
         return sl.atom(coeffs, a.rel, a.rhs)
     if at_point:
         return sl.atom(a.gcoeffs, a.rel, a.rhs - a.weight * v)
-    mv = vals[a.poly.key()]
     coeffs = (a.weight * mv.slope, *a.gcoeffs)
     return sl.atom(coeffs, a.rel, a.rhs - a.weight * mv.const)
 
@@ -142,13 +143,16 @@ def piece_formulas(
     """
     n = f.arity
     tracked = polys(f)
+    position = {a: tracked.index(a.poly) for a in f.atoms() if a.weight}
     out = []
     for piece, vals in monomial_decompose(tracked):
-        vmap = {p.key(): v for p, v in zip(tracked, vals)}
         at_point = piece.kind == "points"
-        g = map_atoms(
-            f, lambda a: _atom_on_piece(a, vmap, n, at_point), n if at_point else n + 1
-        )
+
+        def on_piece(a: MixedAtom) -> sl.Formula:
+            mv = vals[position[a]] if a.weight else None
+            return _atom_on_piece(a, mv, n, at_point)
+
+        g = map_atoms(f, on_piece, n if at_point else n + 1)
         if not at_point:
             g = sl.And.of(g, *_rho_constraints(piece, n))
         out.append((piece, g))

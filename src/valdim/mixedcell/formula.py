@@ -19,9 +19,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import index
 from typing import Sequence, Union
 
 from ..boolean import Atom, Bool, Formula, Or
+from ..semilinear.atoms import exact
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
 _REL_FLIP = {">": "<", ">=": "<="}
@@ -75,9 +77,14 @@ class MixedAtom:
             raise ValueError(f"bad relation {self.rel!r}")
         if (self.weight == 0) != (self.poly is None):
             raise ValueError("poly must be present iff weight is nonzero")
-        object.__setattr__(self, "gcoeffs", tuple(int(c) for c in self.gcoeffs))
+        object.__setattr__(self, "gcoeffs", tuple(map(index, self.gcoeffs)))
         if self.rhs is not INFINITY:
-            object.__setattr__(self, "rhs", Fraction(self.rhs))
+            object.__setattr__(self, "rhs", exact(self.rhs))
+        fields = (self.weight, self.poly, self.gcoeffs, self.rel, self.rhs)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def arity(self) -> int:
@@ -118,7 +125,7 @@ def matom(
     bound.  For finite right sides >, >= flip signs; != expands into a
     disjunction.
     """
-    gcoeffs = tuple(int(c) for c in gcoeffs)
+    gcoeffs = tuple(map(index, gcoeffs))
     if rhs is INFINITY:
         if rel in ("<=",):
             return Bool(True, len(gcoeffs))
@@ -132,7 +139,7 @@ def matom(
             # finite lhs against infinity
             return Bool(rel == "<", len(gcoeffs))
         return Atom(MixedAtom(weight, poly, gcoeffs, rel, INFINITY))
-    rhs = Fraction(rhs)
+    rhs = exact(rhs)
     if rel in _REL_FLIP:
         return matom(
             -weight,

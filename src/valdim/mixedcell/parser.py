@@ -10,6 +10,7 @@ with valuation terms:
               |  INT '*' GVAR | GVAR | RAT | 'inf'
     poly     :=  'x' [('+'|'-') puiseux]      bare degree-1 form
               |  [['-'] RAT '*'] factor ('*' factor)*
+              |  ['-'] RAT                     constant, valuation 0
     factor   :=  '(' 'x' [('+'|'-') puiseux] ')' ['^' INT]
     puiseux  :=  pterm (('+'|'-') pterm)*
     pterm    :=  RAT ['*' 't' ['^' EXP]]  |  't' ['^' EXP]
@@ -100,14 +101,9 @@ class _MixedParser:
                 return side
 
     def mterm(self, side: _Side, sign: int):
-        t = self.toks.next()
-        if t[0] == "num":
-            value = Fraction(int(t[1]))
-            if self.toks.accept("/"):
-                d = self.toks.next()
-                if d[0] != "num" or int(d[1]) == 0:
-                    raise ParseError("expected a nonzero integer denominator", d[2])
-                value = value / int(d[1])
+        t = self.toks.peek()
+        if t is not None and t[0] == "num":
+            value = self.rational()
             if self.toks.accept("*"):
                 v = self.toks.next()
                 if v[0] != "name":
@@ -128,6 +124,7 @@ class _MixedParser:
                 return
             side.add_const(sign * value)
             return
+        t = self.toks.next()
         if t[0] == "name":
             if t[1] == "inf":
                 if sign < 0:
@@ -158,7 +155,8 @@ class _MixedParser:
         lead = Fraction(sign)
         if sign < 0 or (t is not None and t[0] == "num"):
             lead = sign * self.rational()
-            self.toks.expect("*")
+            if not self.toks.accept("*"):
+                return FactoredPoly(lead, ())
         roots: dict[tuple, tuple[PuiseuxElement, int]] = {}
         while True:
             root, mult = self.factor()
@@ -224,13 +222,12 @@ class _MixedParser:
         t = self.toks.next()
         if t[0] != "num":
             raise ParseError(f"expected a number, found {t[1]!r}", t[2])
-        value = Fraction(int(t[1]))
-        if self.toks.accept("/"):
-            d = self.toks.next()
-            if d[0] != "num" or int(d[1]) == 0:
-                raise ParseError("expected a nonzero integer denominator", d[2])
-            value = value / int(d[1])
-        return value
+        if not self.toks.accept("/"):
+            return Fraction(int(t[1]))
+        d = self.toks.next()
+        if d[0] != "num" or int(d[1]) == 0:
+            raise ParseError("expected a nonzero integer denominator", d[2])
+        return Fraction(int(t[1]), int(d[1]))
 
     def gvar_index(self, name: str, pos: int) -> int:
         m = _GVAR.match(name)

@@ -114,17 +114,6 @@ class SwissPiece:
                 raise ValueError(f"radius {rho} outside the annulus interval")
         return self.center + PuiseuxElement.of((rho, Fraction(1)))
 
-    def sort_key(self) -> tuple:
-        order = {"points": 0, "sphere": 1, "annulus": 2}
-        if self.kind == "points":
-            return (self.elements[0].key(), order[self.kind], ())
-        radius_key = (
-            (self.radius,)
-            if self.kind == "sphere"
-            else (self.lo is None, self.lo, self.hi is None, self.hi)
-        )
-        return (self.center.key(), order[self.kind], radius_key)
-
 
 def piece_k_dimension(p: SwissPiece) -> int:
     """0 for an explicit finite point list, 1 for any other piece.
@@ -135,108 +124,86 @@ def piece_k_dimension(p: SwissPiece) -> int:
     return 0 if p.kind == "points" else 1
 
 
-def _valuations_for(
-    polys: Sequence[FactoredPoly],
-    center: PuiseuxElement,
-    dist_of: dict[tuple, Fraction],
-    hi: Fraction | None,
-    sphere_at: Fraction | None = None,
-) -> tuple[MonomialValuation, ...]:
-    """Monomial data for each polynomial on one piece around ``center``.
-
-    For an annulus piece the cut is at its upper end ``hi``: roots at
-    distance >= hi (and the center itself) contribute the slope, roots
-    strictly below contribute constants.  For a sphere piece at radius r
-    roots at distance exactly r sit on the avoided branches and
-    contribute r as a constant.
-    """
-    out = []
-    for f in polys:
-        slope = 0
-        const = Fraction(0)  # lead coefficients are rational: valuation 0
-        for r, m in f.roots:
-            if r == center:
-                slope += m
-                continue
-            d = dist_of[r.key()]
-            if sphere_at is not None:
-                if d > sphere_at:
-                    slope += m
-                elif d == sphere_at:
-                    const += m * sphere_at
-                else:
-                    const += m * d
-            else:
-                if hi is not None and d >= hi:
-                    slope += m
-                else:
-                    const += m * d
-        out.append(MonomialValuation(const, slope))
-    return tuple(out)
-
-
 def monomial_decompose(
     polys: Sequence[FactoredPoly],
 ) -> list[tuple[SwissPiece, tuple[MonomialValuation, ...]]]:
     """Partition the valued line so every input polynomial is monomial.
 
     Returns (piece, per-polynomial valuation) pairs in canonical piece
-    order.  The tracked centers are the roots of all the inputs together
-    with 0; the critical radii of a center are its distances to the other
-    centers.
+    order: by center, then the point, the spheres by radius, the annuli
+    by lower end and the unbounded annulus last.  The tracked centers are
+    the roots of all the inputs together with 0; the critical radii of a
+    center are its distances to the other centers.
+
+    Centers are handled by their index in key order, so the least center
+    of a cluster is its lowest index: center i owns a radius r exactly
+    when every center before it lies at distance < r.  Around center i,
+    with distinct radii r_0 < ... < r_(k-1), the valuations on annulus t
+    (between r_(t-1) and r_t, where t = k is the innermost) count a root
+    in the slope when it is the center or lies at distance >= r_t, and
+    as the constant m * d otherwise.  The sphere at r_t has the
+    valuations of annulus t + 1, and the point those of annulus k.
     """
-    centers: dict[tuple, PuiseuxElement] = {
-        PuiseuxElement().key(): PuiseuxElement()
-    }
+    found = {(): PuiseuxElement()}
     for f in polys:
         for r, _ in f.roots:
-            centers[r.key()] = r
-    clist = sorted(centers.values(), key=PuiseuxElement.key)
+            found[r.terms] = r
+    clist = sorted(found.values(), key=PuiseuxElement.key)
+    at = {c.terms: i for i, c in enumerate(clist)}
+    roots = [[(at[r.terms], m) for r, m in f.roots] for f in polys]
+    n = len(clist)
+    dist: list[list[Val]] = [[INFINITY] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            dist[i][j] = dist[j][i] = clist[i].distance(clist[j])
 
     out: list[tuple[SwissPiece, tuple[MonomialValuation, ...]]] = []
-    for c in clist:
-        dist_of: dict[tuple, Fraction] = {}
-        for other in clist:
-            if other == c:
-                continue
-            dist_of[other.key()] = c.distance(other)
-        radii = sorted(set(dist_of.values()))
+    for i, c in enumerate(clist):
+        row = dist[i]
+        # The distinct radii, the rank of each other center's distance
+        # among them, and the centers at each radius in index order.
+        radii: list[Fraction] = []
+        rank = [-1] * n
+        at_radius: list[list[PuiseuxElement]] = []
+        for j in sorted((j for j in range(n) if j != i), key=row.__getitem__):
+            if not radii or row[j] != radii[-1]:
+                radii.append(row[j])
+                at_radius.append([])
+            rank[j] = len(radii) - 1
+            at_radius[-1].append(clist[j])
+        k = len(radii)
+        first = max((rank[j] + 1 for j in range(i)), default=0)
 
-        def least_of_cluster(threshold: Fraction | None, strict: bool) -> PuiseuxElement:
-            """Least center among those at distance >= / > threshold, plus c."""
-            cluster = [c]
-            if threshold is not None:
-                for other in clist:
-                    if other == c:
-                        continue
-                    d = dist_of[other.key()]
-                    if d > threshold or (not strict and d == threshold):
-                        cluster.append(other)
-            return min(cluster, key=PuiseuxElement.key)
+        columns = []
+        for rs in roots:
+            mult = [0] * k
+            slope = 0
+            for j, m in rs:
+                slope += m
+                if j != i:
+                    mult[rank[j]] += m
+            const = Fraction(0)
+            column = [MonomialValuation(const, slope)]
+            for t in range(k):
+                if mult[t]:
+                    const += mult[t] * radii[t]
+                    slope -= mult[t]
+                column.append(MonomialValuation(const, slope))
+            columns.append(column)
+        # vals[t]: the valuations on annulus t
+        vals = [tuple(column[t] for column in columns) for t in range(k + 1)]
 
-        edges = [None, *radii, None]
-        for i in range(len(edges) - 1):
-            lo, hi = edges[i], edges[i + 1]
-            if hi is None:
-                owner = c  # innermost annulus: nothing is closer
-            else:
-                owner = least_of_cluster(hi, strict=False)
-            if owner == c:
-                piece = SwissPiece("annulus", center=c, lo=lo, hi=hi)
-                out.append((piece, _valuations_for(polys, c, dist_of, hi)))
-        for r in radii:
-            if least_of_cluster(r, strict=False) != c:
-                continue
-            avoid = tuple(
-                other for other in clist
-                if other != c and dist_of[other.key()] == r
+        out.append((SwissPiece("points", elements=(c,)), vals[k]))
+        for t in range(first, k):
+            piece = SwissPiece(
+                "sphere", center=c, radius=radii[t], avoid=tuple(at_radius[t])
             )
-            piece = SwissPiece("sphere", center=c, radius=r, avoid=avoid)
-            out.append(
-                (piece, _valuations_for(polys, c, dist_of, None, sphere_at=r))
-            )
-        piece = SwissPiece("points", elements=(c,))
-        out.append((piece, _valuations_for(polys, c, dist_of, None)))
-
-    out.sort(key=lambda pv: pv[0].sort_key())
+            out.append((piece, vals[t + 1]))
+        for t in range(max(first, 1), k + 1):
+            hi = radii[t] if t < k else None
+            piece = SwissPiece("annulus", center=c, lo=radii[t - 1], hi=hi)
+            out.append((piece, vals[t]))
+        if first == 0:
+            piece = SwissPiece("annulus", center=c, hi=radii[0] if k else None)
+            out.append((piece, vals[0]))
     return out

@@ -224,14 +224,16 @@ class FactoredPoly:
         object.__setattr__(self, "roots", tuple(fixed))
 
     def valuation_at(self, x: PuiseuxElement) -> Val:
-        """v(f(x)) computed term by term from the factored form."""
-        total = Fraction(0)
+        """v(f(x)) = sum of m * v(x - r), summed as one integer fraction."""
+        num, den = 0, 1
         for r, m in self.roots:
             v = x.distance(r)
             if v is INFINITY:
                 return INFINITY
-            total += m * v
-        return total
+            d = v.denominator
+            num = num * d + m * v.numerator * den
+            den *= d
+        return Fraction(num, den)
 
     def translate(self, a: PuiseuxElement) -> "FactoredPoly":
         """The polynomial x -> f(x + a); roots shift by -a."""

@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
+from operator import index
 from typing import Iterable, Sequence, Union
 
 from ..boolean import And, Atom, Bool, Formula, Junction, Not, Or, map_atoms
@@ -33,6 +34,16 @@ def _gcd_all(values: Iterable[int]) -> int:
     return g
 
 
+RatLike = Union[Fraction, int, str]
+
+
+def exact(q: RatLike) -> Fraction:
+    """The right side ``q`` as a Fraction; a float is not exact data."""
+    if isinstance(q, float):
+        raise TypeError(f"right side must be an int, a Fraction or a str, got float {q!r}")
+    return Fraction(q)
+
+
 @dataclass(frozen=True, eq=False)
 class LinearAtom:
     """``coeffs . x REL rhs`` with integer coefficients, in reduced form.
@@ -49,8 +60,8 @@ class LinearAtom:
     def __post_init__(self):
         if self.rel not in RELS:
             raise ValueError(f"bad relation {self.rel!r}")
-        coeffs = tuple(int(c) for c in self.coeffs)
-        rhs = Fraction(self.rhs)
+        coeffs = tuple(map(index, self.coeffs))
+        rhs = exact(self.rhs)
         g = _gcd_all(coeffs)
         if g == 0:
             raise ValueError("all-zero atom; use atom() which folds constants")
@@ -104,8 +115,6 @@ class LinearAtom:
 TRUE = Bool(True)
 FALSE = Bool(False)
 
-RatLike = Union[Fraction, int, str]
-
 
 def atom(coeffs: Sequence[int], rel: str, rhs: RatLike) -> Formula:
     """Build an atomic formula, normalizing the relation into {<, <=, =}.
@@ -113,8 +122,8 @@ def atom(coeffs: Sequence[int], rel: str, rhs: RatLike) -> Formula:
     ``>``/``>=`` negate both sides, ``!=`` expands to a disjunction, and a
     constraint with no variable left becomes a Boolean constant.
     """
-    cs = tuple(int(c) for c in coeffs)
-    q = Fraction(rhs)
+    cs = tuple(map(index, coeffs))
+    q = exact(rhs)
     if rel in (">", ">="):
         cs = tuple(-c for c in cs)
         q = -q

@@ -286,9 +286,11 @@ def _lift(
             trunc = LinearAtom(a.coeffs[:j], a.rel, a.rhs)
             base_atoms[trunc.key()] = trunc
     blist = sorted(bounds.values(), key=AffineBound.key)
-    for b1, b2 in combinations(blist, 2):
-        for c in _comparison_atoms(b1, b2):
-            base_atoms[c.key()] = c
+    # At the lowest level every comparison is a constant and Q^0 is one cell.
+    if j:
+        for b1, b2 in combinations(blist, 2):
+            for c in _comparison_atoms(b1, b2):
+                base_atoms[c.key()] = c
     return blist, arrangement(sorted(base_atoms.values(), key=LinearAtom.key), j)
 
 

@@ -13,14 +13,20 @@ from valdim.mixedcell import (
     INFINITY,
     AffineBijection,
     FactoredPoly,
+    MixedAtom,
+    MonomialValuation,
     PuiseuxElement,
+    SwissPiece,
     apply_bijection,
+    matom,
     mixed_cell_decompose,
     mixed_dimension,
     monomial_decompose,
     parse_mixed_formula,
     parse_puiseux,
+    piece_formulas,
     piece_k_dimension,
+    polys,
     project_to_gamma,
     valuation,
 )
@@ -96,6 +102,26 @@ class TestPuiseux:
         with pytest.raises(TypeError):
             build()
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: matom(0, None, (1.7,), "<", 0),
+            lambda: matom(0, None, (1,), "<", 0.5),
+            lambda: matom(1, FactoredPoly(1, ((T, 1),)), (0,), "<=", 1.5),
+            lambda: MixedAtom(0, None, (1.5,), "<", F(0)),
+            lambda: MixedAtom(0, None, (1,), "<", 0.5),
+        ],
+    )
+    def test_atom_constructors_reject_floats(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_atom_constructors_accept_exact_data(self):
+        [a] = matom(0, None, (2,), ">", "1/2").atoms()
+        assert (a.gcoeffs, a.rel, a.rhs) == ((-2,), "<", F(-1, 2))
+        a = MixedAtom(0, None, (True, 3), "=", 2)
+        assert (a.gcoeffs, a.rhs) == ((1, 3), F(2))
+
     def test_constructors_accept_ints_and_fractions(self):
         assert pe((1, 2), (F(1, 2), F(-1))).terms == ((F(1, 2), F(-1)), (F(1), F(2)))
         f = FactoredPoly(F(3, 2), ((F(1, 2), 2), (T, 1)))
@@ -110,6 +136,9 @@ class TestPuiseux:
             (FactoredPoly(1, ((T - ONE, 1),)), "(x + 1 - t)"),
             (FactoredPoly(-1, ((T, 1),)), "-1*(x - t)"),
             (FactoredPoly(F(-1, 2), ((ZERO, 2),)), "-1/2*(x)^2"),
+            (FactoredPoly(3, ()), "3"),
+            (FactoredPoly(F(-3, 2), ()), "-3/2"),
+            (FactoredPoly(1, ()), "1"),
         ],
     )
     def test_factored_poly_prints_each_root_term_with_its_sign(self, f, text):
@@ -202,7 +231,7 @@ class TestPuiseuxArithmetic:
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(COEFFICIENTS),
-           st.lists(st.tuples(term_dicts, st.integers(1, 3)), min_size=1, max_size=3))
+           st.lists(st.tuples(term_dicts, st.integers(1, 3)), min_size=0, max_size=3))
     def test_printed_factored_poly_reads_back(self, lead, roots):
         distinct = {}
         for d, m in roots:
@@ -307,6 +336,139 @@ class TestMonomialDecompose:
         self.check_oracle([f, g], pieces, self.sample_many(rng, pieces))
 
 
+def reference_monomial_decompose(polys):
+    """The line split as first written: by center keys, with per-piece lookups.
+
+    Each center keeps a dict of its distances to the others; a piece is
+    emitted from the least-key center of the cluster that reaches it, and
+    each valuation walks the roots of each polynomial.  The pieces are
+    sorted at the end by (center key, point < sphere < annulus, radii).
+    """
+    centers = {ZERO.key(): ZERO}
+    for f in polys:
+        for r, _ in f.roots:
+            centers[r.key()] = r
+    clist = sorted(centers.values(), key=PuiseuxElement.key)
+
+    def valuations(c, dist_of, hi, sphere_at=None):
+        out = []
+        for f in polys:
+            slope, const = 0, F(0)
+            for r, m in f.roots:
+                if r == c:
+                    slope += m
+                    continue
+                d = dist_of[r.key()]
+                if sphere_at is not None:
+                    if d > sphere_at:
+                        slope += m
+                    else:
+                        const += m * d
+                elif hi is not None and d >= hi:
+                    slope += m
+                else:
+                    const += m * d
+            out.append(MonomialValuation(const, slope))
+        return tuple(out)
+
+    out = []
+    for c in clist:
+        dist_of = {o.key(): c.distance(o) for o in clist if o != c}
+        radii = sorted(set(dist_of.values()))
+
+        def least_of_cluster(threshold):
+            cluster = [c] + [o for o in clist if o != c and dist_of[o.key()] >= threshold]
+            return min(cluster, key=PuiseuxElement.key)
+
+        edges = [None, *radii, None]
+        for lo, hi in zip(edges, edges[1:]):
+            if hi is None or least_of_cluster(hi) == c:
+                out.append((SwissPiece("annulus", center=c, lo=lo, hi=hi),
+                            valuations(c, dist_of, hi)))
+        for r in radii:
+            if least_of_cluster(r) == c:
+                avoid = tuple(o for o in clist if o != c and dist_of[o.key()] == r)
+                out.append((SwissPiece("sphere", center=c, radius=r, avoid=avoid),
+                            valuations(c, dist_of, None, sphere_at=r)))
+        out.append((SwissPiece("points", elements=(c,)), valuations(c, dist_of, None)))
+
+    def sort_key(pv):
+        p = pv[0]
+        if p.kind == "points":
+            return (p.elements[0].key(), 0, ())
+        if p.kind == "sphere":
+            return (p.center.key(), 1, (p.radius,))
+        return (p.center.key(), 2, (p.lo is None, p.lo, p.hi is None, p.hi))
+
+    return sorted(out, key=sort_key)
+
+
+# Few exponents and coefficients, so roots share terms: many centers lie
+# at equal distances from one another (spheres with several avoided
+# branches), and roots with positive exponents only are t-adically close
+# to 0.
+root_dicts = st.dictionaries(
+    st.sampled_from([F(0), F(1, 2), F(1), F(2)]), st.sampled_from([F(-1), F(1), F(2)]),
+    max_size=3,
+)
+
+
+@st.composite
+def shared_root_polys(draw):
+    """One to three polynomials whose roots come from one small shared pool."""
+    pool = draw(st.lists(root_dicts, min_size=1, max_size=6, unique_by=lambda d: tuple(sorted(d.items()))))
+    out = []
+    for _ in range(draw(st.integers(1, 3))):
+        picked = draw(st.lists(st.sampled_from(range(len(pool))), max_size=4, unique=True))
+        roots = tuple((element(pool[i]), draw(st.integers(1, 3))) for i in picked)
+        out.append(FactoredPoly(draw(st.sampled_from([1, -2, F(1, 3)])), roots))
+    return out
+
+
+class TestMonomialDecomposeAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(shared_root_polys())
+    def test_same_pieces_in_same_order(self, polys_):
+        assert monomial_decompose(polys_) == reference_monomial_decompose(polys_)
+
+    def test_equidistant_centers(self):
+        # 0, t and 2t are pairwise at distance 1: the sphere of radius 1
+        # around 0 avoids both others, and 0 owns every piece at radius <= 1.
+        polys_ = [FactoredPoly(1, ((T, 1), (T + T, 2))), FactoredPoly(3, ((ZERO, 1),))]
+        pieces = monomial_decompose(polys_)
+        assert pieces == reference_monomial_decompose(polys_)
+        [sphere] = [p for p, _ in pieces if p.kind == "sphere"]
+        assert (sphere.center, sphere.radius, sphere.avoid) == (ZERO, F(1), (T, T + T))
+
+    def test_no_polynomials(self):
+        pieces = monomial_decompose([])
+        assert pieces == reference_monomial_decompose([])
+        assert [p.kind for p, _ in pieces] == ["points", "annulus"]
+
+
+class TestPieceFormulas:
+    def test_equal_polynomials_that_are_distinct_objects(self):
+        # Two atoms on equal polynomials built separately: the engine
+        # tracks one polynomial, and each atom reads its valuation.
+        p1 = FactoredPoly(1, ((ZERO, 1), (T, 1)))
+        p2 = FactoredPoly(1, ((ZERO, 1), (T, 1)))
+        assert p1 == p2 and p1 is not p2
+        f = matom(1, p1, (1,), "<", 2) & matom(-1, p2, (0,), "<", 0) | matom(
+            1, p2, (0,), "=", INFINITY
+        )
+        assert polys(f) == [p1]
+        shared = matom(1, p1, (1,), "<", 2) & matom(-1, p1, (0,), "<", 0) | matom(
+            1, p1, (0,), "=", INFINITY
+        )
+        assert piece_formulas(f) == piece_formulas(shared)
+        gammas = [(F(k, 2),) for k in range(-4, 7)]
+        for piece, g in piece_formulas(f):
+            x = piece.sample()
+            for gamma in gammas:
+                point = gamma if piece.kind == "points" else (piece.rho_of(x), *gamma)
+                assert g.holds(point) == f.holds(x, gamma), (piece, gamma)
+
+
 class TestPieceKDimension:
     def test_point_list(self):
         pieces = monomial_decompose([FactoredPoly(1, ((ZERO, 1), (T, 1)))])
@@ -324,6 +486,12 @@ class TestMixedParser:
         f = parse_mixed_formula("v(x - 1 - t) >= 1", 0)
         [atom] = f.atoms()
         assert atom.poly.roots[0][0] == ONE + T
+
+    def test_constant_polynomial(self):
+        f = parse_mixed_formula("v(3) < 1 & v(-1/2) >= 0", 0)
+        assert {a.poly for a in f.atoms()} == {FactoredPoly(3, ()), FactoredPoly(F(-1, 2), ())}
+        assert f.holds(ZERO, ()) and f.holds(T, ())
+        assert not parse_mixed_formula("v(3) > 0", 0).holds(T, ())
 
     def test_zero_test_inf(self):
         f = parse_mixed_formula("v(x) = inf", 1)

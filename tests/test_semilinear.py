@@ -62,6 +62,28 @@ class TestParser:
         assert f.holds((F(0), F(99))) and not f.holds((F(1), F(0)))
 
 
+class TestExactAtoms:
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: sl.atom((1.5,), "<", 1),
+            lambda: sl.atom((1,), "<", 1.5),
+            lambda: sl.atom((1, 0.0), "!=", 0),
+            lambda: sl.LinearAtom((1.7,), "<", 0),
+            lambda: sl.LinearAtom((1,), "<=", 0.5),
+        ],
+    )
+    def test_floats_rejected(self, build):
+        with pytest.raises(TypeError):
+            build()
+
+    def test_exact_data_accepted(self):
+        [a] = sl.atom((2, True), ">=", "1/2").atoms()
+        assert (a.coeffs, a.rel, a.rhs) == ((-2, -1), sl.LE, F(-1, 2))
+        a = sl.LinearAtom((3,), sl.LT, F(3, 2))
+        assert (a.coeffs, a.rhs) == ((1,), F(1, 2))
+
+
 class TestNormalizeDnf:
     def test_single_atom(self):
         assert len(sl.normalize_dnf(sl.parse_formula("x1 < 1"))) == 1

@@ -9,23 +9,30 @@ coordinates of a mixed one.  The ``of`` constructors flatten nested nodes
 of the same kind and fold constants.
 
 Both DSLs share one tokenizer, one nesting cap and one grammar for the
-Boolean structure, documented in docs/dsl.md:
+Boolean structure and the linear sums their comparisons are made of,
+documented in docs/dsl.md:
 
     formula  :=  disj
     disj     :=  conj ('|' conj)*
     conj     :=  unary ('&' unary)*
     unary    :=  '!' unary  |  '(' disj ')'  |  'true'  |  'false'  |  atom
+    atom     :=  sum REL sum              REL in < <= = == >= > !=
+    sum      :=  ['-'] term (('+'|'-') term)*
+    term     :=  RAT ['*' NAME]  |  NAME
+    RAT      :=  INT ['/' INT]
 
-Each DSL parses its atoms with a callback.
+A coefficient before a NAME must be an integer.  Each DSL is a subclass
+of ``Grammar`` that says what its NAMEs are and may add atoms of its own.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Any, Callable, ClassVar, Sequence
 
-from .errors import ParseError
+from .errors import ParseError, SemanticError
 
 #: Deepest nesting of '(', '!' and 'exists' groups either DSL accepts;
 #: deeper input is a parse error instead of a stack overflow.
@@ -202,18 +209,24 @@ def map_atoms(f: Formula, fn: Callable[[Any], Formula], arity: int) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+_TOKEN = re.compile(
+    r"\s*(?:(?P<rel><=|>=|!=|==|<|>|=)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<punct>[()&|!*/^+-]))"
+)
+
+
 class Tokens:
-    """Token stream over one DSL text, for a token pattern with named groups.
+    """Token stream over one DSL text.
 
     Also counts the open Boolean groups, so both DSLs share one cap.
     """
 
-    def __init__(self, text: str, pattern: re.Pattern):
+    def __init__(self, text: str):
         self.text = text
         self.items: list[tuple[str, str, int]] = []
         pos = 0
         while pos < len(text):
-            m = pattern.match(text, pos)
+            m = _TOKEN.match(text, pos)
             if m is None or m.end() == pos:
                 stripped = text[pos:].lstrip()
                 if not stripped:
@@ -253,6 +266,12 @@ class Tokens:
             raise ParseError(f"expected {value!r}, found {t[1]!r}", t[2])
         self.i += 1
 
+    def end(self):
+        """Raise unless every token has been read."""
+        t = self.peek()
+        if t is not None:
+            raise ParseError(f"trailing input {t[1]!r}", t[2])
+
     def open_group(self):
         """Consume a group's opening token; the caller closes it with ``depth -= 1``."""
         t = self.next()
@@ -261,26 +280,78 @@ class Tokens:
             raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", t[2])
 
 
-class Grammar:
-    """The Boolean grammar over ``toks``; ``atom()`` parses one atom.
+class Side:
+    """One side of a comparison, summed term by term.
 
-    The callback is called where a unary formula starts with anything but
-    ``!``, ``(``, ``true`` or ``false``.  Parsers that learn their arity
-    only at the end of the text return atoms of arity 0 and rebuild the
-    tree with :func:`map_atoms` once it is known.
+    ``coeffs`` maps a variable index to its integer coefficient, ``const``
+    is the sum of the constant terms and ``terms`` counts every term.
     """
 
-    def __init__(self, toks: Tokens, atom: Callable[[], Formula]):
-        self.toks = toks
-        self.atom = atom
+    __slots__ = ("coeffs", "const", "terms")
+
+    def __init__(self):
+        self.coeffs: dict[int, int] = {}
+        self.const: int | Fraction = 0
+        self.terms = 0
+
+
+class Pending:
+    """A comparison ``lhs REL rhs``, built into an atom once the arity is known.
+
+    ``pos`` is the position of the relation, where errors found while
+    building are reported.
+    """
+
+    arity = 0
+    __slots__ = ("lhs", "rel", "rhs", "pos")
+
+    def __init__(self, lhs: Side, rel: str, rhs: Side, pos: int):
+        self.lhs, self.rel, self.rhs, self.pos = lhs, rel, rhs, pos
+
+
+def difference(lhs: Side, rhs: Side, n: int) -> tuple[list[int], int | Fraction]:
+    """``lhs REL rhs`` as ``coeffs . x REL const`` over ``n`` variables."""
+    coeffs = [0] * n
+    for i, c in lhs.coeffs.items():
+        coeffs[i] += c
+    for i, c in rhs.coeffs.items():
+        coeffs[i] -= c
+    return coeffs, rhs.const - lhs.const
+
+
+class Grammar:
+    """Recursive-descent parser for one DSL text: the Boolean grammar above
+    and the comparisons of linear sums both DSLs share.
+
+    A subclass names its variables ``prefix`` + index (1-based), may parse
+    other atoms by overriding ``atom`` and other names by overriding
+    ``name``, and builds each ``Pending`` comparison into a formula in
+    ``build``.  Atoms are built once the whole text is read, because the
+    arity is known only then: the declared one, or else the largest
+    variable index mentioned.
+    """
+
+    prefix: ClassVar[str]
+    #: The class of a comparison side; a DSL with terms of its own extends it.
+    side: ClassVar[type] = Side
+
+    def __init__(self, text: str, arity: int | None):
+        if arity is not None and arity < 0:
+            raise SemanticError(f"negative variable count {arity}")
+        self.toks = Tokens(text)
+        self.declared = arity
+        self.max_var = 0
 
     def parse(self) -> Formula:
-        """The whole token stream as one formula."""
+        """The whole text as one formula."""
         f = self.disj()
-        t = self.toks.peek()
-        if t is not None:
-            raise ParseError(f"trailing input {t[1]!r}", t[2])
-        return f
+        self.toks.end()
+        n = self.declared if self.declared is not None else self.max_var
+        return map_atoms(f, lambda p: self.build(p, n), n)
+
+    def build(self, pending: Any, n: int) -> Formula:
+        """The formula of a leaf the parser returned, in ``n`` variables."""
+        raise NotImplementedError
 
     def disj(self) -> Formula:
         parts = [self.conj()]
@@ -311,3 +382,79 @@ class Grammar:
             self.toks.expect(")")
         self.toks.depth -= 1
         return node
+
+    def atom(self) -> Formula:
+        return self.comparison()
+
+    def comparison(self) -> Formula:
+        """``sum REL sum`` as a ``Pending`` leaf; ``==`` reads as ``=``."""
+        lhs = self.sum()
+        t = self.toks.next()
+        if t[0] != "rel":
+            raise ParseError(f"expected a relation, found {t[1]!r}", t[2])
+        rhs = self.sum()
+        return Atom(Pending(lhs, "=" if t[1] == "==" else t[1], rhs, t[2]))
+
+    def sum(self) -> Side:
+        """``['-'] term (('+'|'-') term)*`` with ``term := RAT ['*' NAME] | NAME``."""
+        toks = self.toks
+        side = self.side()
+        sign = -1 if toks.accept("-") else 1
+        while True:
+            t = toks.peek()
+            if t is not None and t[0] == "num":
+                value = self.rational()
+                if toks.accept("*"):
+                    v = toks.next()
+                    if v[0] != "name":
+                        raise ParseError("expected a variable after '*'", v[2])
+                    if value.denominator != 1:
+                        raise ParseError(f"non-integer coefficient {value} on {v[1]!r}", t[2])
+                    self.name(side, v, sign * int(value), False)
+                else:
+                    side.const += value if sign > 0 else -value
+            else:
+                t = toks.next()
+                if t[0] != "name":
+                    raise ParseError(f"expected a term, found {t[1]!r}", t[2])
+                self.name(side, t, sign, True)
+            side.terms += 1
+            if toks.accept("+"):
+                sign = 1
+            elif toks.accept("-"):
+                sign = -1
+            else:
+                return side
+
+    def name(self, side: Side, t: tuple[str, str, int], c: int, bare: bool):
+        """Add the term ``c * NAME`` to ``side``; ``bare`` if written without a number."""
+        i = self.variable(t)
+        side.coeffs[i] = side.coeffs.get(i, 0) + c
+
+    def variable(self, t: tuple[str, str, int]) -> int:
+        """The 0-based index of the variable named by token ``t``."""
+        name, pos = t[1], t[2]
+        if name[0] != self.prefix or not name[1:].isdigit():
+            raise ParseError(f"unknown variable {name!r}", pos)
+        idx = int(name[1:])
+        if idx < 1:
+            raise ParseError(f"variable indices start at {self.prefix}1, got {name!r}", pos)
+        if self.declared is not None and idx > self.declared:
+            raise SemanticError(
+                f"unknown variable {name!r}: formula has {self.declared} variables"
+            )
+        if idx > self.max_var:
+            self.max_var = idx
+        return idx - 1
+
+    def rational(self) -> int | Fraction:
+        """``INT ['/' INT]``: an int, or a Fraction when a denominator is written."""
+        t = self.toks.next()
+        if t[0] != "num":
+            raise ParseError(f"expected a number, found {t[1]!r}", t[2])
+        if not self.toks.accept("/"):
+            return int(t[1])
+        d = self.toks.next()
+        if d[0] != "num" or int(d[1]) == 0:
+            raise ParseError("expected a nonzero integer denominator", d[2])
+        return Fraction(int(t[1]), int(d[1]))

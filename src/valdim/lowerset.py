@@ -128,11 +128,22 @@ def lower_closure(points: Iterable[Sequence[int]]) -> LowerSet2:
     return cls(tuple(pts))
 
 
+def _common_class(a: LowerSet2, b: LowerSet2, op: str) -> type:
+    """The lower-set class of both operands.
+
+    The empty lower set is empty in every width (``[]`` reads as the empty
+    set of N^2), so it takes the width of the other operand.
+    """
+    if type(a) is type(b) or b.is_empty():
+        return type(a)
+    if a.is_empty():
+        return type(b)
+    raise ValueError(f"{op} requires lower sets of the same width")
+
+
 def join(a: LowerSet2, b: LowerSet2) -> LowerSet2:
     """Least upper bound: union of the represented sets."""
-    if type(a) is not type(b):
-        raise ValueError("join requires lower sets of the same width")
-    return type(a)(a.maxima + b.maxima)
+    return _common_class(a, b, "join")(a.maxima + b.maxima)
 
 
 def add(a: LowerSet2, b: LowerSet2) -> LowerSet2:
@@ -141,10 +152,9 @@ def add(a: LowerSet2, b: LowerSet2) -> LowerSet2:
     Every sum of two downward-closed sets is generated by the pairwise
     sums of their maxima, so only generators are combined.
     """
-    if type(a) is not type(b):
-        raise ValueError("add requires lower sets of the same width")
+    cls = _common_class(a, b, "add")
     sums = [tuple(x + y for x, y in zip(p, q)) for p in a.maxima for q in b.maxima]
-    return type(a)(tuple(sums))
+    return cls(tuple(sums))
 
 
 def shift_closure(a: LowerSet2) -> LowerSet2:

@@ -27,6 +27,7 @@ from ..semilinear.atoms import exact
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
 _REL_FLIP = {">": "<", ">=": "<="}
+_RELS = ("<", "<=", "=", ">=", ">", "!=")
 
 
 def _ext_compare(lhs, rel: str, rhs) -> bool:
@@ -126,6 +127,10 @@ def matom(
     disjunction.
     """
     gcoeffs = tuple(map(index, gcoeffs))
+    if rel == "==":
+        rel = "="
+    if rel not in _RELS:
+        raise ValueError(f"bad relation {rel!r}")
     if rhs is INFINITY:
         if rel in ("<=",):
             return Bool(True, len(gcoeffs))
@@ -153,8 +158,6 @@ def matom(
             matom(weight, poly, gcoeffs, "<", rhs),
             matom(-weight, poly, tuple(-c for c in gcoeffs), "<", -rhs),
         )
-    if rel == "==":
-        rel = "="
     if weight == 0 and all(c == 0 for c in gcoeffs):
         zero = Fraction(0)
         val = zero < rhs if rel == "<" else (zero <= rhs if rel == "<=" else zero == rhs)

@@ -1,6 +1,8 @@
 """The Boolean core both DSLs share: nodes, grammar and ``map_atoms``."""
 
 import random
+import re
+from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
@@ -8,10 +10,12 @@ import pytest
 from valdim import boolean, verify
 from valdim import mixedcell as mc
 from valdim import semilinear as sl
-from valdim.errors import ParseError
+from valdim.errors import ParseError, SemanticError
 from valdim.semilinear.atoms import _dnf_lists as dnf_lists
 
 NODES = (boolean.Bool, boolean.Atom, boolean.And, boolean.Or, boolean.Not)
+X = mc.FactoredPoly(1, ((mc.PuiseuxElement(), 1),))
+X_MINUS_T = mc.FactoredPoly(1, ((mc.PuiseuxElement(((1, 1),)), 1),))
 
 
 def node_types(f):
@@ -54,14 +58,46 @@ class TestSharedNodes:
 
 
 class TestGrammar:
-    @pytest.mark.parametrize("shape", ["(A", "A &", "| A", "A )", "!"])
+    @pytest.mark.parametrize(
+        "shape",
+        ["(A", "A &", "| A", "A )", "!"]
+        + ["1/2*V1 < 1", "2*3 < V1", "V1 + < 1", "V1 < 1/0", "V0 < 1", "V9 < 1"],
+    )
     def test_both_dsls_report_the_same_error(self, shape):
+        """``A`` is an atom and ``V`` the variable prefix of each DSL; the
+        texts are parsed at arity 2, and the messages compared with the
+        variable names written ``V<index>``."""
         errors = []
-        for parse, atom in ((sl.parse_formula, "x1 < 1"), (mc.parse_mixed_formula, "g1 < 1")):
-            with pytest.raises(ParseError) as info:
-                parse(shape.replace("A", atom))
-            errors.append((str(info.value), info.value.position))
+        for parse, prefix in ((sl.parse_formula, "x"), (mc.parse_mixed_formula, "g")):
+            text = shape.replace("A", "V1 < 1").replace("V", prefix)
+            with pytest.raises((ParseError, SemanticError)) as info:
+                parse(text, 2)
+            message = re.sub(rf"\b{prefix}(\d)", r"V\1", str(info.value))
+            errors.append((type(info.value), message, getattr(info.value, "position", None)))
         assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize(
+        "parse, text, n, expected",
+        [
+            (sl.parse_formula, "x1 + x1 - 3*x2 < x2 + 1", None, sl.atom((2, -4), "<", 1)),
+            (sl.parse_formula, "2 + x1 <= 1/2 - x2", 2, sl.atom((1, 1), "<=", F(-3, 2))),
+            (sl.parse_formula, "1/2 - 2 < 3*x1 - x1", None, sl.atom((-2,), "<", F(3, 2))),
+            (sl.parse_formula, "-x2 + 2 == 3", 3, sl.atom((0, -1, 0), "=", 1)),
+            (sl.parse_formula, "- 3*x2 > -x1", None, sl.atom((1, -3), ">", 0)),
+            (sl.parse_formula, "x1 - x1 + 1 < 2", 1, sl.Bool(True, 1)),
+            (mc.parse_mixed_formula, "g1 + g1 - v(x) < 2 - g2", None,
+             mc.matom(-1, X, (2, 1), "<", 2)),
+            (mc.parse_mixed_formula, "v(x - t) + 1 >= 2*v(x - t) - 1/2 + g1", None,
+             mc.matom(-1, X_MINUS_T, (-1,), ">=", F(-3, 2))),
+            (mc.parse_mixed_formula, "-g1 == 3", 2, mc.matom(0, None, (-1, 0), "=", 3)),
+            (mc.parse_mixed_formula, "-2*v(x) + 3 != 1 + g1 - g1", 1,
+             mc.matom(-2, X, (0,), "!=", -2)),
+            (mc.parse_mixed_formula, "inf == v(x)", None, mc.matom(1, X, (), "=", mc.INFINITY)),
+            (mc.parse_mixed_formula, "v(x) - v(x) + 2 < 1", None, mc.matom(0, None, (), "<", -1)),
+        ],
+    )
+    def test_parses_equal_atoms_built_by_hand(self, parse, text, n, expected):
+        assert parse(text, n) == expected
 
     @pytest.mark.parametrize(
         "parse, arity",

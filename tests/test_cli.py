@@ -38,6 +38,15 @@ class TestLowerset:
         code, out, _ = run(capsys, "lowerset", "add", "[[1,0]]", "[[0,2]]")
         assert code == 0 and out.strip() == "(1, 2)"
 
+    @pytest.mark.parametrize(
+        "op, a, b, expected",
+        [("join", "[]", "[[1,2,3]]", [[1, 2, 3]]), ("join", "[[1,2,3]]", "[]", [[1, 2, 3]]),
+         ("add", "[[1,2,3]]", "[]", []), ("add", "[]", "[[1,2,3]]", [])],
+    )
+    def test_empty_operand_takes_the_other_width(self, capsys, op, a, b, expected):
+        code, out, _ = run(capsys, "lowerset", op, a, b, "--format", "json")
+        assert code == 0 and json.loads(out) == {"maxima": expected}
+
     def test_shift_triples(self, capsys):
         code, out, _ = run(capsys, "lowerset", "shift", "[[1,0,0]]", "--format", "json")
         assert code == 0
@@ -164,6 +173,11 @@ class TestMixed:
     def test_negative_arity_exit_3(self, capsys):
         code, out, err = run(capsys, "mixed", "dim", "v(x) < 1", "-n", "-1")
         assert code == 3 and not out and "negative" in err
+
+    @pytest.mark.parametrize("text", ["v(x) < inf + inf", "inf + inf > v(x)", "v(x) < 0 + inf"])
+    def test_inf_stands_alone_exit_2(self, capsys, text):
+        code, out, err = run(capsys, "mixed", "dim", text)
+        assert code == 2 and not out and "'inf' must stand alone" in err
 
     def test_zero_poly_rejected(self, capsys):
         code, _, err = run(capsys, "mixed", "dim", "v(0*(x)) = 1")

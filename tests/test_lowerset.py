@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from valdim.lowerset import (
     NEG_INF,
     LowerSet2,
+    LowerSet3,
     add,
     dim_nat,
     join,
@@ -189,6 +190,12 @@ class TestJsonAndValidation:
     def test_negative_coordinate_rejected(self):
         with pytest.raises(ValueError):
             LowerSet2(((-1, 0),))
+
+    def test_empty_operand_takes_the_other_width(self):
+        empty2, a3 = LowerSet2(()), principal((1, 2, 3))
+        assert join(empty2, a3) == a3 and join(a3, empty2) == a3
+        assert add(empty2, a3) == LowerSet3(()) and add(a3, empty2) == LowerSet3(())
+        assert add(LowerSet3(()), principal((1, 1))) == LowerSet2(())
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):

@@ -122,6 +122,18 @@ class TestPuiseux:
         a = MixedAtom(0, None, (True, 3), "=", 2)
         assert (a.gcoeffs, a.rhs) == ((1, 3), F(2))
 
+    def test_matom_reads_double_equals_against_infinity(self):
+        p = FactoredPoly(1, ((T, 1),))
+        assert matom(1, p, (0,), "==", INFINITY) == matom(1, p, (0,), "=", INFINITY)
+        assert matom(1, p, (0,), "==", 2) == matom(1, p, (0,), "=", 2)
+
+    @pytest.mark.parametrize("rhs", [INFINITY, 1])
+    @pytest.mark.parametrize("weight", [0, 1])
+    def test_matom_rejects_unknown_relations(self, weight, rhs):
+        p = FactoredPoly(1, ((T, 1),)) if weight else None
+        with pytest.raises(ValueError, match="bad relation"):
+            matom(weight, p, (1,), "<>", rhs)
+
     def test_constructors_accept_ints_and_fractions(self):
         assert pe((1, 2), (F(1, 2), F(-1))).terms == ((F(1, 2), F(-1)), (F(1), F(2)))
         f = FactoredPoly(F(3, 2), ((F(1, 2), 2), (T, 1)))
@@ -504,6 +516,11 @@ class TestMixedParser:
     def test_inf_must_stand_alone(self):
         with pytest.raises(ParseError):
             parse_mixed_formula("v(x) < inf + 1", 0)
+
+    @pytest.mark.parametrize("text", ["v(x) < 1*inf", "v(x) < 2*inf", "v(x) < -inf"])
+    def test_inf_takes_no_coefficient_or_sign(self, text):
+        with pytest.raises(ParseError):
+            parse_mixed_formula(text, 0)
 
     def test_weights_fold(self):
         f = parse_mixed_formula("2*v(x) - v(x) < 1", 0)

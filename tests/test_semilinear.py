@@ -543,6 +543,14 @@ class TestJson:
         for c in sl.cell_decompose(f):
             assert sl.cell_from_json(sl.cell_to_json(c)) == c
 
+    def test_cell_round_trip_on_seeded_formulas(self):
+        from valdim import verify
+
+        for seed in range(3):
+            for _, f in verify.formula_instances(seed, 200):
+                for c in sl.cell_decompose(f):
+                    assert sl.cell_from_json(sl.cell_to_json(c)) == c
+
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 

@@ -6,7 +6,8 @@ coordinate, ``trop`` for tropical hypersurfaces and images, and
 ``verify`` for the randomized oracle suites.  Inputs are inline strings
 or ``-`` for stdin; output is plain text or ``--format json``.  Exit
 codes: 0 success, 1 verification mismatch, 2 parse error, 3 semantic
-error.  Output depends only on (argv, seed) and is never colored.
+error or work nested past the recursion limit.  Output depends only on
+(argv, seed) and is never colored.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import time
 
 from . import lowerset as ls
 from . import semilinear as sl
-from . import trop, verify
+from . import trop
 from .errors import ParseError, SemanticError
 from .mixedcell import (
     mixed_cell_decompose,
@@ -52,18 +53,15 @@ def _parse_points(text: str) -> list[tuple[int, ...]]:
     return [tuple(p) for p in data]
 
 
-def _parse_lowerset(text: str) -> ls.LowerSet2:
-    pts = _parse_points(text)
-    if not pts:
-        return ls.LowerSet2(())
-    return ls.lower_closure(pts)
+def _parse_lowerset(text: str) -> ls.LowerSet:
+    return ls.lower_closure(_parse_points(text))
 
 
 def _dim_str(d) -> str:
     return "-inf" if d == ls.NEG_INF else str(int(d))
 
 
-def _emit_lowerset(a: ls.LowerSet2, fmt: str) -> str:
+def _emit_lowerset(a: ls.LowerSet, fmt: str) -> str:
     if fmt == "json":
         return a.to_json()
     return "(empty)" if a.is_empty() else " ".join(str(p) for p in a.maxima)
@@ -86,11 +84,7 @@ def _run_lowerset(args) -> int:
     if op == "closure":
         print(_emit_lowerset(_parse_lowerset(text), args.format))
     elif op == "shift":
-        a = _parse_lowerset(text)
-        shifted = (
-            ls.shift_closure3(a) if isinstance(a, ls.LowerSet3) else ls.shift_closure(a)
-        )
-        print(_emit_lowerset(shifted, args.format))
+        print(_emit_lowerset(ls.shift_closure(_parse_lowerset(text)), args.format))
     elif op == "dimnat":
         print(_dim_str(ls.dim_nat(_parse_lowerset(text))))
     elif op == "render":
@@ -214,6 +208,8 @@ def _run_trop(args) -> int:
 
 
 def _run_verify(args) -> int:
+    from . import verify
+
     for flag, count in (("--cases", args.cases), ("--trop-cases", args.trop_cases)):
         if count < 0:
             raise SemanticError(f"{flag} must be non-negative, got {count}")
@@ -321,6 +317,12 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_SEMANTIC
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SEMANTIC
+    except RecursionError:
+        # cell decomposition recurses once per variable
+        limit = sys.getrecursionlimit()
+        print(f"error: input too large: the work nests past the recursion limit of {limit}",
+              file=sys.stderr)
         return EXIT_SEMANTIC
 
 

@@ -24,8 +24,7 @@ from typing import Iterable, Sequence
 #: nonempty finite set, while the empty lower set tracks the empty set.
 NEG_INF = float("-inf")
 
-DimPoint2 = tuple[int, int]
-DimPoint3 = tuple[int, int, int]
+DimPoint = tuple[int, ...]
 
 
 def _leq(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -43,9 +42,12 @@ def _antichain(points: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
     return tuple(sorted(maxima))
 
 
-def _check_point(p: Sequence[int], width: int) -> tuple[int, ...]:
+def _check_point(p: Sequence[int], width: int | None) -> tuple[int, ...]:
+    """``p`` as a point of N^2 or N^3, of ``width`` unless that is None."""
     t = tuple(p)
-    if len(t) != width:
+    if len(t) not in (2, 3):
+        raise ValueError(f"expected a point of N^2 or N^3, got {p!r}")
+    if width not in (None, len(t)):
         raise ValueError(f"expected a point of N^{width}, got {p!r}")
     if not all(isinstance(c, int) and c >= 0 for c in t):
         raise ValueError(f"coordinates must be nonnegative integers: {p!r}")
@@ -53,31 +55,37 @@ def _check_point(p: Sequence[int], width: int) -> tuple[int, ...]:
 
 
 @dataclass(frozen=True)
-class LowerSet2:
-    """Finite lower subset of N^2 in canonical maximal-antichain form.
+class LowerSet:
+    """Finite lower subset of N^2 or N^3 in canonical maximal-antichain form.
 
     ``maxima`` is the sorted antichain of maximal points; the represented
-    set is the union of the principal ideals below them.  The empty tuple
-    represents the empty lower set.
+    set is the union of the principal ideals below them, and its width is
+    that of its points.  The empty tuple represents the empty lower set,
+    which fits every width.
     """
 
-    maxima: tuple[DimPoint2, ...] = ()
-
-    WIDTH = 2
+    maxima: tuple[DimPoint, ...] = ()
 
     def __post_init__(self):
-        pts = [_check_point(p, self.WIDTH) for p in self.maxima]
+        width = self.width
+        pts = [_check_point(p, width) for p in self.maxima]
         object.__setattr__(self, "maxima", _antichain(pts))
 
+    @property
+    def width(self) -> int | None:
+        """2 or 3, or None for the empty lower set."""
+        return len(self.maxima[0]) if self.maxima else None
+
     def __contains__(self, point: Sequence[int]) -> bool:
-        p = _check_point(point, self.WIDTH)
+        p = _check_point(point, self.width)
         return any(_leq(p, m) for m in self.maxima)
 
     def is_empty(self) -> bool:
         return not self.maxima
 
-    def __le__(self, other: "LowerSet2") -> bool:
+    def __le__(self, other: "LowerSet") -> bool:
         """Containment of the represented sets."""
+        _same_width(self, other, "comparison")
         return all(any(_leq(m, q) for q in other.maxima) for m in self.maxima)
 
     def points(self) -> set[tuple[int, ...]]:
@@ -91,94 +99,71 @@ class LowerSet2:
         return json.dumps({"maxima": [list(p) for p in self.maxima]})
 
     @classmethod
-    def from_json(cls, text: str) -> "LowerSet2":
+    def from_json(cls, text: str) -> "LowerSet":
         data = json.loads(text)
         return cls(tuple(tuple(p) for p in data["maxima"]))
 
 
-@dataclass(frozen=True)
-class LowerSet3(LowerSet2):
-    """Finite lower subset of N^3; same canonical-antichain invariants."""
-
-    maxima: tuple[DimPoint3, ...] = ()
-
-    WIDTH = 3
-
-
-def principal(p: Sequence[int]) -> LowerSet2:
+def principal(p: Sequence[int]) -> LowerSet:
     """Smallest lower set containing ``p``: the ideal of points below it."""
-    t = tuple(p)
-    cls = LowerSet3 if len(t) == 3 else LowerSet2
-    return cls((t,))
+    return LowerSet((tuple(p),))
 
 
-def lower_closure(points: Iterable[Sequence[int]]) -> LowerSet2:
+def lower_closure(points: Iterable[Sequence[int]]) -> LowerSet:
     """Smallest lower set containing all of ``points``.
 
     The result's maxima are the antichain of the input.  An empty input
-    gives the empty lower set (of N^2 by convention).
+    gives the empty lower set.
     """
-    pts = [tuple(p) for p in points]
-    if not pts:
-        return LowerSet2(())
-    widths = {len(p) for p in pts}
-    if len(widths) != 1:
-        raise ValueError("mixed point widths in lower_closure input")
-    cls = LowerSet3 if widths.pop() == 3 else LowerSet2
-    return cls(tuple(pts))
+    return LowerSet(tuple(tuple(p) for p in points))
 
 
-def _common_class(a: LowerSet2, b: LowerSet2, op: str) -> type:
-    """The lower-set class of both operands.
-
-    The empty lower set is empty in every width (``[]`` reads as the empty
-    set of N^2), so it takes the width of the other operand.
-    """
-    if type(a) is type(b) or b.is_empty():
-        return type(a)
-    if a.is_empty():
-        return type(b)
-    raise ValueError(f"{op} requires lower sets of the same width")
+def _same_width(a: LowerSet, b: LowerSet, op: str) -> None:
+    """Reject operands of two widths; the empty lower set fits either."""
+    if a.maxima and b.maxima and a.width != b.width:
+        raise ValueError(f"{op} requires lower sets of the same width")
 
 
-def join(a: LowerSet2, b: LowerSet2) -> LowerSet2:
+def join(a: LowerSet, b: LowerSet) -> LowerSet:
     """Least upper bound: union of the represented sets."""
-    return _common_class(a, b, "join")(a.maxima + b.maxima)
+    _same_width(a, b, "join")
+    return LowerSet(a.maxima + b.maxima)
 
 
-def add(a: LowerSet2, b: LowerSet2) -> LowerSet2:
+def add(a: LowerSet, b: LowerSet) -> LowerSet:
     """Minkowski sum of the represented sets, itself a lower set.
 
     Every sum of two downward-closed sets is generated by the pairwise
     sums of their maxima, so only generators are combined.
     """
-    cls = _common_class(a, b, "add")
+    _same_width(a, b, "add")
     sums = [tuple(x + y for x, y in zip(p, q)) for p in a.maxima for q in b.maxima]
-    return cls(tuple(sums))
+    return LowerSet(tuple(sums))
 
 
-def shift_closure(a: LowerSet2) -> LowerSet2:
+def shift_closure(a: LowerSet) -> LowerSet:
     """Closure of ``a`` under converting valued-field into group dimensions.
 
     Returns max over k >= 0 of ``a + (-k, k)`` intersected with N^2,
     i.e. the closure under the single-step move (d1, d2) -> (d1-1, d2+1)
     for d1 >= 1, followed by lower closure.  This is the upper bound for
     the dimension of any image of a set of dimension ``a``: a valued-field
-    dimension may become a group dimension, never the reverse.
+    dimension may become a group dimension, never the reverse.  A lower
+    set of N^3 gets :func:`shift_closure3`.
     """
-    if isinstance(a, LowerSet3):
-        raise ValueError("use shift_closure3 for lower sets of N^3")
+    if a.width == 3:
+        return shift_closure3(a)
     gens = set(a.maxima)
     for (d1, d2) in a.maxima:
         for k in range(1, d1 + 1):
             gens.add((d1 - k, d2 + k))
-    return LowerSet2(tuple(gens))
+    return LowerSet(tuple(gens))
 
 
 _SHIFTS3 = ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1), (0, -1, 0), (0, 0, -1))
 
 
-def shift_closure3(a: LowerSet3) -> LowerSet3:
+def shift_closure3(a: LowerSet) -> LowerSet:
     """Closure of ``a`` under the three-sort single-step dimension shifts.
 
     The shift family lets one valued-field dimension disappear or convert
@@ -186,6 +171,8 @@ def shift_closure3(a: LowerSet3) -> LowerSet3:
     dimensions can only disappear.  Shifts are applied to a fixpoint
     (compositions realize every (-a-b, a, b)), then lower closure.
     """
+    if a.width == 2:
+        raise ValueError("shift_closure3 takes lower sets of N^3")
     gens: set[tuple[int, ...]] = set(a.maxima)
     frontier = set(gens)
     while frontier:
@@ -197,10 +184,10 @@ def shift_closure3(a: LowerSet3) -> LowerSet3:
                     gens.add(q)
                     nxt.add(q)
         frontier = nxt
-    return LowerSet3(tuple(gens))
+    return LowerSet(tuple(gens))
 
 
-def dim_nat(a: LowerSet2) -> int | float:
+def dim_nat(a: LowerSet) -> int | float:
     """Collapse to a single natural number: the maximal coordinate sum.
 
     Returns ``NEG_INF`` for the empty lower set.
@@ -210,13 +197,13 @@ def dim_nat(a: LowerSet2) -> int | float:
     return max(sum(p) for p in a.maxima)
 
 
-def render_diagram(a: LowerSet2) -> str:
+def render_diagram(a: LowerSet) -> str:
     """ASCII diagram of a lower set of N^2: one row per second coordinate.
 
     Members print as a bullet, non-members as a dot; both axes are
     labelled.  Output is deterministic.
     """
-    if isinstance(a, LowerSet3):
+    if a.width == 3:
         raise ValueError("diagrams are drawn for lower sets of N^2 only")
     if a.is_empty():
         return "(empty)"

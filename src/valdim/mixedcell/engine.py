@@ -27,7 +27,7 @@ from typing import Sequence
 from .. import semilinear as sl
 from ..boolean import Atom, Formula, map_atoms
 from ..errors import SemanticError
-from ..lowerset import LowerSet2, lower_closure
+from ..lowerset import LowerSet, lower_closure
 from .formula import MixedAtom, _ext_compare, polys
 from .pieces import MonomialValuation, SwissPiece, monomial_decompose, piece_k_dimension
 from .puiseux import INFINITY, PuiseuxElement
@@ -168,7 +168,7 @@ def mixed_cell_decompose(f: Formula) -> list[MixedCell]:
     ]
 
 
-def mixed_dimension(f: Formula) -> LowerSet2:
+def mixed_dimension(f: Formula) -> LowerSet:
     """The lower set generated by the dimension pairs of the cells, without cells.
 
     Each DNF disjunct P of a piece formula contributes (0, dim P) on a

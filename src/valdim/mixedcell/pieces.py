@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from ..semilinear.atoms import between
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement, Val
 
 
@@ -99,14 +100,7 @@ class SwissPiece:
                 u += 1
             return self.center + PuiseuxElement.of((r, u))
         if rho is None:
-            if self.lo is None and self.hi is None:
-                rho = Fraction(0)
-            elif self.lo is None:
-                rho = self.hi - 1
-            elif self.hi is None:
-                rho = self.lo + 1
-            else:
-                rho = (self.lo + self.hi) / 2
+            rho = between(self.lo, self.hi)
         else:
             if (self.lo is not None and rho <= self.lo) or (
                 self.hi is not None and rho >= self.hi

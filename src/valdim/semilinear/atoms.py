@@ -44,6 +44,20 @@ def exact(q: RatLike) -> Fraction:
     return Fraction(q)
 
 
+def between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
+    """The sample point of the open interval (lo, hi); None is an open end.
+
+    0 on the whole line, one step inside a half-line, else the midpoint.
+    Every sampler of cells, FM systems and valued-line annuli uses it, so
+    the same interval always gives the same sample.
+    """
+    if lo is None:
+        return Fraction(0) if hi is None else hi - 1
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2
+
+
 @dataclass(frozen=True, eq=False)
 class LinearAtom:
     """``coeffs . x REL rhs`` with integer coefficients, in reduced form.
@@ -171,13 +185,13 @@ def embed(f: Formula, coords: Sequence[int], arity: int) -> Formula:
 class BasicSet:
     """Conjunction of atoms: one polyhedron with per-face strict/weak flags.
 
-    Atoms are stored sorted and deduplicated; the emptiness flag is filled
-    lazily by the elimination module.
+    Atoms are stored sorted and deduplicated; the elimination stages, ()
+    for an empty set, are filled lazily by the elimination module.
     """
 
     atoms: tuple[LinearAtom, ...]
     arity: int
-    _empty: bool | None = field(default=None, compare=False, repr=False)
+    _stages: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -247,7 +261,7 @@ def _dnf_lists(f: Formula, positive: bool = True) -> list[tuple[LinearAtom, ...]
     raise TypeError(f"not a formula: {f!r}")
 
 
-def normalize_dnf(f: Formula, arity: int | None = None) -> list[BasicSet]:
+def normalize_dnf(f: Formula) -> list[BasicSet]:
     """Disjunctive normal form of ``f`` as a list of basic sets.
 
     The union of the returned sets equals the set defined by ``f``.
@@ -256,7 +270,7 @@ def normalize_dnf(f: Formula, arity: int | None = None) -> list[BasicSet]:
     """
     from .elimination import is_empty
 
-    n = f.arity if arity is None else arity
+    n = f.arity
     seen = set()
     out: list[BasicSet] = []
     for atoms_ in _dnf_lists(f):

@@ -40,6 +40,7 @@ from .atoms import (
     LinearAtom,
     Point,
     atom,
+    between,
     normalize_dnf,
 )
 from .elimination import basic_dimension, is_empty, project_basic
@@ -124,15 +125,8 @@ class GammaCell:
             if i == 0:
                 values.append(spec.value(values))
             else:
-                lo, hi = spec
-                if isinstance(lo, _Inf) and isinstance(hi, _Inf):
-                    values.append(Fraction(0))
-                elif isinstance(lo, _Inf):
-                    values.append(hi.value(values) - 1)
-                elif isinstance(hi, _Inf):
-                    values.append(lo.value(values) + 1)
-                else:
-                    values.append((lo.value(values) + hi.value(values)) / 2)
+                lo, hi = (None if isinstance(e, _Inf) else e.value(values) for e in spec)
+                values.append(between(lo, hi))
         return tuple(values)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
@@ -332,13 +326,7 @@ def _stratum_sample(values: list[Fraction], p: int) -> Fraction:
     k = p // 2
     if p % 2:
         return values[k]
-    if not values:
-        return Fraction(0)
-    if k == 0:
-        return values[0] - 1
-    if k == len(values):
-        return values[-1] + 1
-    return (values[k - 1] + values[k]) / 2
+    return between(values[k - 1] if k else None, values[k] if k < len(values) else None)
 
 
 def arrangement(

@@ -6,7 +6,9 @@ bound on the variable is combined with every upper bound.  A derived
 constraint is strict exactly when one of its parents is strict.  Because
 the group is dense, divisible and unbounded, the procedure is a complete
 decision method for emptiness, and a satisfying point can be read back by
-assigning variables in order against the per-stage bound lists.
+assigning variables in order against the per-stage bound lists.  One
+routine, :func:`_eliminate`, runs every elimination; a basic set keeps
+the stages of its emptiness test, which :func:`sample_point` reads back.
 
 Internally every row is scaled to integers (coefficients and right side),
 so the elimination itself runs in machine integers; rational constants
@@ -17,10 +19,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from ..lowerset import NEG_INF
-from .atoms import EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, embed
+from .atoms import EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, between, embed
 
 # Raw rows are (coeffs, rel, rhs) with integer coeffs and integer rhs.
 Row = tuple[tuple[int, ...], str, int]
@@ -129,57 +131,25 @@ def _eliminate_var(rows: list[Row], j: int) -> list[Row] | None:
     return out
 
 
-def _single_functional_clash(rows: list[Row]) -> bool:
-    """Detect contradictions among rows constraining one linear functional.
+def _eliminate(rows: list[Row], order: Iterable[int]) -> list[list[Row]] | None:
+    """Eliminate the variables of ``order`` one at a time.
 
-    Rows are primitive, so proportional left sides coincide up to sign;
-    folding signs gives per-functional interval data whose emptiness is
-    checked directly.  Sound but not complete: a False verdict means
-    nothing.
+    Returns the stages: the input system, then the system after each
+    step, so stage k has the first k variables of ``order`` gone.  Returns
+    None as soon as a step exposes a contradiction.
     """
-    recs: dict[tuple[int, ...], list] = {}
-    for coeffs, rel, rhs in rows:
-        neg = tuple(-c for c in coeffs)
-        flip = coeffs < neg
-        key, bound = (neg, -rhs) if flip else (coeffs, rhs)
-        rec = recs.setdefault(key, [None, False, None, False, None])
-        if rel == EQ:
-            if rec[4] is not None and rec[4] != bound:
-                return True
-            rec[4] = bound
-        elif flip:
-            # s >(=) bound
-            if rec[0] is None or bound > rec[0]:
-                rec[0], rec[1] = bound, rel == LT
-            elif bound == rec[0]:
-                rec[1] = rec[1] or rel == LT
-        else:
-            if rec[2] is None or bound < rec[2]:
-                rec[2], rec[3] = bound, rel == LT
-            elif bound == rec[2]:
-                rec[3] = rec[3] or rel == LT
-    for lo, lo_strict, hi, hi_strict, eq in recs.values():
-        if eq is not None:
-            if lo is not None and (eq < lo or (eq == lo and lo_strict)):
-                return True
-            if hi is not None and (eq > hi or (eq == hi and hi_strict)):
-                return True
-        if lo is not None and hi is not None:
-            if lo > hi or (lo == hi and (lo_strict or hi_strict)):
-                return True
-    return False
+    stages = [rows]
+    for j in order:
+        rows = _eliminate_var(rows, j)
+        if rows is None:
+            return None
+        stages.append(rows)
+    return stages
 
 
 def rows_infeasible(rows: list[Row], arity: int) -> bool:
-    """Full elimination on raw integer rows, after a cheap clash scan."""
-    if _single_functional_clash(rows):
-        return True
-    for j in range(arity):
-        result = _eliminate_var(rows, j)
-        if result is None:
-            return True
-        rows = result
-    return False
+    """Whether no point satisfies the raw integer rows, by full elimination."""
+    return _eliminate(rows, range(arity)) is None
 
 
 def negate_row(row: Row) -> list[Row]:
@@ -193,17 +163,25 @@ def negate_row(row: Row) -> list[Row]:
     return [(coeffs, LT, rhs), (neg, LT, -rhs)]
 
 
+def _stages(b: BasicSet) -> tuple[list[Row], ...]:
+    """Elimination stages of ``b``, last variable first; () when ``b`` is empty.
+
+    Computed once and kept on the basic set; nothing mutates them.  Stage
+    k has the last k variables gone.
+    """
+    if b._stages is None:
+        stages = _eliminate(atom_rows(b.atoms), range(b.arity - 1, -1, -1))
+        object.__setattr__(b, "_stages", tuple(stages or ()))
+    return b._stages
+
+
 def is_empty(b: BasicSet) -> bool:
     """Decide whether no rational point satisfies the conjunction ``b``.
 
-    Runs full elimination down to a variable-free system; the lazy flag on
-    the basic set caches the verdict.
+    Eliminates from the last variable down, once per basic set; the
+    stages stay on ``b`` for :func:`sample_point`.
     """
-    if b._empty is not None:
-        return b._empty
-    verdict = rows_infeasible(atom_rows(b.atoms), b.arity)
-    object.__setattr__(b, "_empty", verdict)
-    return verdict
+    return not _stages(b)
 
 
 def _rank(matrix: list[tuple[int, ...]]) -> int:
@@ -268,14 +246,8 @@ def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:
         # contradictions purely among kept coordinates would otherwise
         # survive the elimination untouched
         return None
-    rows = atom_rows(b.atoms)
-    for j in range(b.arity):
-        if j in keep:
-            continue
-        result = _eliminate_var(rows, j)
-        if result is None:
-            return None
-        rows = result
+    # FM never finds a contradiction in a nonempty system
+    rows = _eliminate(atom_rows(b.atoms), [j for j in range(b.arity) if j not in keep])[-1]
     atoms_ = []
     for coeffs, rel, rhs in rows:
         atoms_.append(
@@ -324,25 +296,20 @@ def exists(f: Formula, var: int) -> Formula:
 def sample_point(b: BasicSet) -> tuple[Fraction, ...] | None:
     """A rational point satisfying ``b``, by back-substitution, or None.
 
-    Variables are eliminated from the last index down, recording the
-    system at each stage; values are then assigned from the first index
-    up, picking midpoints of the remaining feasible interval.
+    Reads the stages :func:`is_empty` built, from the last variable down;
+    values are assigned from the first index up, each one the sample
+    :func:`between` picks in the remaining feasible interval.
     """
-    stages: list[list[Row]] = [None] * (b.arity + 1)  # type: ignore[list-item]
-    stages[b.arity] = atom_rows(b.atoms)
-    rows = stages[b.arity]
-    for j in range(b.arity - 1, -1, -1):
-        result = _eliminate_var(rows, j)
-        if result is None:
-            return None
-        stages[j] = result
-        rows = result
+    stages = _stages(b)
+    if not stages:
+        return None
+    n = b.arity
     values: list[Fraction] = []
-    for j in range(b.arity):
+    for j in range(n):
         lo: Fraction | None = None
         hi: Fraction | None = None
         pin: Fraction | None = None
-        for coeffs, rel, rhs in stages[j + 1]:
+        for coeffs, rel, rhs in stages[n - 1 - j]:
             c = coeffs[j]
             if c == 0:
                 continue
@@ -356,18 +323,7 @@ def sample_point(b: BasicSet) -> tuple[Fraction, ...] | None:
             else:
                 if lo is None or bound > lo:
                     lo = bound
-        if pin is not None:
-            values.append(pin)
-        elif lo is None and hi is None:
-            values.append(Fraction(0))
-        elif lo is None:
-            values.append(hi - 1)
-        elif hi is None:
-            values.append(lo + 1)
-        elif lo == hi:
-            values.append(lo)
-        else:
-            values.append((lo + hi) / 2)
+        values.append(between(lo, hi) if pin is None else pin)
     point = tuple(values)
     if not b.holds(point):
         # FM guarantees feasibility of the greedy assignment; reaching here

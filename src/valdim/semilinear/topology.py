@@ -38,6 +38,6 @@ def is_polyhedral(f: Formula) -> tuple[bool, list[BasicSet] | None]:
         return True, disjuncts
     relaxed = [b.relaxed() for b in disjuncts]
     difference = Or.of(*[b.to_formula() for b in relaxed]) & Not.of(f)
-    if all(is_empty(b) for b in normalize_dnf(difference, f.arity)):
+    if all(is_empty(b) for b in normalize_dnf(difference)):
         return True, relaxed
     return False, None

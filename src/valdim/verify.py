@@ -21,7 +21,7 @@ from . import trop
 from .boolean import evaluate
 from .lowerset import (
     NEG_INF,
-    LowerSet2,
+    LowerSet,
     dim_nat,
     join,
     lower_closure,
@@ -96,9 +96,9 @@ def suite_figures() -> SuiteResult:
     """
     r = SuiteResult("figures")
     r.cases = 5
-    d2 = LowerSet2(_valued_first(D2_MAXIMA))
-    d4 = LowerSet2(_valued_first(D4.maxima))
-    d5 = LowerSet2(_valued_first(D5_MAXIMA))
+    d2 = LowerSet(_valued_first(D2_MAXIMA))
+    d4 = LowerSet(_valued_first(D4.maxima))
+    d5 = LowerSet(_valued_first(D5_MAXIMA))
     closed = lower_closure(_valued_first(D1_POINTS))
     r.check(closed == d2, f"lower_closure(D1) gave {closed.maxima}, expected {d2.maxima}")
     r.check(
@@ -396,7 +396,7 @@ def check_partition(f: sl.Formula, cells: list[sl.GammaCell]) -> list[str]:
         remaining = _difference_rows(remaining, rows, n)
     if remaining:
         failures.append("cells do not cover the set")
-    not_f_rows = [atom_rows(d.atoms) for d in sl.normalize_dnf(sl.Not.of(f), n)]
+    not_f_rows = [atom_rows(d.atoms) for d in sl.normalize_dnf(sl.Not.of(f))]
     for i, rows in enumerate(systems):
         for d in not_f_rows:
             if not rows_infeasible(rows + d, n):
@@ -627,7 +627,7 @@ def _sample_points_for(
     return points[:count]
 
 
-def mixed_dimension_via_fibers(cells: list[MixedCell]) -> LowerSet2:
+def mixed_dimension_via_fibers(cells: list[MixedCell]) -> LowerSet:
     """Independent route: dimensions of the fiber-dimension loci.
 
     ``cells`` is a mixed cell decomposition with the cells of each piece
@@ -840,7 +840,7 @@ def suite_trop(seed: int = 0, cases: int = 50) -> SuiteResult:
             diff = sl.Or.of(
                 sl.And.of(cl, sl.Not.of(img)), sl.And.of(img, sl.Not.of(cl))
             )
-            if any(not sl.is_empty(b) for b in sl.normalize_dnf(diff, k)):
+            if any(not sl.is_empty(b) for b in sl.normalize_dnf(diff)):
                 r.failures.append(f"case {case}: compact image not closed")
     return r
 
@@ -848,12 +848,12 @@ def suite_trop(seed: int = 0, cases: int = 50) -> SuiteResult:
 # --- lower-set axioms ----------------------------------------------------------
 
 
-def random_lowerset(rng: random.Random, width: int = 2) -> LowerSet2:
+def random_lowerset(rng: random.Random, width: int = 2) -> LowerSet:
     pts = [
         tuple(rng.randint(0, 5) for _ in range(width))
         for _ in range(rng.randint(0, 4))
     ]
-    return lower_closure(pts) if pts else LowerSet2(())
+    return lower_closure(pts)
 
 
 def suite_lowerset(seed: int = 0, cases: int = 300) -> SuiteResult:
@@ -884,9 +884,7 @@ def suite_lowerset(seed: int = 0, cases: int = 300) -> SuiteResult:
             shift_closure(a) <= shift_closure(u), f"case {case}: shift closure monotone"
         )
         r.check(dim_nat(sc) == dim_nat(a), f"case {case}: shift preserves collapse")
-        points = a.points() | b.points()
         r.check(
-            lower_closure(points) == u if points else u.is_empty(),
-            f"case {case}: join is the union",
+            lower_closure(a.points() | b.points()) == u, f"case {case}: join is the union"
         )
     return r

@@ -1,8 +1,11 @@
 import hashlib
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -275,6 +278,18 @@ class TestDeepNesting:
         assert code == 0 and out.strip() == answer
 
 
+class TestRecursionLimit:
+    """Work nested past the recursion limit exits 3, not with a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv", [("gamma", "cells", "x1 < 1", "-n", "500"), ("mixed", "cells", "g1 < 1", "-n", "1500")]
+    )
+    def test_past_the_limit_exit_3(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 3 and not out
+        assert f"past the recursion limit of {sys.getrecursionlimit()}" in err
+
+
 class TestTrop:
     def test_hypersurface_json(self, capsys):
         code, out, _ = run(
@@ -322,6 +337,14 @@ class TestVerifyAndDeterminism:
     def test_negative_case_count_exit_3(self, capsys, argv):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 3 and not out and "non-negative" in err
+
+    def test_only_verify_imports_verify(self):
+        probe = "import sys, valdim.cli; print('valdim.verify' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe], capture_output=True, text=True, check=True, env=env
+        ).stdout
+        assert out.strip() == "False"
 
     def test_byte_identical_reruns(self, capsys):
         args = ("verify", "axioms", "--cases", "4", "--trop-cases", "2", "--seed", "3")

@@ -6,8 +6,7 @@ from hypothesis import strategies as st
 
 from valdim.lowerset import (
     NEG_INF,
-    LowerSet2,
-    LowerSet3,
+    LowerSet,
     add,
     dim_nat,
     join,
@@ -65,7 +64,7 @@ class TestJoinAdd:
 
     def test_join_identity(self):
         a = lower_closure(D1)
-        assert join(a, LowerSet2(())) == a
+        assert join(a, LowerSet(())) == a
 
     def test_join_absorption(self):
         assert join(principal((1, 1)), principal((2, 2))) == principal((2, 2))
@@ -87,7 +86,7 @@ class TestJoinAdd:
         assert s.maxima == ((0, 2), (1, 1), (2, 0))
 
 
-def shift_oracle(a: LowerSet2) -> set:
+def shift_oracle(a: LowerSet) -> set:
     """max over k of a + (-k, k), enumerated pointwise."""
     out = set()
     for (x, y) in a.points():
@@ -157,7 +156,7 @@ class TestDimNat:
         assert dim_nat(join(principal((1, 4)), principal((5, 1)))) == 6
 
     def test_empty_sentinel(self):
-        assert dim_nat(LowerSet2(())) == NEG_INF
+        assert dim_nat(LowerSet(())) == NEG_INF
 
 
 class TestRender:
@@ -169,7 +168,7 @@ class TestRender:
         assert rows[-1].split() == ["0", "1"]
 
     def test_empty(self):
-        assert render_diagram(LowerSet2(())) == "(empty)"
+        assert render_diagram(LowerSet(())) == "(empty)"
 
     def test_d2_bullet_pattern(self):
         out = render_diagram(lower_closure(D1))
@@ -181,7 +180,7 @@ class TestRender:
 class TestJsonAndValidation:
     def test_round_trip(self):
         a = lower_closure(D1)
-        assert LowerSet2.from_json(a.to_json()) == a
+        assert LowerSet.from_json(a.to_json()) == a
 
     def test_sorted_encoding(self):
         a = lower_closure([(4, 1), (1, 4), (2, 2)])
@@ -189,17 +188,43 @@ class TestJsonAndValidation:
 
     def test_negative_coordinate_rejected(self):
         with pytest.raises(ValueError):
-            LowerSet2(((-1, 0),))
+            LowerSet(((-1, 0),))
 
     def test_empty_operand_takes_the_other_width(self):
-        empty2, a3 = LowerSet2(()), principal((1, 2, 3))
-        assert join(empty2, a3) == a3 and join(a3, empty2) == a3
-        assert add(empty2, a3) == LowerSet3(()) and add(a3, empty2) == LowerSet3(())
-        assert add(LowerSet3(()), principal((1, 1))) == LowerSet2(())
+        empty, a3 = LowerSet(()), principal((1, 2, 3))
+        assert join(empty, a3) == a3 and join(a3, empty) == a3
+        assert add(empty, a3) == empty and add(a3, empty) == empty
+        assert add(empty, principal((1, 1))) == empty
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(ValueError):
             join(principal((1, 0)), principal((1, 0, 0)))
+        with pytest.raises(ValueError, match="add requires"):
+            add(principal((1, 0)), principal((1, 0, 0)))
+        with pytest.raises(ValueError, match="N\\^2, got"):
+            lower_closure([(1, 0), (1, 0, 0)])
+        with pytest.raises(ValueError, match="comparison requires"):
+            principal((1, 2, 5)) <= principal((1, 2))
+        assert LowerSet() <= principal((1, 2, 5)) and not principal((1, 2)) <= LowerSet()
+
+    @pytest.mark.parametrize("point", [(), (1,), (1, 2, 3, 4)])
+    def test_only_widths_two_and_three(self, point):
+        with pytest.raises(ValueError, match="N\\^2 or N\\^3"):
+            principal(point)
+        with pytest.raises(ValueError, match="N\\^2 or N\\^3"):
+            point in principal((1, 1))
+
+    def test_width_read_off_the_maxima(self):
+        assert principal((1, 2)).width == 2 and principal((1, 2, 3)).width == 3
+        assert LowerSet().width is None and LowerSet() == lower_closure([])
+
+    def test_shift_closure_takes_either_width(self):
+        a3 = principal((2, 0, 1))
+        assert shift_closure(a3) == shift_closure3(a3)
+        with pytest.raises(ValueError):
+            shift_closure3(principal((2, 0)))
+        with pytest.raises(ValueError):
+            render_diagram(a3)
 
 
 points2 = st.tuples(st.integers(0, 6), st.integers(0, 6))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from valdim import semilinear as sl
 from valdim.errors import ParseError, SemanticError
 from valdim.lowerset import NEG_INF
+from valdim.semilinear import elimination
 from valdim.semilinear.cells import arrangement
 
 
@@ -104,7 +105,7 @@ class TestNormalizeDnf:
 
 class TestEmptiness:
     def test_contradictory_pair(self):
-        b = sl.normalize_dnf(sl.parse_formula("x1 < 0 & x1 >= 0"), 1)
+        b = sl.normalize_dnf(sl.parse_formula("x1 < 0 & x1 >= 0"))
         assert b == []
 
     def test_strict_cycle(self):
@@ -122,6 +123,53 @@ class TestEmptiness:
         assert not sl.is_empty(b)
         w = sl.sample_point(b)
         assert w is not None and b.holds(w)
+
+    def test_sampling_reuses_the_emptiness_elimination(self, monkeypatch):
+        f = sl.parse_formula("x1 < x2 & x2 <= x3 & x3 < 4 & 0 < x1", 3)
+        b = sl.BasicSet(tuple(p.atom for p in f.parts), 3)
+        calls = []
+        real = elimination._eliminate_var
+        monkeypatch.setattr(
+            elimination, "_eliminate_var", lambda rows, j: calls.append(j) or real(rows, j)
+        )
+        assert not sl.is_empty(b)
+        assert b.holds(sl.sample_point(b)) and sorted(calls) == [0, 1, 2]
+
+    @pytest.mark.parametrize(
+        "rows, empty",
+        [
+            # parallel rows with clashing bounds
+            ([((1, 2), "<=", 1), ((-1, -2), "<=", -3)], True),
+            ([((1, 2), "<=", 3), ((-1, -2), "<=", -3)], False),
+            # two different equalities on one functional
+            ([((1, -1), "=", 1), ((1, -1), "=", 2)], True),
+            ([((1, -1), "=", 1), ((2, -2), "=", 2)], False),
+            # a strict and a weak bound meeting at one value
+            ([((1, 1), "<", 1), ((-1, -1), "<=", -1)], True),
+            ([((1, 1), "<=", 1), ((-1, -1), "<=", -1)], False),
+            ([((0, 1), "=", 2), ((0, 1), "<", 2)], True),
+        ],
+    )
+    def test_clashes_on_one_functional(self, rows, empty):
+        b = sl.BasicSet(tuple(sl.LinearAtom(c, rel, q) for c, rel, q in rows), 2)
+        assert sl.is_empty(b) is empty
+        assert elimination.rows_infeasible(elimination.atom_rows(b.atoms), 2) is empty
+        point = sl.sample_point(b)
+        assert point is None if empty else b.holds(point)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_descending_verdict_agrees_with_ascending(self, seed):
+        from valdim import verify
+
+        rng = random.Random(seed)
+        for _ in range(150):
+            n = rng.randint(1, 4)
+            b = verify.random_basic_set(rng, n, rng.randint(1, 5), rng.random() < 0.3)
+            ascending = elimination.rows_infeasible(elimination.atom_rows(b.atoms), n)
+            assert sl.is_empty(b) is ascending
+            stages = b._stages
+            point = sl.sample_point(b)
+            assert b._stages is stages and (point is None) is ascending
 
 
 class TestProject:
@@ -494,7 +542,7 @@ class TestClosure:
         c = sl.closure(f)
         assert sl.normalize_dnf(sl.closure(c)) == sl.normalize_dnf(c)
         diff = sl.And.of(f, sl.Not.of(c))
-        assert all(sl.is_empty(b) for b in sl.normalize_dnf(diff, 1))
+        assert all(sl.is_empty(b) for b in sl.normalize_dnf(diff))
 
 
 class TestIsPolyhedral:
@@ -585,7 +633,7 @@ def test_closure_contains_and_relaxes(b):
     f = b.to_formula()
     cl = sl.closure(f)
     inside_not_closed = sl.And.of(f, sl.Not.of(cl))
-    assert all(sl.is_empty(d) for d in sl.normalize_dnf(inside_not_closed, 2))
+    assert all(sl.is_empty(d) for d in sl.normalize_dnf(inside_not_closed))
     ok, _ = sl.is_polyhedral(cl)
     assert ok
 

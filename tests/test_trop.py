@@ -136,7 +136,7 @@ class TestMonomialImage:
         diff = sl.Or.of(
             sl.And.of(cl, sl.Not.of(img)), sl.And.of(img, sl.Not.of(cl))
         )
-        assert all(sl.is_empty(b) for b in sl.normalize_dnf(diff, 2))
+        assert all(sl.is_empty(b) for b in sl.normalize_dnf(diff))
 
     def test_arity_mismatch(self):
         with pytest.raises(SemanticError):

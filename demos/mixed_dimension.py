@@ -28,7 +28,7 @@ f = FactoredPoly(1, ((zero, 1), (t, 1)))
 print("pieces making v(x*(x - t)) monomial in rho = v(x - center):")
 for piece, (mv,) in monomial_decompose([f]):
     where = {
-        "points": f"the point {piece.elements[0] if piece.kind == 'points' else ''}",
+        "points": f"the point {piece.center}",
         "sphere": f"sphere at radius {piece.radius} avoiding {len(piece.avoid)} branch(es)",
         "annulus": f"annulus {piece.lo} < rho < {piece.hi}",
     }[piece.kind]

@@ -28,7 +28,8 @@ from .. import semilinear as sl
 from ..boolean import Atom, Formula, map_atoms
 from ..errors import SemanticError
 from ..lowerset import LowerSet, lower_closure
-from .formula import MixedAtom, _ext_compare, polys
+from ..semilinear.atoms import COMPARE
+from .formula import MixedAtom, polys
 from .pieces import MonomialValuation, SwissPiece, monomial_decompose, piece_k_dimension
 from .puiseux import INFINITY, PuiseuxElement
 
@@ -105,12 +106,11 @@ def _atom_on_piece(
     if a.weight != 0 and at_point:
         v = mv.value(INFINITY)
         if v is INFINITY:
-            lhs = INFINITY if a.weight > 0 else "-inf"
-            return sl.Bool(_ext_compare(lhs, a.rel, a.rhs), arity)
+            return sl.Bool(a.at_infinity(), arity)
     # From here the left side is finite: off the point pieces every tracked
     # valuation is finite, and at a point piece v was checked above.
     if a.rhs is INFINITY:
-        return sl.Bool(_ext_compare(Fraction(0), a.rel, a.rhs), arity)
+        return sl.Bool(COMPARE[a.rel](0, INFINITY), arity)
     if a.weight == 0:
         coeffs = a.gcoeffs if at_point else (0, *a.gcoeffs)
         return sl.atom(coeffs, a.rel, a.rhs)
@@ -219,7 +219,7 @@ def _puiseux_to_json(e: PuiseuxElement) -> list[list[str]]:
 def piece_to_json(p: SwissPiece) -> dict:
     out: dict = {"kind": p.kind}
     if p.kind == "points":
-        out["elements"] = [_puiseux_to_json(e) for e in p.elements]
+        out["elements"] = [_puiseux_to_json(p.center)]
         return out
     out["center"] = _puiseux_to_json(p.center)
     if p.kind == "sphere":

@@ -2,9 +2,12 @@
 
 Atoms compare ``weight * v(f(x)) + a . gamma`` against an exact rational
 (or against the top element, which expresses the zero-test f(x) = 0).
-Valuations take values in Q extended by INFINITY, so atom truth follows
-the extended order: a positive-weight valuation term at a root of f is
-infinite, a negative-weight one is minus infinite.
+Truth is read in Q extended by -inf and +inf, with the relations of
+:mod:`valdim.semilinear.atoms`: INFINITY orders itself against every
+rational, so ``COMPARE`` decides an atom whenever the valuation term is
+finite.  At a root of f the term is +inf for a positive weight and -inf
+for a negative one, and :meth:`MixedAtom.at_infinity` decides the atom
+there.
 
 The zero element of the valued coordinate never reaches the group-sort
 engine: point loci are split off explicitly during decomposition, and
@@ -23,39 +26,11 @@ from operator import index
 from typing import Sequence, Union
 
 from ..boolean import Atom, Bool, Formula, Or
-from ..semilinear.atoms import exact
+from ..semilinear.atoms import COMPARE, EQ, LT, RELS, exact, normal_rows
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
-_REL_FLIP = {">": "<", ">=": "<="}
-_RELS = ("<", "<=", "=", ">=", ">", "!=")
-
-
-def _ext_compare(lhs, rel: str, rhs) -> bool:
-    """Order comparisons on Q extended by +/- infinity.
-
-    ``lhs`` may be a Fraction, INFINITY, or the string "-inf" (a negative
-    weight on an infinite valuation); ``rhs`` is a Fraction or INFINITY.
-    """
-    if lhs == "-inf":
-        if rel == "<":
-            return True
-        if rel == "<=":
-            return True
-        return False
-    if lhs is INFINITY:
-        if rel == "=":
-            return rhs is INFINITY
-        if rel == "<":
-            return False
-        return rhs is INFINITY  # <=
-    # finite lhs
-    if rhs is INFINITY:
-        return rel != "="
-    if rel == "<":
-        return lhs < rhs
-    if rel == "<=":
-        return lhs <= rhs
-    return lhs == rhs
+#: ``t REL INFINITY`` for every spelling: a verdict, or the normal relation.
+_AGAINST_INFINITY = {"<=": True, ">": False, ">=": EQ, "=": EQ, "==": EQ, "!=": LT, "<": LT}
 
 
 @dataclass(frozen=True)
@@ -74,7 +49,7 @@ class MixedAtom:
     rhs: Union[Fraction, object]
 
     def __post_init__(self):
-        if self.rel not in ("<", "<=", "="):
+        if self.rel not in RELS:
             raise ValueError(f"bad relation {self.rel!r}")
         if (self.weight == 0) != (self.poly is None):
             raise ValueError("poly must be present iff weight is nonzero")
@@ -92,15 +67,23 @@ class MixedAtom:
         return len(self.gcoeffs)
 
     def holds(self, x: PuiseuxElement, gamma: Sequence[Fraction]) -> bool:
-        gpart = sum(c * g for c, g in zip(self.gcoeffs, gamma))
-        if self.weight == 0:
-            return _ext_compare(Fraction(gpart), self.rel, self.rhs)
-        v = self.poly.valuation_at(x)
-        if v is INFINITY:
-            lhs = INFINITY if self.weight > 0 else "-inf"
-        else:
-            lhs = self.weight * v + gpart
-        return _ext_compare(lhs, self.rel, self.rhs)
+        lhs = sum(c * g for c, g in zip(self.gcoeffs, gamma))
+        if self.weight:
+            v = self.poly.valuation_at(x)
+            if v is INFINITY:
+                return self.at_infinity()
+            lhs += self.weight * v
+        return COMPARE[self.rel](lhs, self.rhs)
+
+    def at_infinity(self) -> bool:
+        """Truth where the valuation term is infinite: +inf, or -inf for a negative weight.
+
+        -inf is below every value, INFINITY included, so the atom then
+        holds unless it is an equality.
+        """
+        if self.weight > 0:
+            return COMPARE[self.rel](INFINITY, self.rhs)
+        return self.rel != EQ
 
 
 def polys(f: Formula) -> list[FactoredPoly]:
@@ -121,45 +104,26 @@ def matom(
 ) -> Formula:
     """Atomic mixed formula with the relation normalized into {<, <=, =}.
 
-    Comparisons against INFINITY reduce first: t <= inf is vacuous,
-    t > inf impossible, t >= inf is the equality, t != inf the strict
-    bound.  For finite right sides >, >= flip signs; != expands into a
-    disjunction.
+    Against INFINITY the relation reads off ``_AGAINST_INFINITY``: t <= inf
+    is vacuous, t > inf impossible, t >= inf the equality and t != inf the
+    strict bound.  A finite right side goes through ``normal_rows``, the
+    weight standing first among the coefficients.
     """
     gcoeffs = tuple(map(index, gcoeffs))
-    if rel == "==":
-        rel = "="
-    if rel not in _RELS:
-        raise ValueError(f"bad relation {rel!r}")
+    n = len(gcoeffs)
     if rhs is INFINITY:
-        if rel in ("<=",):
-            return Bool(True, len(gcoeffs))
-        if rel == ">":
-            return Bool(False, len(gcoeffs))
-        if rel == ">=":
-            rel = "="
-        if rel == "!=":
-            rel = "<"
+        if rel not in _AGAINST_INFINITY:
+            raise ValueError(f"bad relation {rel!r}")
+        rel = _AGAINST_INFINITY[rel]
+        if isinstance(rel, bool):
+            return Bool(rel, n)
         if weight == 0:
-            # finite lhs against infinity
-            return Bool(rel == "<", len(gcoeffs))
+            return Bool(COMPARE[rel](0, INFINITY), n)
         return Atom(MixedAtom(weight, poly, gcoeffs, rel, INFINITY))
-    rhs = exact(rhs)
-    if rel in _REL_FLIP:
-        return matom(
-            -weight,
-            poly if weight != 0 else None,
-            tuple(-c for c in gcoeffs),
-            _REL_FLIP[rel],
-            -rhs,
-        )
-    if rel == "!=":
-        return Or.of(
-            matom(weight, poly, gcoeffs, "<", rhs),
-            matom(-weight, poly, tuple(-c for c in gcoeffs), "<", -rhs),
-        )
-    if weight == 0 and all(c == 0 for c in gcoeffs):
-        zero = Fraction(0)
-        val = zero < rhs if rel == "<" else (zero <= rhs if rel == "<=" else zero == rhs)
-        return Bool(val, len(gcoeffs))
-    return Atom(MixedAtom(weight, poly if weight != 0 else None, gcoeffs, rel, rhs))
+    parts = []
+    for (w, *g), r, q in normal_rows((weight, *gcoeffs), rel, exact(rhs)):
+        if w == 0 and not any(g):
+            parts.append(Bool(COMPARE[r](0, q), n))
+        else:
+            parts.append(Atom(MixedAtom(w, poly if w else None, tuple(g), r, q)))
+    return parts[0] if len(parts) == 1 else Or.of(*parts)

@@ -8,7 +8,8 @@ shapes:
 - annuli   { x : v(x - c) in (lo, hi) }     open rational interval,
 - spheres  { x : v(x - c) = r } minus the branches of the other tracked
   elements at distance exactly r (the ``avoid`` list),
-- explicit finite point lists (the centers themselves).
+- points, one per tracked center: the piece is its ``center``, and its
+  JSON form lists that one element.
 
 Each point of the line is assigned to the piece of its *canonical*
 center: the term-lexicographically least element among the tracked ones
@@ -51,9 +52,9 @@ class SwissPiece:
     """One piece of the valued line; see the module docstring for shapes.
 
     ``kind`` is one of ``"annulus"``, ``"sphere"``, ``"points"``.  The
-    radius data is (lo, hi) for annuli with None for an unbounded end,
-    ``radius`` plus the ``avoid`` exclusion list for spheres, and the
-    explicit ``elements`` list for point pieces.
+    radius data is (lo, hi) for annuli with None for an unbounded end and
+    ``radius`` plus the ``avoid`` exclusion list for spheres; a point
+    piece is its ``center`` alone.
     """
 
     kind: str
@@ -62,11 +63,10 @@ class SwissPiece:
     hi: Fraction | None = None
     radius: Fraction | None = None
     avoid: tuple[PuiseuxElement, ...] = ()
-    elements: tuple[PuiseuxElement, ...] = ()
 
     def contains(self, x: PuiseuxElement) -> bool:
         if self.kind == "points":
-            return any(x == e for e in self.elements)
+            return x == self.center
         rho = x.distance(self.center)
         if self.kind == "sphere":
             if rho != self.radius:
@@ -89,7 +89,7 @@ class SwissPiece:
     def sample(self, rho: Fraction | None = None) -> PuiseuxElement:
         """A member of the piece, optionally at a prescribed radius."""
         if self.kind == "points":
-            return self.elements[0]
+            return self.center
         if self.kind == "sphere":
             r = self.radius
             bad = {Fraction(0)}
@@ -110,7 +110,7 @@ class SwissPiece:
 
 
 def piece_k_dimension(p: SwissPiece) -> int:
-    """0 for an explicit finite point list, 1 for any other piece.
+    """0 for a point piece, 1 for any other piece.
 
     Every annulus or sphere piece with a nonempty radius condition is an
     infinite clopen subset of the line.
@@ -187,7 +187,7 @@ def monomial_decompose(
         # vals[t]: the valuations on annulus t
         vals = [tuple(column[t] for column in columns) for t in range(k + 1)]
 
-        out.append((SwissPiece("points", elements=(c,)), vals[k]))
+        out.append((SwissPiece("points", center=c), vals[k]))
         for t in range(first, k):
             piece = SwissPiece(
                 "sphere", center=c, radius=radii[t], avoid=tuple(at_radius[t])

@@ -35,8 +35,6 @@ from .atoms import (
     normalize_dnf,
 )
 from .cells import (
-    MINUS_INF,
-    PLUS_INF,
     AffineBound,
     GammaCell,
     cell_decompose,
@@ -56,7 +54,7 @@ __all__ = [
     "And", "Atom", "BasicSet", "Bool", "Formula",
     "LinearAtom", "Not", "Or", "atom", "embed", "formula_to_dsl",
     "negate_atom", "normalize_dnf",
-    "MINUS_INF", "PLUS_INF", "AffineBound", "GammaCell",
+    "AffineBound", "GammaCell",
     "cell_decompose", "cell_from_json", "cell_to_json",
     "dimension", "dimension_via_projection", "has_interior",
     "basic_dimension", "exists", "is_empty", "project", "project_basic", "sample_point",

@@ -1,12 +1,20 @@
 """Linear atoms and Boolean formulas over the ordered divisible group (Q, +, <).
 
 An atom is an integer-coefficient linear constraint ``c . x REL q`` with
-``REL`` one of ``<``, ``<=``, ``=`` and ``q`` an exact rational.  The
-relations ``>``, ``>=``, ``!=`` are normalized away at construction time
-(sign flip, or a disjunction for ``!=``), and an atom whose coefficients
-are all zero collapses to a Boolean constant.  Formulas are Boolean trees
-over atoms with a fixed variable arity, built from the shared nodes of
-:mod:`valdim.boolean`.
+``REL`` one of ``<``, ``<=``, ``=`` and ``q`` an exact rational.  An atom
+whose coefficients are all zero collapses to a Boolean constant.
+Formulas are Boolean trees over atoms with a fixed variable arity, built
+from the shared nodes of :mod:`valdim.boolean`.
+
+This module is the one place that says what a comparison means, for
+linear atoms, elimination rows and mixed atoms alike:
+
+- ``COMPARE`` decides ``lhs REL rhs`` for the three normal relations;
+- ``COMPLEMENT`` names the relation that holds exactly where one fails;
+- :func:`normal_rows` rewrites any of the seven spellings ``<  <=  =  ==
+  >=  >  !=`` into rows with a normal relation whose disjunction it is:
+  ``>`` and ``>=`` negate both sides, ``==`` reads as ``=``, and ``!=``
+  splits into two strict rows.
 """
 
 from __future__ import annotations
@@ -14,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import index
+from operator import eq, index, le, lt
 from typing import Iterable, Sequence, Union
 
 from ..boolean import And, Atom, Bool, Formula, Junction, Not, Or, map_atoms
@@ -23,6 +31,11 @@ LT = "<"
 LE = "<="
 EQ = "="
 RELS = (LT, LE, EQ)
+
+#: ``lhs REL rhs`` for each normal relation.
+COMPARE = {LT: lt, LE: le, EQ: eq}
+#: The relation that holds exactly where the normal relation fails.
+COMPLEMENT = {LT: ">=", LE: ">", EQ: "!="}
 
 Point = tuple[Fraction, ...]
 
@@ -105,11 +118,7 @@ class LinearAtom:
 
     def holds(self, point: Sequence[Fraction]) -> bool:
         lhs = sum(c * v for c, v in zip(self.coeffs, point))
-        if self.rel == LT:
-            return lhs < self.rhs
-        if self.rel == LE:
-            return lhs <= self.rhs
-        return lhs == self.rhs
+        return COMPARE[self.rel](lhs, self.rhs)
 
     def key(self) -> tuple:
         return self._key
@@ -130,40 +139,44 @@ TRUE = Bool(True)
 FALSE = Bool(False)
 
 
-def atom(coeffs: Sequence[int], rel: str, rhs: RatLike) -> Formula:
-    """Build an atomic formula, normalizing the relation into {<, <=, =}.
+def normal_rows(coeffs: tuple, rel: str, rhs) -> list[tuple]:
+    """The rows ``(coeffs, rel, rhs)``, rel in {<, <=, =}, whose disjunction is the comparison.
 
-    ``>``/``>=`` negate both sides, ``!=`` expands to a disjunction, and a
-    constraint with no variable left becomes a Boolean constant.
+    ``>``/``>=`` negate both sides, ``==`` reads as ``=``, and ``!=`` gives
+    ``(c, <, q)`` then ``(-c, <, -q)``.
     """
-    cs = tuple(map(index, coeffs))
-    q = exact(rhs)
-    if rel in (">", ">="):
-        cs = tuple(-c for c in cs)
-        q = -q
-        rel = LT if rel == ">" else LE
-    if rel == "!=":
-        return Or.of(atom(cs, LT, q), atom(tuple(-c for c in cs), LT, -q))
+    if rel in RELS:
+        return [(coeffs, rel, rhs)]
     if rel == "==":
-        rel = EQ
-    if rel not in RELS:
-        raise ValueError(f"bad relation {rel!r}")
-    if all(c == 0 for c in cs):
-        zero = Fraction(0)
-        value = zero < q if rel == LT else (zero <= q if rel == LE else zero == q)
-        return Bool(value, len(cs))
-    return Atom(LinearAtom(cs, rel, q))
+        return [(coeffs, EQ, rhs)]
+    neg = tuple(-c for c in coeffs)
+    if rel == ">":
+        return [(neg, LT, -rhs)]
+    if rel == ">=":
+        return [(neg, LE, -rhs)]
+    if rel == "!=":
+        return [(coeffs, LT, rhs), (neg, LT, -rhs)]
+    raise ValueError(f"bad relation {rel!r}")
+
+
+def _fold(coeffs: tuple[int, ...], rel: str, rhs: Fraction) -> Formula:
+    """One normal row as a formula: an atom, or a constant when no variable is left."""
+    if any(coeffs):
+        return Atom(LinearAtom(coeffs, rel, rhs))
+    return Bool(COMPARE[rel](0, rhs), len(coeffs))
+
+
+def atom(coeffs: Sequence[int], rel: str, rhs: RatLike) -> Formula:
+    """Build an atomic formula, normalizing the relation by :func:`normal_rows`."""
+    rows = normal_rows(tuple(map(index, coeffs)), rel, exact(rhs))
+    if len(rows) == 1:
+        return _fold(*rows[0])
+    return Or.of(*[_fold(*row) for row in rows])
 
 
 def negate_atom(a: LinearAtom) -> Formula:
     """Formula for the complement of a single atom."""
-    if a.rel == LT:
-        return atom(tuple(-c for c in a.coeffs), LE, -a.rhs)
-    if a.rel == LE:
-        return atom(tuple(-c for c in a.coeffs), LT, -a.rhs)
-    return Or.of(
-        atom(a.coeffs, LT, a.rhs), atom(tuple(-c for c in a.coeffs), LT, -a.rhs)
-    )
+    return atom(a.coeffs, COMPLEMENT[a.rel], a.rhs)
 
 
 def embed(f: Formula, coords: Sequence[int], arity: int) -> Formula:

@@ -2,9 +2,10 @@
 
 A cell with signature (i_1, ..., i_n) in {0,1}^n is built coordinate by
 coordinate: coordinate k is either the graph of an affine bound over the
-earlier coordinates (i_k = 0) or an open band between two such bounds,
-possibly infinite (i_k = 1).  The dimension of a cell is the sum of its
-signature.
+earlier coordinates (i_k = 0) or an open band between two such bounds
+(i_k = 1).  A band end may be open: it is then None, as in
+:func:`~valdim.semilinear.atoms.between`, and ``-inf`` below or ``inf``
+above in the cell JSON.  The dimension of a cell is the sum of its signature.
 
 The decomposition refines the arrangement of every atom of the input
 formula: the last coordinate is sliced along the bound functions solved
@@ -32,6 +33,7 @@ from typing import Sequence, Union
 from ..boolean import evaluate
 from ..lowerset import NEG_INF
 from .atoms import (
+    COMPARE,
     EQ,
     LT,
     Atom,
@@ -44,22 +46,6 @@ from .atoms import (
     normalize_dnf,
 )
 from .elimination import basic_dimension, is_empty, project_basic
-
-
-class _Inf:
-    """Signed infinity marker used as a missing band bound."""
-
-    __slots__ = ("sign",)
-
-    def __init__(self, sign: int):
-        self.sign = sign
-
-    def __repr__(self):
-        return "PLUS_INF" if self.sign > 0 else "MINUS_INF"
-
-
-PLUS_INF = _Inf(1)
-MINUS_INF = _Inf(-1)
 
 
 @dataclass(frozen=True)
@@ -98,7 +84,8 @@ class AffineBound:
         return (self.coeffs, self.const, self.div)
 
 
-Bound = Union[AffineBound, _Inf]
+#: A band end: an AffineBound, or None for an open end.
+Bound = AffineBound | None
 #: Per-coordinate data: an AffineBound for a graph coordinate, or a
 #: (lower, upper) pair for a band coordinate.
 CoordSpec = Union[AffineBound, tuple[Bound, Bound]]
@@ -125,7 +112,7 @@ class GammaCell:
             if i == 0:
                 values.append(spec.value(values))
             else:
-                lo, hi = (None if isinstance(e, _Inf) else e.value(values) for e in spec)
+                lo, hi = (None if e is None else e.value(values) for e in spec)
                 values.append(between(lo, hi))
         return tuple(values)
 
@@ -138,37 +125,28 @@ class GammaCell:
                     return False
             else:
                 lo, hi = spec
-                if not isinstance(lo, _Inf) and not (lo.value(prefix) < x):
+                if lo is not None and not (lo.value(prefix) < x):
                     return False
-                if not isinstance(hi, _Inf) and not (x < hi.value(prefix)):
+                if hi is not None and not (x < hi.value(prefix)):
                     return False
         return True
 
     def to_basicset(self) -> BasicSet:
-        """The cell as a conjunction of linear constraints."""
+        """The cell as a conjunction of linear constraints, one face ``x_k REL b`` each."""
         n = self.arity
         atoms: list[LinearAtom] = []
-
-        def row(b: AffineBound, k: int, rel: str, flip: bool):
-            # b REL x_k  (flip False)  /  x_k REL b  (flip True)
-            coeffs = [0] * n
-            for idx, c in enumerate(b.coeffs):
-                coeffs[idx] = c if not flip else -c
-            coeffs[k] = -b.div if not flip else b.div
-            rhs = -b.const if not flip else b.const
-            a = atom(coeffs, rel, rhs)
-            if isinstance(a, Atom):
-                atoms.append(a.atom)
-
         for k, (i, spec) in enumerate(zip(self.signature, self.bounds)):
-            if i == 0:
-                row(spec, k, EQ, flip=True)
-            else:
-                lo, hi = spec
-                if not isinstance(lo, _Inf):
-                    row(lo, k, LT, flip=False)
-                if not isinstance(hi, _Inf):
-                    row(hi, k, LT, flip=True)
+            faces = [(EQ, spec)] if i == 0 else [(">", spec[0]), ("<", spec[1])]
+            for rel, b in faces:
+                if b is None:
+                    continue
+                coeffs = [0] * n
+                for idx, c in enumerate(b.coeffs):
+                    coeffs[idx] = -c
+                coeffs[k] = b.div
+                a = atom(coeffs, rel, b.const)
+                if isinstance(a, Atom):
+                    atoms.append(a.atom)
         return BasicSet(tuple(atoms), n)
 
     def is_consistent(self) -> bool:
@@ -181,7 +159,7 @@ class GammaCell:
             if i != 1:
                 continue
             lo, hi = spec
-            if isinstance(lo, _Inf) or isinstance(hi, _Inf):
+            if lo is None or hi is None:
                 continue
             # lo >= hi anywhere on the base would break the cell; both
             # bounds and the base live on the first k coordinates.
@@ -202,17 +180,14 @@ class GammaCell:
         return True
 
 
-def bound_to_json(b: Bound):
-    if isinstance(b, _Inf):
-        return "inf" if b.sign > 0 else "-inf"
+def bound_to_json(b: AffineBound) -> dict:
     return {"coeffs": list(b.coeffs), "const": str(b.const), "div": b.div}
 
 
 def bound_from_json(obj) -> Bound:
-    if obj == "inf":
-        return PLUS_INF
-    if obj == "-inf":
-        return MINUS_INF
+    """An AffineBound, or None for an open band end ("-inf" or "inf")."""
+    if obj in ("-inf", "inf"):
+        return None
     return AffineBound(tuple(obj["coeffs"]), Fraction(obj["const"]), obj["div"])
 
 
@@ -222,7 +197,11 @@ def cell_to_json(c: GammaCell) -> dict:
         if i == 0:
             bounds.append(bound_to_json(spec))
         else:
-            bounds.append([bound_to_json(spec[0]), bound_to_json(spec[1])])
+            lo, hi = spec
+            bounds.append([
+                "-inf" if lo is None else bound_to_json(lo),
+                "inf" if hi is None else bound_to_json(hi),
+            ])
     return {"signature": list(c.signature), "bounds": bounds}
 
 
@@ -316,8 +295,8 @@ def _stratum(reps: list[AffineBound], p: int) -> tuple[int, CoordSpec]:
     k = p // 2
     if p % 2:
         return 0, reps[k]
-    lo = reps[k - 1] if k else MINUS_INF
-    hi = reps[k] if k < len(reps) else PLUS_INF
+    lo = reps[k - 1] if k else None
+    hi = reps[k] if k < len(reps) else None
     return 1, (lo, hi)
 
 
@@ -376,13 +355,15 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
     index = {b.key(): k for k, b in enumerate(blist)}
     flat = [a for a in atoms_ if a.coeffs[j] == 0]
     # Each atom with x_n, its bound, and whether it holds where x_n minus
-    # that bound is negative, zero and positive.
+    # that bound is negative, zero and positive: the atom is c * (x_n -
+    # bound) REL 0, c its x_n coefficient.
     lifted = []
     for a in atoms_:
         c = a.coeffs[j]
         if c != 0:
             k = index[_bound_from_atom(a, j).key()]
-            lifted.append((a, k, a.rel != EQ and c > 0, a.rel != LT, a.rel != EQ and c < 0))
+            holds = COMPARE[a.rel]
+            lifted.append((a, k, holds(-c, 0), holds(0, 0), holds(c, 0)))
     out = []
     for cell, s in base:
         values, reps, slots = _order(blist, s)

@@ -22,7 +22,9 @@ from math import gcd
 from typing import Iterable, Sequence
 
 from ..lowerset import NEG_INF
-from .atoms import EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, between, embed
+from .atoms import (
+    COMPARE, COMPLEMENT, EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, between, embed, normal_rows,
+)
 
 # Raw rows are (coeffs, rel, rhs) with integer coeffs and integer rhs.
 Row = tuple[tuple[int, ...], str, int]
@@ -52,11 +54,7 @@ def _reduce(coeffs: tuple[int, ...], rel: str, rhs: int) -> Row | bool:
             if c > 256 or c < -256:
                 big = True
     if not nonzero:
-        if rel == LT:
-            return 0 < rhs
-        if rel == LE:
-            return 0 <= rhs
-        return rhs == 0
+        return COMPARE[rel](0, rhs)
     if big:
         g = 0
         for c in coeffs:
@@ -154,13 +152,7 @@ def rows_infeasible(rows: list[Row], arity: int) -> bool:
 
 def negate_row(row: Row) -> list[Row]:
     """Rows covering the complement of one row (two pieces for equality)."""
-    coeffs, rel, rhs = row
-    neg = tuple(-c for c in coeffs)
-    if rel == LT:
-        return [(neg, LE, -rhs)]
-    if rel == LE:
-        return [(neg, LT, -rhs)]
-    return [(coeffs, LT, rhs), (neg, LT, -rhs)]
+    return normal_rows(row[0], COMPLEMENT[row[1]], row[2])
 
 
 def _stages(b: BasicSet) -> tuple[list[Row], ...]:

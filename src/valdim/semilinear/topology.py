@@ -11,7 +11,6 @@ systems) exactly when it is closed.
 from __future__ import annotations
 
 from .atoms import BasicSet, Bool, Formula, Not, Or, normalize_dnf
-from .elimination import is_empty
 
 
 def closure(f: Formula) -> Formula:
@@ -38,6 +37,6 @@ def is_polyhedral(f: Formula) -> tuple[bool, list[BasicSet] | None]:
         return True, disjuncts
     relaxed = [b.relaxed() for b in disjuncts]
     difference = Or.of(*[b.to_formula() for b in relaxed]) & Not.of(f)
-    if all(is_empty(b) for b in normalize_dnf(difference)):
+    if not normalize_dnf(difference):
         return True, relaxed
     return False, None

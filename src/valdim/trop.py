@@ -84,18 +84,8 @@ class PolyhedralComplex:
 
     faces: tuple[Polyhedron, ...]
 
-    @property
-    def arity(self) -> int:
-        return self.faces[0].system.arity if self.faces else 0
-
     def contains(self, x: Sequence[Fraction]) -> bool:
         return any(f.contains(x) for f in self.faces)
-
-    def to_formula(self, arity: int | None = None) -> sl.Formula:
-        n = self.arity if arity is None else arity
-        if not self.faces:
-            return sl.Bool(False, n)
-        return sl.Or.of(*[f.system.to_formula() for f in self.faces])
 
 
 @dataclass(frozen=True)

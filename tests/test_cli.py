@@ -233,6 +233,69 @@ class TestMixedOutputDigests:
         assert h.hexdigest()[:16] == digest
 
 
+class TestGammaOutputDigests:
+    """Printed gamma and tropical output on seeded inputs, fixed byte for byte.
+
+    The formulas are the first eight of the seed-0 ``gamma`` benchmark
+    pool; between them they use every relation spelling and negation.
+    Each digest covers the stdout of ``gamma dim``, ``gamma cells --format
+    json`` (open band ends included), ``gamma project`` and ``gamma
+    closure``, so a change to how comparisons are normalized, negated or
+    decided cannot alter output unseen.  Formulas 2 and 4 define the empty
+    set, so their digests agree.
+    """
+
+    CASES = [
+        (2, "1", "((((x1 + x2 > 3 | -3*x1 + x2 != 0) | -3*x1 + 2*x2 < -3)"
+            " & !(-2*x1 + 2*x2 <= -3)) & -2*x1 + 2*x2 > 1) | x1 - 3*x2 = -2",
+         "fa6631aece645b6b"),
+        (3, "1,2", "(3*x1 - x2 + 3*x3 != 3 | -3*x1 + x2 - 3*x3 = 1) & x1 - x2 + 3*x3 <= 1/2",
+         "d907d83d943e4471"),
+        (2, "1", "((((-3*x1 - 2*x2 > 7/2 & -3*x1 + x2 > 0) | 2*x1 - x2 = -4)"
+            " & !(x1 + 3*x2 > 5/2)) & 2*x1 - 3*x2 < -2) & 3*x1 + x2 > -2",
+         "77b0b307abdf2c02"),
+        (2, "1", "(((2*x1 + x2 >= -4 | 3*x1 - 2*x2 = -1) | -2*x1 + 3*x2 < -1/2)"
+            " & !(3*x1 + x2 = 4)) | -x1 - 2*x2 != 4",
+         "2a1b090cecdcad46"),
+        (2, "1", "((((2*x1 + 2*x2 <= -2 | -2*x1 - 2*x2 = 4) & 2*x1 + x2 = -2)"
+            " & 3*x1 - x2 <= 2) & 3*x1 - x2 > -3) & x1 + 2*x2 >= 2",
+         "77b0b307abdf2c02"),
+        (3, "1,2", "(x1 - x2 - 2*x3 >= -3 & -x1 - 2*x2 + 3*x3 <= 4) & -x1 - x2 - 2*x3 <= 0",
+         "82886cde575c5224"),
+        (2, "1", "((((3*x1 - x2 = -7/2 | -3*x1 - 2*x2 < -3) | x1 + 3*x2 >= -2)"
+            " & 2*x1 - 3*x2 = 3) & -x1 + 2*x2 <= 2) & !(3*x1 + 3*x2 != 2)",
+         "d80092fb485fe4dc"),
+        (2, "1", "((((2*x1 - 2*x2 >= 1/2 | -x1 + x2 = -4) & -x1 - x2 < -3)"
+            " & -x1 - x2 < -3) | 2*x1 - x2 != 4) & 3*x1 - x2 >= -4",
+         "9c689445254e7d41"),
+    ]
+
+    TROP_CASES = [
+        ("1@(2,0)+0@(1,1)+1@(0,2)+0@(1,0)+2@(0,0)", "4dc76f57b97ed76c"),
+        ("0@(1,0,0)+1@(0,1,0)+0@(0,0,1)+2@(0,0,0)+1/2@(1,1,0)", "6e3a832e7fd7bf6c"),
+    ]
+
+    @pytest.mark.parametrize(
+        "n, keep, text, digest", CASES, ids=[f"seed0-{i}" for i in range(len(CASES))]
+    )
+    def test_output_unchanged(self, capsys, n, keep, text, digest):
+        h = hashlib.sha256()
+        for op, options in (
+            ("dim", ()), ("cells", ("--format", "json")), ("project", ("--keep", keep)),
+            ("closure", ()),
+        ):
+            code, out, err = run(capsys, "gamma", op, *options, "-n", str(n), "--", text)
+            assert code == 0, err
+            h.update(out.encode())
+        assert h.hexdigest()[:16] == digest
+
+    @pytest.mark.parametrize("poly, digest", TROP_CASES, ids=["plane", "space"])
+    def test_trop_output_unchanged(self, capsys, poly, digest):
+        code, out, err = run(capsys, "trop", "hypersurface", "--format", "json", poly)
+        assert code == 0, err
+        assert hashlib.sha256(out.encode()).hexdigest()[:16] == digest
+
+
 class TestReadme:
     """Every quick-tour command with a ``# ->`` note prints that note."""
 

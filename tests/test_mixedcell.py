@@ -402,12 +402,12 @@ def reference_monomial_decompose(polys):
                 avoid = tuple(o for o in clist if o != c and dist_of[o.key()] == r)
                 out.append((SwissPiece("sphere", center=c, radius=r, avoid=avoid),
                             valuations(c, dist_of, None, sphere_at=r)))
-        out.append((SwissPiece("points", elements=(c,)), valuations(c, dist_of, None)))
+        out.append((SwissPiece("points", center=c), valuations(c, dist_of, None)))
 
     def sort_key(pv):
         p = pv[0]
         if p.kind == "points":
-            return (p.elements[0].key(), 0, ())
+            return (p.center.key(), 0, ())
         if p.kind == "sphere":
             return (p.center.key(), 1, (p.radius,))
         return (p.center.key(), 2, (p.lo is None, p.lo, p.hi is None, p.hi))

@@ -311,7 +311,7 @@ class TestCellDecompose:
 
     def test_inconsistent_band_below_the_top_coordinate(self):
         # x2 between x1 and 0 is empty wherever x1 >= 0, and x1 ranges over Q.
-        line = (sl.MINUS_INF, sl.PLUS_INF)
+        line = (None, None)
         x1 = sl.AffineBound((1,), F(0))
         zero = sl.AffineBound((0,), F(0))
         broken = sl.GammaCell((1, 1, 1), (line, (x1, zero), line))

@@ -8,8 +8,8 @@ dimensions, the second counts value-group dimensions (and the third, when
 present, residue-field dimensions).
 
 Lower sets are stored by their maximal-antichain generators, never by
-element enumeration, so every operation is exact and runs in
-O(len(maxima)^2).
+element enumeration, so every operation is exact; reducing n generators
+to their maxima takes O(n log n) in N^2 and O(n * len(maxima)) in N^3.
 """
 
 from __future__ import annotations
@@ -32,14 +32,23 @@ def _leq(p: Sequence[int], q: Sequence[int]) -> bool:
 
 
 def _antichain(points: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]:
-    """Maximal elements of ``points`` under the componentwise order, sorted."""
-    pts = set(points)
-    maxima = [
-        p
-        for p in pts
-        if not any(q != p and _leq(p, q) for q in pts)
-    ]
-    return tuple(sorted(maxima))
+    """Maximal elements of ``points`` under the componentwise order, sorted.
+
+    In descending lexicographic order every point comes after all points
+    above it, so a point is maximal exactly when no maximum kept before
+    it lies above it.  In N^2 that is a sweep: a point is kept when its
+    second coordinate beats every one kept so far.
+    """
+    maxima: list[tuple[int, ...]] = []
+    top = -1
+    for p in sorted(set(points), reverse=True):
+        if len(p) == 2:
+            if p[1] > top:
+                top = p[1]
+                maxima.append(p)
+        elif not any(_leq(p, m) for m in maxima):
+            maxima.append(p)
+    return tuple(reversed(maxima))
 
 
 def _check_point(p: Sequence[int], width: int | None) -> tuple[int, ...]:

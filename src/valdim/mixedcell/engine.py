@@ -13,9 +13,9 @@ A mixed cell is a piece of the line together with a group-sort cell over
 (rho, gamma); its dimension is the pair (piece dimension, sum of the
 gamma signature), and the mixed dimension of a set is the lower set
 generated by its cells' dimension pairs.  :func:`mixed_dimension`
-computes that lower set without building cells, from the largest
-gamma-fiber of each convex DNF disjunct; cells are built only by
-:func:`mixed_cell_decompose`.
+computes that lower set without building cells, from the signature of
+one relative-interior point of each convex DNF disjunct; cells are built
+only by :func:`mixed_cell_decompose`.
 """
 
 from __future__ import annotations
@@ -172,29 +172,29 @@ def mixed_dimension(f: Formula) -> LowerSet:
     """The lower set generated by the dimension pairs of the cells, without cells.
 
     Each DNF disjunct P of a piece formula contributes (0, dim P) on a
-    point piece and (1, dim P - dim pi P) on any other piece, pi being the
-    projection to the radius rho.  That is the largest dimension of a
-    gamma-fiber of P.  Proof: with L the direction space of the affine
-    hull of P, every fiber lies in a translate of the kernel of pi on L,
-    of dimension dim L - dim pi(L) = dim P - dim pi P.  Conversely, for
-    rho in the relative interior of pi P some point p of the relative
-    interior of P lies above rho (for convex sets the relative interior
-    of the image is the image of the relative interior); a small ball
-    around p in the affine hull lies in P, and its slice above rho has
-    that full dimension.  Fibers of a union are unions of fibers, and a
-    cell over (rho, gamma) is cylindrical with rho first, so its gamma
-    signature sum is the dimension of its fibers: the pairs generate the
-    same lower set as the cells' pairs, which ``verify.suite_mixed``
-    checks.
+    point piece and (1, s) on any other piece, s being the sum of the
+    signature bits of P after the radius rho.  That is the largest
+    dimension of a gamma-fiber of P.  Proof: rho is coordinate 0, so the
+    back-substitution of :func:`sl.basic_signature` picks rho first, in
+    the relative interior of the projection pi P, and then a point of the
+    relative interior of the fiber above it (Rockafellar, Convex
+    Analysis, Thm 6.8).  The bits after rho sum to dim P - dim pi P, the
+    fiber dimension above any relative-interior rho; no fiber is larger,
+    since every fiber lies in a translate of the kernel of pi on the
+    direction space of the affine hull of P.  Fibers of a union are
+    unions of fibers, and a cell over (rho, gamma) is cylindrical with
+    rho first, so its gamma signature sum is the dimension of its fibers:
+    the pairs generate the same lower set as the cells' pairs, which
+    ``verify.suite_mixed`` checks.
     """
     pairs = set()
     for piece, g in piece_formulas(f):
         for p in sl.normalize_dnf(g):
+            sig = sl.basic_signature(p)
             if piece.kind == "points":
-                pairs.add((0, sl.basic_dimension(p)))
+                pairs.add((0, sum(sig)))
             else:
-                rho = sl.project_basic(p, [0])
-                pairs.add((1, sl.basic_dimension(p) - sl.basic_dimension(rho)))
+                pairs.add((1, sum(sig[1:])))
     return lower_closure(pairs)
 
 

@@ -7,9 +7,10 @@ re-exported here (``And``, ``Or``, ``Not``, ``Bool``, ``Atom``,
 ``Formula``).  The module provides
 disjunctive normal form, Fourier-Motzkin projection and emptiness,
 recursive cell decomposition, topological closure, and the constraint
-DSL parser.  The dimension is read off the DNF by implicit equalities
-and exact rank (:func:`dimension`, :func:`basic_dimension`); cells are
-built only by :func:`cell_decompose`.  A second, independent
+DSL parser.  The dimension is read off the DNF, as the signature of a
+back-substituted relative-interior point of each disjunct
+(:func:`dimension`, :func:`basic_dimension`, :func:`basic_signature`);
+cells are built only by :func:`cell_decompose`.  A second, independent
 characterization by interior-carrying projections is kept as
 :func:`dimension_via_projection`.
 """
@@ -44,7 +45,9 @@ from .cells import (
     dimension_via_projection,
     has_interior,
 )
-from .elimination import basic_dimension, exists, is_empty, project, project_basic, sample_point
+from .elimination import (
+    basic_dimension, basic_signature, exists, is_empty, project, project_basic, sample_point,
+)
 from .intervals import IntervalType, one_var_canonical
 from .parser import parse_formula
 from .topology import closure, is_polyhedral
@@ -57,7 +60,8 @@ __all__ = [
     "AffineBound", "GammaCell",
     "cell_decompose", "cell_from_json", "cell_to_json",
     "dimension", "dimension_via_projection", "has_interior",
-    "basic_dimension", "exists", "is_empty", "project", "project_basic", "sample_point",
+    "basic_dimension", "basic_signature", "exists", "is_empty",
+    "project", "project_basic", "sample_point",
     "IntervalType", "one_var_canonical",
     "parse_formula", "closure", "is_polyhedral",
 ]

@@ -18,8 +18,9 @@ which the formula is true; this is exact because it is the truth of
 every atom at the cell's own sample point.
 
 Cells are built only when a caller asks for them.  :func:`dimension`
-works on the DNF by implicit equalities and exact rank; the largest
-signature sum of a decomposition is the oracle it is checked against.
+works on the DNF, reading each disjunct's signature off one
+back-substituted relative-interior point; the largest signature sum of a
+decomposition is the oracle it is checked against.
 """
 
 from __future__ import annotations
@@ -396,12 +397,11 @@ def dimension(f: Formula) -> int | float:
     """Dimension of a semilinear set, without building any cell.
 
     The set is the union of its DNF disjuncts, so its dimension is the
-    largest disjunct dimension.  Each disjunct is convex, and a nonempty
-    convex set has a point where every row that is not an implicit
-    equality holds strictly; near that point the set fills the affine
-    space of its equalities, whose dimension :func:`basic_dimension`
-    reads off by exact rank.  This equals the largest signature sum of a
-    cell decomposition, which ``verify.suite_cells`` checks.  Returns
+    largest disjunct dimension.  Each disjunct is convex, and
+    :func:`basic_dimension` sums the signature of the cell that holds one
+    of its relative-interior points, read off the emptiness stages by
+    back-substitution.  This equals the largest signature sum of a cell
+    decomposition, which ``verify.suite_cells`` checks.  Returns
     ``NEG_INF`` for the empty set.
     """
     return max((basic_dimension(b) for b in normalize_dnf(f)), default=NEG_INF)

@@ -8,7 +8,9 @@ the group is dense, divisible and unbounded, the procedure is a complete
 decision method for emptiness, and a satisfying point can be read back by
 assigning variables in order against the per-stage bound lists.  One
 routine, :func:`_eliminate`, runs every elimination; a basic set keeps
-the stages of its emptiness test, which :func:`sample_point` reads back.
+the stages of its emptiness test, and one back-substitution over them
+gives both :func:`sample_point` and the signature whose sum is
+:func:`basic_dimension`.
 
 Internally every row is scaled to integers (coefficients and right side),
 so the elimination itself runs in machine integers; rational constants
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from ..lowerset import NEG_INF
@@ -171,60 +174,86 @@ def is_empty(b: BasicSet) -> bool:
     """Decide whether no rational point satisfies the conjunction ``b``.
 
     Eliminates from the last variable down, once per basic set; the
-    stages stay on ``b`` for :func:`sample_point`.
+    stages stay on ``b`` for :func:`sample_point` and
+    :func:`basic_dimension`.
     """
     return not _stages(b)
 
 
-def _rank(matrix: list[tuple[int, ...]]) -> int:
-    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+def _back_substitute(b: BasicSet) -> tuple[list[int], int, tuple[int, ...]] | None:
+    """A relative-interior point of ``b`` and its 0/1 signature, or None.
 
-    After each pivot step every entry below the pivot rows is a minor of
-    the input, so the division by the previous pivot is exact and the
-    integers never leave Z.
+    Reads the stages :func:`is_empty` built, from the last variable down;
+    coordinate j is assigned from stage n-1-j, the projection of ``b``
+    onto the first j+1 coordinates, over the values already chosen.  It
+    is pinned by an equality row, or it gets the sample :func:`between`
+    picks in its feasible interval; bit j is 1 exactly when that interval
+    is open.  Each value lies in the relative interior of its fibre, so
+    the prefix stays in the relative interior of every projection
+    (Rockafellar, Convex Analysis, Thm 6.8), and above it each fibre has
+    dimension dim pi_{<=j} b - dim pi_{<j} b: the bits sum to dim ``b``.
+    The point is returned as integer numerators over one common
+    denominator, which is how the prefix is carried, so the rows are read
+    in integers alone.
     """
-    m = [list(r) for r in matrix]
-    rank, prev = 0, 1
-    for col in range(len(m[0]) if m else 0):
-        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        top = m[rank]
-        p = top[col]
-        for i in range(rank + 1, len(m)):
-            a = m[i][col]
-            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
-        prev = p
-        rank += 1
-    return rank
+    stages = _stages(b)
+    if not stages:
+        return None
+    n = b.arity
+    nums: list[int] = []
+    den = 1
+    bits: list[int] = []
+    for j in range(n):
+        # bounds as (numerator, positive denominator), compared crosswise
+        lo = hi = pin = None
+        for coeffs, rel, rhs in stages[n - 1 - j]:
+            c = coeffs[j]
+            if c == 0:
+                continue
+            num = rhs * den - sum(map(mul, coeffs, nums)) if j else rhs
+            d = c * den
+            if d < 0:
+                num, d = -num, -d
+            if rel == EQ:
+                pin = (num, d)
+            elif c > 0:
+                if hi is None or num * hi[1] < hi[0] * d:
+                    hi = (num, d)
+            elif lo is None or num * lo[1] > lo[0] * d:
+                lo = (num, d)
+        if pin is None:
+            bits.append(1 if lo is None or hi is None or lo[0] * hi[1] < hi[0] * lo[1] else 0)
+            value = between(lo and Fraction(*lo), hi and Fraction(*hi))
+        else:
+            bits.append(0)
+            value = Fraction(*pin)
+        q = value.denominator
+        scale = q // gcd(den, q)
+        if scale > 1:
+            nums = [v * scale for v in nums]
+            den *= scale
+        nums.append(value.numerator * (den // q))
+    return nums, den, tuple(bits)
+
+
+def basic_signature(b: BasicSet) -> tuple[int, ...] | None:
+    """The signature of the cell holding a relative-interior point of ``b``.
+
+    Bit j is 1 when the fibre over the first j coordinates is an open
+    interval; None when ``b`` is empty.  No elimination beyond the
+    emptiness stages is run.
+    """
+    found = _back_substitute(b)
+    return None if found is None else found[2]
 
 
 def basic_dimension(b: BasicSet) -> int | float:
-    """Dimension of one convex system: n minus the rank of its implicit equalities.
+    """Dimension of one convex system: the sum of its signature.
 
-    A weak row is an implicit equality when the system with that row made
-    strict is empty.  A nonempty convex set has a point where every other
-    weak row and every strict row holds strictly (the average of one
-    witness per row), so a neighbourhood of that point in the affine
-    space cut out by the explicit and implicit equalities lies in the
-    set.  Found implicit equalities are turned into equalities, which the
-    elimination substitutes away cheaply in the remaining tests.  Returns
-    ``NEG_INF`` for an empty system.
+    Returns ``NEG_INF`` for an empty system.
     """
-    if is_empty(b):
-        return NEG_INF
-    n = b.arity
-    system = atom_rows(b.atoms)
-    weak = [i for i, row in enumerate(system) if row[1] == LE]
-    all_strict = [(c, LT if rel == LE else rel, q) for c, rel, q in system]
-    if weak and rows_infeasible(all_strict, n):
-        for i in weak:
-            coeffs, _, rhs = system[i]
-            trial = system[:i] + [(coeffs, LT, rhs)] + system[i + 1 :]
-            if rows_infeasible(trial, n):
-                system[i] = (coeffs, EQ, rhs)
-    return n - _rank([c for c, rel, _ in system if rel == EQ])
+    sig = basic_signature(b)
+    return NEG_INF if sig is None else sum(sig)
 
 
 def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:
@@ -288,35 +317,15 @@ def exists(f: Formula, var: int) -> Formula:
 def sample_point(b: BasicSet) -> tuple[Fraction, ...] | None:
     """A rational point satisfying ``b``, by back-substitution, or None.
 
-    Reads the stages :func:`is_empty` built, from the last variable down;
-    values are assigned from the first index up, each one the sample
+    The point of :func:`_back_substitute`: values are assigned from the
+    first index up, each one pinned by an equality or the sample
     :func:`between` picks in the remaining feasible interval.
     """
-    stages = _stages(b)
-    if not stages:
+    found = _back_substitute(b)
+    if found is None:
         return None
-    n = b.arity
-    values: list[Fraction] = []
-    for j in range(n):
-        lo: Fraction | None = None
-        hi: Fraction | None = None
-        pin: Fraction | None = None
-        for coeffs, rel, rhs in stages[n - 1 - j]:
-            c = coeffs[j]
-            if c == 0:
-                continue
-            rest = rhs - sum(coeffs[i] * values[i] for i in range(j))
-            bound = Fraction(rest, c)
-            if rel == EQ:
-                pin = bound
-            elif c > 0:
-                if hi is None or bound < hi:
-                    hi = bound
-            else:
-                if lo is None or bound > lo:
-                    lo = bound
-        values.append(between(lo, hi) if pin is None else pin)
-    point = tuple(values)
+    nums, den, _ = found
+    point = tuple(Fraction(v, den) for v in nums)
     if not b.holds(point):
         # FM guarantees feasibility of the greedy assignment; reaching here
         # means an internal invariant broke.

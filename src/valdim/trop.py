@@ -21,6 +21,7 @@ from typing import Sequence
 
 from . import semilinear as sl
 from .errors import SemanticError
+from .lowerset import NEG_INF
 from .semilinear.elimination import atom_rows, negate_row, rows_infeasible
 
 
@@ -70,9 +71,8 @@ class Polyhedron:
 
     @staticmethod
     def of(system: sl.BasicSet) -> "Polyhedron | None":
-        if sl.is_empty(system):
-            return None
-        return Polyhedron(system, sl.basic_dimension(system))
+        dim = sl.basic_dimension(system)
+        return None if dim == NEG_INF else Polyhedron(system, dim)
 
     def contains(self, x: Sequence[Fraction]) -> bool:
         return self.system.holds(x)

@@ -417,14 +417,71 @@ def filtered_arrangement(f: sl.Formula) -> list[sl.GammaCell]:
     return [c for c, _ in sl_cells.arrangement(atoms, f.arity) if f.holds(c.sample())]
 
 
+def _rank(matrix: list[tuple[int, ...]]) -> int:
+    """Rank of an integer matrix by fraction-free (Bareiss) elimination.
+
+    After each pivot step every entry below the pivot rows is a minor of
+    the input, so the division by the previous pivot is exact and the
+    integers never leave Z.
+    """
+    m = [list(r) for r in matrix]
+    rank, prev = 0, 1
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        top = m[rank]
+        p = top[col]
+        for i in range(rank + 1, len(m)):
+            a = m[i][col]
+            m[i] = [(p * x - a * y) // prev for x, y in zip(m[i], top)]
+        prev = p
+        rank += 1
+    return rank
+
+
+def dimension_by_implicit_equalities(b: sl.BasicSet) -> int | float:
+    """Dimension of one convex system: n minus the rank of its implicit equalities.
+
+    A weak row is an implicit equality when the system with that row made
+    strict is empty.  A nonempty convex set has a point where every other
+    weak row and every strict row holds strictly (the average of one
+    witness per row), so a neighbourhood of that point in the affine
+    space cut out by the explicit and implicit equalities lies in the
+    set.  Found implicit equalities are turned into equalities, which the
+    elimination substitutes away cheaply in the remaining tests.  Returns
+    ``NEG_INF`` for an empty system.  An oracle for
+    :func:`sl.basic_dimension`, which reads the signature of one
+    back-substituted point instead.
+    """
+    from valdim.semilinear.elimination import atom_rows, rows_infeasible
+
+    n = b.arity
+    system = atom_rows(b.atoms)
+    if rows_infeasible(system, n):
+        return NEG_INF
+    weak = [i for i, row in enumerate(system) if row[1] == sl.LE]
+    all_strict = [(c, sl.LT if rel == sl.LE else rel, q) for c, rel, q in system]
+    if weak and rows_infeasible(all_strict, n):
+        for i in weak:
+            coeffs, _, rhs = system[i]
+            trial = system[:i] + [(coeffs, sl.LT, rhs)] + system[i + 1 :]
+            if rows_infeasible(trial, n):
+                system[i] = (coeffs, sl.EQ, rhs)
+    return n - _rank([c for c, rel, _ in system if rel == sl.EQ])
+
+
 def suite_cells(seed: int = 0, cases: int = 500) -> SuiteResult:
-    """Partition checks plus agreement of two cell and three dimension routes.
+    """Partition checks plus agreement of two cell and four dimension routes.
 
     ``sl.cell_decompose`` must return the cells of
     :func:`filtered_arrangement`, in the same order.  ``sl.dimension``
-    (implicit equalities) is compared with the largest signature of those
-    cells and with the projection route.  Runs on the same instance
-    family as the elimination suite.
+    (the signature of one back-substituted point per DNF disjunct) is
+    compared with the largest signature of those cells, with the
+    projection route and with :func:`dimension_by_implicit_equalities`
+    over the DNF.  Runs on the same instance family as the elimination
+    suite.
     """
     r = SuiteResult("cells")
     for case, (n, f) in enumerate(formula_instances(seed, cases)):
@@ -443,10 +500,13 @@ def suite_cells(seed: int = 0, cases: int = 500) -> SuiteResult:
         dim = sl.dimension(f)
         via_cells = max((c.dimension() for c in cells), default=NEG_INF)
         via_proj = sl.dimension_via_projection(f)
-        if not dim == via_cells == via_proj:
+        via_eqs = max(
+            (dimension_by_implicit_equalities(b) for b in sl.normalize_dnf(f)), default=NEG_INF
+        )
+        if not dim == via_cells == via_proj == via_eqs:
             r.failures.append(
                 f"case {case}: dimension {dim}, cell route {via_cells},"
-                f" projection route {via_proj}"
+                f" projection route {via_proj}, implicit-equality route {via_eqs}"
             )
     return r
 

@@ -55,6 +55,23 @@ class TestLowerset:
         assert code == 0
         assert json.loads(out) == {"maxima": [[0, 0, 1], [0, 1, 0], [1, 0, 0]]}
 
+    def test_shift_of_a_long_antichain_compares_few_pairs(self, capsys, monkeypatch):
+        from valdim import lowerset
+
+        calls = []
+        real = lowerset._leq
+
+        def counted(p, q):
+            calls.append(1)
+            if len(calls) > 10_000:
+                raise AssertionError("quadratic comparison of maxima")
+            return real(p, q)
+
+        monkeypatch.setattr(lowerset, "_leq", counted)
+        code, out, _ = run(capsys, "lowerset", "shift", "[[4000,0]]", "--format", "json")
+        assert code == 0
+        assert json.loads(out) == {"maxima": [[k, 4000 - k] for k in range(4001)]}
+
     def test_empty_dimnat(self, capsys):
         code, out, _ = run(capsys, "lowerset", "dimnat", "[]")
         assert code == 0 and out.strip() == "-inf"

@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from valdim.lowerset import (
     NEG_INF,
+    _antichain,
     LowerSet,
     add,
     dim_nat,
@@ -55,6 +57,22 @@ class TestLowerClosure:
     def test_membership(self):
         d2 = lower_closure(D1)
         assert (3, 1) in d2 and (3, 2) not in d2
+
+
+class TestAntichain:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("width", [2, 3])
+    def test_matches_the_brute_force_maximal_filter(self, seed, width):
+        rng = random.Random(seed)
+        for _ in range(40):
+            top = rng.choice([2, 5, 20])
+            pts = [tuple(rng.randint(0, top) for _ in range(width))
+                   for _ in range(rng.randint(0, 60))]
+            maximal = {
+                p for p in pts
+                if not any(q != p and all(a <= b for a, b in zip(p, q)) for q in pts)
+            }
+            assert _antichain(pts) == tuple(sorted(maximal))
 
 
 class TestJoinAdd:

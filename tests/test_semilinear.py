@@ -478,6 +478,7 @@ class TestDimensionWithoutCells:
             ("x1 + x2 <= 1 & x1 + x2 >= 0 & x2 - x3 <= 2", 3, 3),
             ("x1 <= x2 & x2 <= x3 & x3 <= x1", 3, 1),
             ("x1 <= x2 & x2 <= x3 & x3 < x1", 3, NEG_INF),
+            ("x1 + x2 <= 1 & -x1 - x2 <= -1 & x3 < 2", 3, 2),
         ],
     )
     def test_edge_cases(self, text, n, expected):
@@ -496,7 +497,7 @@ class TestDimensionWithoutCells:
         assert sl.basic_dimension(strict) == NEG_INF
 
     def test_rank(self):
-        from valdim.semilinear.elimination import _rank
+        from valdim.verify import _rank
 
         assert _rank([]) == 0
         assert _rank([(0, 0, 0)]) == 0
@@ -512,6 +513,45 @@ class TestDimensionWithoutCells:
         for f in cases:
             d = sl.dimension(f)
             assert d == cell_dimension(f) == sl.dimension_via_projection(f), sl.formula_to_dsl(f)
+
+    def test_reads_the_emptiness_elimination(self, monkeypatch):
+        from valdim.mixedcell import mixed_dimension, parse_mixed_formula, piece_formulas
+
+        calls = []
+        real = elimination._eliminate_var
+        monkeypatch.setattr(
+            elimination, "_eliminate_var", lambda rows, j: calls.append(j) or real(rows, j)
+        )
+        (b,) = sl.normalize_dnf(sl.parse_formula("x1 + x2 <= 1 & -x1 - x2 <= -1 & x3 < 2"))
+        calls.clear()
+        assert sl.basic_dimension(b) == 2 and sl.basic_signature(b) == (1, 0, 1)
+        assert b.holds(sl.sample_point(b)) and calls == []
+
+        f = parse_mixed_formula(
+            "(v(x) = inf & 0 < g1 & g1 < 1 & 0 < g2 & g2 < 1)"
+            " | (v(x) >= 0 & g1 <= 0 & g1 >= 0 & g2 = 0)",
+            2,
+        )
+        calls.clear()
+        assert mixed_dimension(f).maxima == ((0, 2), (1, 0))
+        steps = len(calls)
+        calls.clear()
+        assert [p.kind for p, g in piece_formulas(f) if sl.normalize_dnf(g)] == ["points", "annulus"]
+        assert steps == len(calls) > 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_agrees_with_implicit_equalities(self, data):
+        from valdim.verify import dimension_by_implicit_equalities
+
+        n = data.draw(st.integers(1, 4))
+        atoms = [p.atom for p in data.draw(st.lists(atoms_strategy(n), max_size=4))
+                 if isinstance(p, sl.Atom)]
+        for c, q in data.draw(st.lists(st.tuples(coeffs_strategy(n), rationals), max_size=2)):
+            atoms.append(sl.atom(c, "<=", q).atom)
+            atoms.append(sl.atom(tuple(-x for x in c), "<=", -q).atom)
+        b = sl.BasicSet(tuple(atoms), n)
+        assert sl.basic_dimension(b) == dimension_by_implicit_equalities(b)
 
     def test_builds_no_cells(self, no_cells):
         from valdim import trop
@@ -603,10 +643,13 @@ class TestJson:
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=2)
 
 
+def coeffs_strategy(n):
+    return st.tuples(*[st.integers(-3, 3)] * n).filter(any)
+
+
 def atoms_strategy(n):
-    coeffs = st.tuples(*[st.integers(-3, 3)] * n).filter(any)
     rel = st.sampled_from(["<", "<=", "=", ">=", ">"])
-    return st.builds(sl.atom, coeffs, rel, rationals)
+    return st.builds(sl.atom, coeffs_strategy(n), rel, rationals)
 
 
 def systems_strategy(n):

@@ -6,8 +6,12 @@ coordinate, ``trop`` for tropical hypersurfaces and images, and
 ``verify`` for the randomized oracle suites.  Inputs are inline strings
 or ``-`` for stdin; output is plain text or ``--format json``.  Exit
 codes: 0 success, 1 verification mismatch, 2 parse error, 3 semantic
-error or work nested past the recursion limit.  Output depends only on
+error or work nested past the recursion limit, 4 internal error (any
+other exception, reported in one line).  Output depends only on
 (argv, seed) and is never colored.
+
+Each handler imports the engine it runs, so a command loads and compiles
+only its own part of the library.
 """
 
 from __future__ import annotations
@@ -17,22 +21,13 @@ import json
 import sys
 import time
 
-from . import lowerset as ls
-from . import semilinear as sl
-from . import trop
 from .errors import ParseError, SemanticError
-from .mixedcell import (
-    mixed_cell_decompose,
-    mixed_cell_to_json,
-    mixed_dimension,
-    parse_mixed_formula,
-    project_to_gamma,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY = 1
 EXIT_PARSE = 2
 EXIT_SEMANTIC = 3
+EXIT_INTERNAL = 4
 
 
 def _read_arg(text: str) -> str:
@@ -53,21 +48,25 @@ def _parse_points(text: str) -> list[tuple[int, ...]]:
     return [tuple(p) for p in data]
 
 
-def _parse_lowerset(text: str) -> ls.LowerSet:
+def _parse_lowerset(text: str):
+    from . import lowerset as ls
+
     return ls.lower_closure(_parse_points(text))
 
 
 def _dim_str(d) -> str:
-    return "-inf" if d == ls.NEG_INF else str(int(d))
+    return "-inf" if d == float("-inf") else str(int(d))
 
 
-def _emit_lowerset(a: ls.LowerSet, fmt: str) -> str:
+def _emit_lowerset(a, fmt: str) -> str:
     if fmt == "json":
         return a.to_json()
     return "(empty)" if a.is_empty() else " ".join(str(p) for p in a.maxima)
 
 
 def _run_lowerset(args) -> int:
+    from . import lowerset as ls
+
     op = args.op
     count = 2 if op in ("join", "add") else 1
     if len(args.inputs) != count:
@@ -103,6 +102,8 @@ def _parse_keep(text: str, n: int) -> list[int]:
 
 
 def _run_gamma(args) -> int:
+    from . import semilinear as sl
+
     f = sl.parse_formula(_read_arg(args.formula), args.nvars)
     if args.op == "dim":
         print(_dim_str(sl.dimension(f)))
@@ -151,28 +152,33 @@ def _run_gamma(args) -> int:
 
 
 def _run_mixed(args) -> int:
-    f = parse_mixed_formula(_read_arg(args.formula), args.nvars)
+    from . import mixedcell as mc
+    from . import semilinear as sl
+
+    f = mc.parse_mixed_formula(_read_arg(args.formula), args.nvars)
     if args.op == "dim":
-        d = mixed_dimension(f)
+        d = mc.mixed_dimension(f)
         if args.format == "json":
             print(d.to_json())
         else:
             print("(empty)" if d.is_empty() else " ".join(str(p) for p in d.maxima))
     elif args.op == "cells":
-        cells = mixed_cell_decompose(f)
+        cells = mc.mixed_cell_decompose(f)
         if args.format == "json":
-            print(json.dumps([mixed_cell_to_json(c) for c in cells]))
+            print(json.dumps([mc.mixed_cell_to_json(c) for c in cells]))
         else:
             for c in cells:
                 print(f"{c.piece.kind} base, dim {c.dim_pair()}")
             if not cells:
                 print("(empty)")
     elif args.op == "project":
-        print(sl.formula_to_dsl(project_to_gamma(f)))
+        print(sl.formula_to_dsl(mc.project_to_gamma(f)))
     return EXIT_OK
 
 
-def _parse_matrix(text: str) -> trop.MonomialMap:
+def _parse_matrix(text: str):
+    from . import trop
+
     try:
         rows = tuple(
             tuple(int(e) for e in row.split(",")) for row in text.split(";")
@@ -183,6 +189,9 @@ def _parse_matrix(text: str) -> trop.MonomialMap:
 
 
 def _run_trop(args) -> int:
+    from . import semilinear as sl
+    from . import trop
+
     if args.op == "hypersurface":
         p = trop.trop_poly_from_text(_read_arg(args.input))
         c = trop.trop_hypersurface(p)
@@ -324,6 +333,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: input too large: the work nests past the recursion limit of {limit}",
               file=sys.stderr)
         return EXIT_SEMANTIC
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

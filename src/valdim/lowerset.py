@@ -9,12 +9,13 @@ present, residue-field dimensions).
 
 Lower sets are stored by their maximal-antichain generators, never by
 element enumeration, so every operation is exact; reducing n generators
-to their maxima takes O(n log n) in N^2 and O(n * len(maxima)) in N^3.
+to their maxima takes O(n log n) comparisons in N^2 and in N^3.
 """
 
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
@@ -37,17 +38,33 @@ def _antichain(points: Iterable[tuple[int, ...]]) -> tuple[tuple[int, ...], ...]
     In descending lexicographic order every point comes after all points
     above it, so a point is maximal exactly when no maximum kept before
     it lies above it.  In N^2 that is a sweep: a point is kept when its
-    second coordinate beats every one kept so far.
+    second coordinate beats every one kept so far.  In N^3 every kept
+    maximum has a first coordinate at least the point's, so the point is
+    dominated exactly when some kept ``(y, z)`` lies above its own.  The
+    maximal kept pairs form a staircase, ``y`` ascending and ``z``
+    descending, whose first entry with ``y >= p[1]`` has the largest
+    ``z`` of those that qualify: one bisection per point.
     """
     maxima: list[tuple[int, ...]] = []
     top = -1
+    ys: list[int] = []
+    negzs: list[int] = []
     for p in sorted(set(points), reverse=True):
         if len(p) == 2:
             if p[1] > top:
                 top = p[1]
                 maxima.append(p)
-        elif not any(_leq(p, m) for m in maxima):
-            maxima.append(p)
+            continue
+        _, y, z = p
+        i = bisect_left(ys, y)
+        if i < len(ys) and -negzs[i] >= z:
+            continue
+        maxima.append(p)
+        # the kept pairs below (y, z) leave the staircase
+        j = bisect_right(ys, y)
+        i = bisect_left(negzs, -z, 0, j)
+        ys[i:j] = [y]
+        negzs[i:j] = [-z]
     return tuple(reversed(maxima))
 
 
@@ -220,11 +237,16 @@ def render_diagram(a: LowerSet) -> str:
     ymax = max(p[1] for p in a.maxima)
     ywidth = len(str(ymax))
     xwidth = max(len(str(x)) for x in range(xmax + 1))
+    # reach[y]: the largest x with (x, y) in a, or -1
+    reach = [-1] * (ymax + 2)
+    for x, y in a.maxima:
+        reach[y] = x
+    for y in range(ymax, -1, -1):
+        reach[y] = max(reach[y], reach[y + 1])
+    bullet, dot = "•".rjust(xwidth), ".".rjust(xwidth)
     lines = []
     for y in range(ymax, -1, -1):
-        cells = [
-            ("•" if (x, y) in a else ".").rjust(xwidth) for x in range(xmax + 1)
-        ]
+        cells = [bullet] * (reach[y] + 1) + [dot] * (xmax - reach[y])
         lines.append(f"{str(y).rjust(ywidth)} | " + " ".join(cells))
     lines.append(" " * ywidth + " +" + "-" * ((xwidth + 1) * (xmax + 1) + 1))
     lines.append(

@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import semilinear as sl
-from .errors import SemanticError
+from .errors import ParseError, SemanticError
 from .lowerset import NEG_INF
 from .semilinear.elimination import atom_rows, negate_row, rows_infeasible
 
@@ -218,9 +218,6 @@ def trop_poly_from_text(text: str) -> TropPoly:
     coefficient are written as ``@`` terms separately, so the literal form
     covers monomial coefficients.
     """
-    from .errors import ParseError
-    from .mixedcell.parser import parse_puiseux
-
     terms = []
     for chunk in text.split("+"):
         chunk = chunk.strip()
@@ -233,6 +230,8 @@ def trop_poly_from_text(text: str) -> TropPoly:
         try:
             w = Fraction(wtext)
         except ValueError:
+            from .mixedcell.parser import parse_puiseux
+
             coeff = parse_puiseux(wtext)
             if coeff.is_zero():
                 raise ParseError(f"zero coefficient {wtext!r} has no weight")

@@ -6,6 +6,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -71,6 +72,26 @@ class TestLowerset:
         code, out, _ = run(capsys, "lowerset", "shift", "[[4000,0]]", "--format", "json")
         assert code == 0
         assert json.loads(out) == {"maxima": [[k, 4000 - k] for k in range(4001)]}
+
+    def test_shift_in_n3_is_quick(self, capsys):
+        start = time.monotonic()
+        code, out, _ = run(capsys, "lowerset", "shift", "[[40,0,0]]", "--format", "json")
+        elapsed = time.monotonic() - start
+        assert code == 0
+        triples = sorted([a, b, 40 - a - b] for a in range(41) for b in range(41 - a))
+        assert json.loads(out) == {"maxima": triples}
+        assert elapsed < 1.0
+
+    def test_render_of_a_long_antichain_is_quick(self, capsys):
+        text = json.dumps([[k, 300 - k] for k in range(301)])
+        start = time.monotonic()
+        code, out, _ = run(capsys, "lowerset", "render", text)
+        elapsed = time.monotonic() - start
+        assert code == 0
+        rows = out.splitlines()
+        assert rows[0] == "300 | " + " ".join(["  •"] + ["  ."] * 300)
+        assert rows[300] == "  0 | " + " ".join(["  •"] * 301)
+        assert elapsed < 1.0
 
     def test_empty_dimnat(self, capsys):
         code, out, _ = run(capsys, "lowerset", "dimnat", "[]")
@@ -395,6 +416,68 @@ class TestTrop:
     def test_arity_cap_exit_3(self, capsys):
         code, _, err = run(capsys, "trop", "hypersurface", "0@(1,0,0,0)")
         assert code == 3
+
+
+class TestInternalError:
+    """An exception the CLI does not expect exits 4 with one line, not a traceback."""
+
+    def test_engine_failure_exit_4(self, capsys, monkeypatch):
+        from valdim import semilinear
+
+        def broken(f):
+            raise RuntimeError("engine broke")
+
+        monkeypatch.setattr(semilinear, "dimension", broken)
+        code, out, err = run(capsys, "gamma", "dim", "x1 = x2", "-n", "2")
+        assert code == cli.EXIT_INTERNAL == 4
+        assert not out
+        assert err == "internal error: RuntimeError: engine broke\n"
+
+
+class TestImports:
+    """Each subcommand loads only the engine it runs."""
+
+    PROBE = (
+        "import json, sys\n"
+        "from valdim import cli\n"
+        "code = cli.main(sys.argv[1:]) if sys.argv[1:] else 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'valdim')))\n"
+        "sys.exit(code)\n"
+    )
+
+    def loaded(self, *argv) -> tuple[list[str], set[str]]:
+        """The command's output lines, and the valdim modules it loaded."""
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", self.PROBE, *argv],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout.splitlines()
+        return out[:-1], set(json.loads(out[-1]))
+
+    def test_import_alone(self):
+        assert self.loaded()[1] == {"valdim", "valdim.cli", "valdim.errors"}
+
+    @pytest.mark.parametrize(
+        "argv, engine, absent",
+        [
+            (("lowerset", "shift", "[[2,1]]"), "lowerset", ("semilinear", "mixedcell", "trop")),
+            (("gamma", "dim", "x1 < x2"), "semilinear", ("mixedcell", "trop")),
+            (("trop", "hypersurface", "0@(1,0)+0@(0,1)+0@(0,0)"), "trop", ("mixedcell",)),
+        ],
+    )
+    def test_command_skips_other_engines(self, argv, engine, absent):
+        _, modules = self.loaded(*argv)
+        assert f"valdim.{engine}" in modules
+        assert {m.split(".")[1] for m in modules if "." in m}.isdisjoint(absent)
+
+    def test_puiseux_weight_loads_the_mixed_parser(self):
+        out, modules = self.loaded("trop", "hypersurface", "t^2@(1,0)+0@(0,1)+0@(0,0)")
+        assert "valdim.mixedcell.parser" in modules
+        assert out == [
+            "dim 1: -x1 <= 2 & -x2 <= 0 & x2 = 0",
+            "dim 1: -x1 <= 2 & -x2 <= 0 & x1 = -2",
+            "dim 1: -x1 + x2 <= 2 & x2 <= 0 & x1 - x2 = -2",
+        ]
 
 
 class TestVerifyAndDeterminism:

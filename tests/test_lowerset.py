@@ -29,6 +29,14 @@ def brute_points(maxima):
     return out
 
 
+def brute_maximal(pts):
+    """The points of ``pts`` no other point lies above, by comparing every pair."""
+    return {
+        p for p in pts
+        if not any(q != p and all(a <= b for a, b in zip(p, q)) for q in pts)
+    }
+
+
 class TestPrincipal:
     def test_rectangle(self):
         p = principal((3, 5))
@@ -68,11 +76,18 @@ class TestAntichain:
             top = rng.choice([2, 5, 20])
             pts = [tuple(rng.randint(0, top) for _ in range(width))
                    for _ in range(rng.randint(0, 60))]
-            maximal = {
-                p for p in pts
-                if not any(q != p and all(a <= b for a, b in zip(p, q)) for q in pts)
-            }
-            assert _antichain(pts) == tuple(sorted(maximal))
+            assert _antichain(pts) == tuple(sorted(brute_maximal(pts)))
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_long_width_3_staircases(self, seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            top = rng.choice([6, 15, 40])
+            pts = [tuple(rng.randint(0, top) for _ in range(3)) for _ in range(300)]
+            # points near one plane keep many maxima in the staircase
+            pts += [(a, b, top - a - b) for a in range(top + 1) for b in range(top + 1 - a)
+                    if rng.random() < 0.5]
+            assert _antichain(pts) == tuple(sorted(brute_maximal(pts)))
 
 
 class TestJoinAdd:
@@ -177,7 +192,31 @@ class TestDimNat:
         assert dim_nat(LowerSet(())) == NEG_INF
 
 
+def membership_drawing(a):
+    """The diagram drawn cell by cell with ``in``: the reference for the fast rows."""
+    xmax = max(p[0] for p in a.maxima)
+    ymax = max(p[1] for p in a.maxima)
+    ywidth = len(str(ymax))
+    xwidth = max(len(str(x)) for x in range(xmax + 1))
+    lines = []
+    for y in range(ymax, -1, -1):
+        cells = [("•" if (x, y) in a else ".").rjust(xwidth) for x in range(xmax + 1)]
+        lines.append(f"{str(y).rjust(ywidth)} | " + " ".join(cells))
+    lines.append(" " * ywidth + " +" + "-" * ((xwidth + 1) * (xmax + 1) + 1))
+    lines.append(" " * (ywidth + 3) + " ".join(str(x).rjust(xwidth) for x in range(xmax + 1)))
+    return "\n".join(lines)
+
+
 class TestRender:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_membership_drawing(self, seed):
+        rng = random.Random(seed)
+        for _ in range(30):
+            top = rng.choice([1, 3, 12, 120])
+            a = lower_closure((rng.randint(0, top), rng.randint(0, top))
+                              for _ in range(rng.randint(1, 12)))
+            assert render_diagram(a) == membership_drawing(a)
+
     def test_square(self):
         out = render_diagram(principal((1, 1)))
         rows = out.splitlines()

@@ -37,6 +37,9 @@ from .errors import ParseError, SemanticError
 #: Deepest nesting of '(', '!' and 'exists' groups either DSL accepts;
 #: deeper input is a parse error instead of a stack overflow.
 MAX_NESTING = 256
+#: Most variables a formula of either DSL may have: a larger written index
+#: is a parse error, a larger declared count a semantic one.
+MAX_VARIABLES = 10_000
 
 
 class Formula:
@@ -209,9 +212,11 @@ def map_atoms(f: Formula, fn: Callable[[Any], Formula], arity: int) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
+# Whitespace matches no group, so a scan skips it; any other character
+# no token starts with is ``bad``.
 _TOKEN = re.compile(
-    r"\s*(?:(?P<rel><=|>=|!=|==|<|>|=)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<punct>[()&|!*/^+-]))"
+    r"(?P<rel><=|>=|!=|==|<|>|=)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"|(?P<punct>[()&|!*/^+-])|(?P<bad>\S)"
 )
 
 
@@ -223,21 +228,10 @@ class Tokens:
 
     def __init__(self, text: str):
         self.text = text
-        self.items: list[tuple[str, str, int]] = []
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN.match(text, pos)
-            if m is None or m.end() == pos:
-                stripped = text[pos:].lstrip()
-                if not stripped:
-                    break
-                raise ParseError(
-                    f"unexpected character {stripped[0]!r}",
-                    len(text) - len(stripped),
-                )
-            kind = m.lastgroup
-            self.items.append((kind, m.group(kind), m.start(kind)))
-            pos = m.end()
+        self.items = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+        for kind, value, pos in self.items:
+            if kind == "bad":
+                raise ParseError(f"unexpected character {value!r}", pos)
         self.i = 0
         self.depth = 0
 
@@ -338,6 +332,8 @@ class Grammar:
     def __init__(self, text: str, arity: int | None):
         if arity is not None and arity < 0:
             raise SemanticError(f"negative variable count {arity}")
+        if arity is not None and arity > MAX_VARIABLES:
+            raise SemanticError(f"variable count {arity} is above the limit of {MAX_VARIABLES}")
         self.toks = Tokens(text)
         self.declared = arity
         self.max_var = 0
@@ -436,7 +432,11 @@ class Grammar:
         name, pos = t[1], t[2]
         if name[0] != self.prefix or not name[1:].isdigit():
             raise ParseError(f"unknown variable {name!r}", pos)
-        idx = int(name[1:])
+        # a long digit string is past the limit before int() would refuse it
+        digits = name[1:].lstrip("0")
+        idx = int(digits or "0") if len(digits) <= len(str(MAX_VARIABLES)) else MAX_VARIABLES + 1
+        if idx > MAX_VARIABLES:
+            raise ParseError(f"variable index {name!r} is above the limit of {MAX_VARIABLES}", pos)
         if idx < 1:
             raise ParseError(f"variable indices start at {self.prefix}1, got {name!r}", pos)
         if self.declared is not None and idx > self.declared:

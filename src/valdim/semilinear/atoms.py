@@ -1,8 +1,9 @@
 """Linear atoms and Boolean formulas over the ordered divisible group (Q, +, <).
 
-An atom is an integer-coefficient linear constraint ``c . x REL q`` with
-``REL`` one of ``<``, ``<=``, ``=`` and ``q`` an exact rational.  An atom
-whose coefficients are all zero collapses to a Boolean constant.
+An atom is a linear constraint ``c . x REL q`` with ``REL`` one of ``<``,
+``<=``, ``=``, stored as one primitive integer row: a rational ``q`` is
+cleared into the coefficients.  An atom whose coefficients are all zero
+collapses to a Boolean constant.
 Formulas are Boolean trees over atoms with a fixed variable arity, built
 from the shared nodes of :mod:`valdim.boolean`.
 
@@ -22,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from operator import eq, index, le, lt
-from typing import Iterable, Sequence, Union
+from operator import eq, index, itemgetter, le, lt
+from typing import Sequence, Union
 
 from ..boolean import And, Atom, Bool, Formula, Junction, Not, Or, map_atoms
 
@@ -38,15 +39,6 @@ COMPARE = {LT: lt, LE: le, EQ: eq}
 COMPLEMENT = {LT: ">=", LE: ">", EQ: "!="}
 
 Point = tuple[Fraction, ...]
-
-
-def _gcd_all(values: Iterable[int]) -> int:
-    g = 0
-    for v in values:
-        g = gcd(g, abs(v))
-    return g
-
-
 RatLike = Union[Fraction, int, str]
 
 
@@ -71,68 +63,65 @@ def between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     return (lo + hi) / 2
 
 
-@dataclass(frozen=True, eq=False)
-class LinearAtom:
-    """``coeffs . x REL rhs`` with integer coefficients, in reduced form.
+class LinearAtom(tuple):
+    """``coeffs . x REL rhs`` as one primitive integer row ``(coeffs, rel, rhs)``.
 
-    Invariant: at least one coefficient is nonzero (all-zero constraints
-    are Boolean constants, handled by :func:`atom`), the coefficient gcd
-    is 1, and equalities have positive leading coefficient.
+    A rational right side is cleared into the row, so coefficients and
+    ``rhs`` are integers with gcd 1, and an equality has a positive
+    leading coefficient.  At least one coefficient is nonzero (all-zero
+    constraints are Boolean constants, handled by :func:`atom`).  The atom
+    is an elimination row as it stands.  Its text and :meth:`key` read the
+    coefficient-gcd form: the coefficients over their gcd g, and ``rhs/g``.
     """
 
-    coeffs: tuple[int, ...]
-    rel: str
-    rhs: Fraction
+    __slots__ = ()
+    coeffs = property(itemgetter(0))
+    rel = property(itemgetter(1))
+    rhs = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.rel not in RELS:
-            raise ValueError(f"bad relation {self.rel!r}")
-        coeffs = tuple(map(index, self.coeffs))
-        rhs = exact(self.rhs)
-        g = _gcd_all(coeffs)
+    def __new__(cls, coeffs: Sequence[int], rel: str, rhs: RatLike):
+        if rel not in RELS:
+            raise ValueError(f"bad relation {rel!r}")
+        q = exact(rhs)
+        d = q.denominator
+        coeffs = tuple(index(c) * d for c in coeffs)
+        g = gcd(*coeffs)
         if g == 0:
             raise ValueError("all-zero atom; use atom() which folds constants")
+        g = gcd(g, q.numerator)
         if g > 1:
             coeffs = tuple(c // g for c in coeffs)
-            rhs = rhs / g
-        if self.rel == EQ:
-            lead = next(c for c in coeffs if c != 0)
-            if lead < 0:
-                coeffs = tuple(-c for c in coeffs)
-                rhs = -rhs
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "rhs", rhs)
-        key = (coeffs, self.rel, rhs.numerator, rhs.denominator)
-        object.__setattr__(self, "_key", key)
-        object.__setattr__(self, "_hash", hash(key))
-
-    def __hash__(self):
-        return self._hash
-
-    def __eq__(self, other):
-        return isinstance(other, LinearAtom) and self._key == other._key
+        rhs = q.numerator // g
+        if rel == EQ and next(c for c in coeffs if c) < 0:
+            coeffs = tuple(-c for c in coeffs)
+            rhs = -rhs
+        return tuple.__new__(cls, (coeffs, rel, rhs))
 
     @property
     def arity(self) -> int:
-        return len(self.coeffs)
+        return len(self[0])
 
     def holds(self, point: Sequence[Fraction]) -> bool:
-        lhs = sum(c * v for c, v in zip(self.coeffs, point))
-        return COMPARE[self.rel](lhs, self.rhs)
+        coeffs, rel, rhs = self
+        return COMPARE[rel](sum(c * v for c, v in zip(coeffs, point)), rhs)
 
     def key(self) -> tuple:
-        return self._key
+        """``(coeffs/g, rel, rhs, g)``, g the coefficient gcd: the sort key of atoms."""
+        coeffs, rel, rhs = self
+        g = gcd(*coeffs)
+        return (tuple(c // g for c in coeffs) if g > 1 else coeffs, rel, rhs, g)
 
     def __str__(self) -> str:
+        coeffs, rel, rhs, g = self.key()
         parts = []
-        for i, c in enumerate(self.coeffs):
+        for i, c in enumerate(coeffs):
             if c == 0:
                 continue
             sign = "-" if c < 0 else ("+" if parts else "")
             mag = abs(c)
             term = f"x{i + 1}" if mag == 1 else f"{mag}*x{i + 1}"
             parts.append(f"{sign} {term}" if parts else f"{sign}{term}")
-        return f"{' '.join(parts)} {self.rel} {self.rhs}"
+        return f"{' '.join(parts)} {rel} {Fraction(rhs, g)}"
 
 
 TRUE = Bool(True)

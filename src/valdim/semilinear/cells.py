@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd
+from operator import itemgetter
 from typing import Sequence, Union
 
 from ..boolean import evaluate
@@ -49,40 +50,43 @@ from .atoms import (
 from .elimination import basic_dimension, is_empty, project_basic
 
 
-@dataclass(frozen=True)
-class AffineBound:
-    """Affine function (coeffs . x + const) / div over earlier coordinates.
+class AffineBound(tuple):
+    """Affine function ``(coeffs . x + const) / div`` over earlier coordinates.
 
-    ``div`` is a positive integer; divisibility of the group makes the
-    division total.  Stored in reduced form so equal functions compare
-    equal.
+    Stored as one primitive integer row ``(coeffs, const, div)``: a
+    rational ``const`` is cleared into the row, ``div`` is positive
+    (divisibility of the group makes the division total) and the gcd of
+    the row is 1, so equal functions compare equal.  :meth:`key` and the
+    cell JSON read the coefficient-gcd form, the row over gcd(div, coeffs).
     """
 
-    coeffs: tuple[int, ...]
-    const: Fraction
-    div: int = 1
+    __slots__ = ()
+    coeffs = property(itemgetter(0))
+    const = property(itemgetter(1))
+    div = property(itemgetter(2))
 
-    def __post_init__(self):
-        if self.div < 1:
+    def __new__(cls, coeffs: Sequence[int], const: Fraction | int, div: int = 1):
+        if div < 1:
             raise ValueError("divisor must be a positive integer")
-        g = self.div
-        for c in self.coeffs:
-            g = gcd(g, abs(c))
-        if g > 1:
-            object.__setattr__(self, "coeffs", tuple(c // g for c in self.coeffs))
-            object.__setattr__(self, "const", Fraction(self.const, g))
-            object.__setattr__(self, "div", self.div // g)
-        else:
-            object.__setattr__(self, "const", Fraction(self.const))
+        q = Fraction(const)
+        d = q.denominator
+        # the gcd of the row scaled by d, since d is prime to the numerator
+        g = gcd(q.numerator, div, *coeffs)
+        return tuple.__new__(
+            cls, (tuple(c * d // g for c in coeffs), q.numerator // g, div * d // g)
+        )
 
     def value(self, prefix: Sequence[Fraction]) -> Fraction:
-        acc = self.const
-        for c, v in zip(self.coeffs, prefix):
+        coeffs, acc, div = self
+        for c, v in zip(coeffs, prefix):
             acc += c * v
-        return Fraction(acc, self.div)
+        return Fraction(acc, div)
 
     def key(self) -> tuple:
-        return (self.coeffs, self.const, self.div)
+        """``(coeffs/g, const/g, div/g)`` with g = gcd(div, coeffs): the sort key of bounds."""
+        coeffs, const, div = self
+        g = gcd(div, *coeffs)
+        return (tuple(c // g for c in coeffs), Fraction(const, g), div // g)
 
 
 #: A band end: an AffineBound, or None for an open end.
@@ -182,7 +186,8 @@ class GammaCell:
 
 
 def bound_to_json(b: AffineBound) -> dict:
-    return {"coeffs": list(b.coeffs), "const": str(b.const), "div": b.div}
+    coeffs, const, div = b.key()
+    return {"coeffs": list(coeffs), "const": str(const), "div": div}
 
 
 def bound_from_json(obj) -> Bound:
@@ -250,22 +255,19 @@ def _lift(
     atoms without x_n have constant truth and the bounds a constant order.
     """
     j = n - 1
-    bounds: dict[tuple, AffineBound] = {}
-    base_atoms: dict[tuple, LinearAtom] = {}
+    bounds: set[AffineBound] = set()
+    base_atoms: set[LinearAtom] = set()
     for a in atoms_:
         if a.coeffs[j] != 0:
-            b = _bound_from_atom(a, j)
-            bounds[b.key()] = b
+            bounds.add(_bound_from_atom(a, j))
         else:
-            trunc = LinearAtom(a.coeffs[:j], a.rel, a.rhs)
-            base_atoms[trunc.key()] = trunc
-    blist = sorted(bounds.values(), key=AffineBound.key)
+            base_atoms.add(LinearAtom(a.coeffs[:j], a.rel, a.rhs))
+    blist = sorted(bounds, key=AffineBound.key)
     # At the lowest level every comparison is a constant and Q^0 is one cell.
     if j:
         for b1, b2 in combinations(blist, 2):
-            for c in _comparison_atoms(b1, b2):
-                base_atoms[c.key()] = c
-    return blist, arrangement(sorted(base_atoms.values(), key=LinearAtom.key), j)
+            base_atoms.update(_comparison_atoms(b1, b2))
+    return blist, arrangement(sorted(base_atoms, key=LinearAtom.key), j)
 
 
 def _order(
@@ -353,7 +355,7 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
     j = n - 1
     atoms_ = sorted(f.atoms(), key=LinearAtom.key)
     blist, base = _lift(atoms_, n)
-    index = {b.key(): k for k, b in enumerate(blist)}
+    index = {b: k for k, b in enumerate(blist)}
     flat = [a for a in atoms_ if a.coeffs[j] == 0]
     # Each atom with x_n, its bound, and whether it holds where x_n minus
     # that bound is negative, zero and positive: the atom is c * (x_n -
@@ -362,7 +364,7 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
     for a in atoms_:
         c = a.coeffs[j]
         if c != 0:
-            k = index[_bound_from_atom(a, j).key()]
+            k = index[_bound_from_atom(a, j)]
             holds = COMPARE[a.rel]
             lifted.append((a, k, holds(-c, 0), holds(0, 0), holds(c, 0)))
     out = []

@@ -12,9 +12,10 @@ the stages of its emptiness test, and one back-substitution over them
 gives both :func:`sample_point` and the signature whose sum is
 :func:`basic_dimension`.
 
-Internally every row is scaled to integers (coefficients and right side),
-so the elimination itself runs in machine integers; rational constants
-reappear only at the boundary.
+Every row is ``(coeffs, rel, rhs)`` in integers.  A
+:class:`~valdim.semilinear.atoms.LinearAtom` is such a row, primitive, so
+the atoms of a basic set are the input of its elimination as they stand,
+and a projection's rows become atoms again by dividing out their gcd.
 """
 
 from __future__ import annotations
@@ -29,17 +30,8 @@ from .atoms import (
     COMPARE, COMPLEMENT, EQ, LE, LT, BasicSet, Formula, LinearAtom, Or, between, embed, normal_rows,
 )
 
-# Raw rows are (coeffs, rel, rhs) with integer coeffs and integer rhs.
+# A row is (coeffs, rel, rhs) with integer coeffs and integer rhs; a LinearAtom is one.
 Row = tuple[tuple[int, ...], str, int]
-
-
-def atom_rows(atoms: Sequence[LinearAtom]) -> list[Row]:
-    """Integer-scaled rows of a conjunction, for callers staying in row space."""
-    rows = []
-    for a in atoms:
-        d = a.rhs.denominator
-        rows.append((tuple(c * d for c in a.coeffs), a.rel, a.rhs.numerator))
-    return rows
 
 
 def _reduce(coeffs: tuple[int, ...], rel: str, rhs: int) -> Row | bool:
@@ -165,7 +157,7 @@ def _stages(b: BasicSet) -> tuple[list[Row], ...]:
     k has the last k variables gone.
     """
     if b._stages is None:
-        stages = _eliminate(atom_rows(b.atoms), range(b.arity - 1, -1, -1))
+        stages = _eliminate(list(b.atoms), range(b.arity - 1, -1, -1))
         object.__setattr__(b, "_stages", tuple(stages or ()))
     return b._stages
 
@@ -268,12 +260,8 @@ def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:
         # survive the elimination untouched
         return None
     # FM never finds a contradiction in a nonempty system
-    rows = _eliminate(atom_rows(b.atoms), [j for j in range(b.arity) if j not in keep])[-1]
-    atoms_ = []
-    for coeffs, rel, rhs in rows:
-        atoms_.append(
-            LinearAtom(tuple(coeffs[j] for j in keep), rel, Fraction(rhs))
-        )
+    rows = _eliminate(list(b.atoms), [j for j in range(b.arity) if j not in keep])[-1]
+    atoms_ = [LinearAtom(tuple(coeffs[j] for j in keep), rel, rhs) for coeffs, rel, rhs in rows]
     return BasicSet(tuple(atoms_), len(keep))
 
 

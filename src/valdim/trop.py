@@ -22,7 +22,7 @@ from typing import Sequence
 from . import semilinear as sl
 from .errors import ParseError, SemanticError
 from .lowerset import NEG_INF
-from .semilinear.elimination import atom_rows, negate_row, rows_infeasible
+from .semilinear.elimination import negate_row, rows_infeasible
 
 
 @dataclass(frozen=True)
@@ -143,10 +143,9 @@ def _pair_face(p: TropPoly, i: int, j: int) -> sl.BasicSet | None:
 
 def _subset(a: sl.BasicSet, b: sl.BasicSet) -> bool:
     """a subset of b: no piece of the complement of a face of b meets a."""
-    rows = atom_rows(a.atoms)
     return all(
-        rows_infeasible(rows + [neg], a.arity)
-        for row in atom_rows(b.atoms)
+        rows_infeasible([*a.atoms, neg], a.arity)
+        for row in b.atoms
         for neg in negate_row(row)
     )
 
@@ -255,8 +254,8 @@ def complex_to_json(c: PolyhedralComplex) -> dict:
         faces.append(
             {
                 "constraints": [
-                    {"coeffs": list(a.coeffs), "rel": a.rel, "rhs": str(a.rhs)}
-                    for a in f.system.atoms
+                    {"coeffs": list(coeffs), "rel": rel, "rhs": str(Fraction(rhs, g))}
+                    for coeffs, rel, rhs, g in (a.key() for a in f.system.atoms)
                 ],
                 "dim": f.dim,
             }

@@ -207,12 +207,12 @@ def _holds_scaled(f: sl.Formula, nums, den: int) -> bool:
         lhs = 0
         for c, v in zip(a.coeffs, nums):
             lhs += c * v
-        left, right = lhs * a.rhs.denominator, a.rhs.numerator * den
+        right = a.rhs * den
         if a.rel == sl.LT:
-            return left < right
+            return lhs < right
         if a.rel == sl.LE:
-            return left <= right
-        return left == right
+            return lhs <= right
+        return lhs == right
 
     return evaluate(f, value)
 
@@ -253,8 +253,7 @@ def brute_exists_1(f: sl.Formula, point: list, var: int, atoms=None) -> bool:
         for i in range(n):
             if i != var:
                 rest += a.coeffs[i] * nums[i]
-        qn, qd = a.rhs.numerator, a.rhs.denominator
-        values.add(Fraction(qn * den - qd * rest, qd * den * c))
+        values.add(Fraction(a.rhs * den - rest, den * c))
     for cand in _with_mid_and_outer(values):
         cd = cand.denominator
         g = den * cd // gcd(den, cd)
@@ -382,21 +381,21 @@ def _difference_rows(disjuncts: list[list], cell_rows: list, arity: int) -> list
 
 def check_partition(f: sl.Formula, cells: list[sl.GammaCell]) -> list[str]:
     """Symbolic disjointness and exact coverage for one decomposition."""
-    from valdim.semilinear.elimination import atom_rows, rows_infeasible
+    from valdim.semilinear.elimination import rows_infeasible
 
     failures = []
     n = f.arity
-    systems = [atom_rows(c.to_basicset().atoms) for c in cells]
+    systems = [list(c.to_basicset().atoms) for c in cells]
     for i, j in combinations(range(len(systems)), 2):
         if not rows_infeasible(list(set(systems[i] + systems[j])), n):
             failures.append(f"cells {i} and {j} overlap")
             break
-    remaining = [list(atom_rows(b.atoms)) for b in sl.normalize_dnf(f)]
+    remaining = [list(b.atoms) for b in sl.normalize_dnf(f)]
     for rows in systems:
         remaining = _difference_rows(remaining, rows, n)
     if remaining:
         failures.append("cells do not cover the set")
-    not_f_rows = [atom_rows(d.atoms) for d in sl.normalize_dnf(sl.Not.of(f))]
+    not_f_rows = [list(d.atoms) for d in sl.normalize_dnf(sl.Not.of(f))]
     for i, rows in enumerate(systems):
         for d in not_f_rows:
             if not rows_infeasible(rows + d, n):
@@ -455,10 +454,10 @@ def dimension_by_implicit_equalities(b: sl.BasicSet) -> int | float:
     :func:`sl.basic_dimension`, which reads the signature of one
     back-substituted point instead.
     """
-    from valdim.semilinear.elimination import atom_rows, rows_infeasible
+    from valdim.semilinear.elimination import rows_infeasible
 
     n = b.arity
-    system = atom_rows(b.atoms)
+    system = list(b.atoms)
     if rows_infeasible(system, n):
         return NEG_INF
     weak = [i for i, row in enumerate(system) if row[1] == sl.LE]
@@ -875,7 +874,7 @@ def suite_trop(seed: int = 0, cases: int = 50) -> SuiteResult:
             continue
         for face in c.faces:
             for a in face.system.atoms:
-                if not (isinstance(a.rhs, Fraction) and all(isinstance(x, int) for x in a.coeffs)):
+                if not (isinstance(a.rhs, int) and all(isinstance(x, int) for x in a.coeffs)):
                     r.failures.append(f"case {case}: non-rational face data")
     for case in range(cases):
         r.cases += 1

@@ -77,6 +77,30 @@ class TestGrammar:
         assert errors[0] == errors[1]
 
     @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("x1 < 1 $", "unexpected character '$'", 7),
+            ("x1 < 1.5", "unexpected character '.'", 6),
+            ("g1 < \u00e9", "unexpected character '\u00e9'", 5),
+            ("x1 <", "unexpected end of input", 4),
+            ("x1 < 1 & ", "unexpected end of input", 9),
+            ("   ", "unexpected end of input", 3),
+            ("", "unexpected end of input", 0),
+            ("x1 \u2264 2", "unexpected character '\u2264'", 3),
+            ("x1 <  2 @ ", "unexpected character '@'", 8),
+        ],
+    )
+    def test_tokenizer_errors_keep_their_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            sl.parse_formula(text)
+        assert str(info.value) == f"{message} (at position {position})"
+        assert info.value.position == position
+
+    @pytest.mark.parametrize("text", ["x1 < 1   ", "  x1 <\t1\n", "x1<1", "x1 < \u0661"])
+    def test_whitespace_and_unicode_digits_read_as_before(self, text):
+        assert sl.parse_formula(text) == sl.atom((1,), "<", 1)
+
+    @pytest.mark.parametrize(
         "parse, text, n, expected",
         [
             (sl.parse_formula, "x1 + x1 - 3*x2 < x2 + 1", None, sl.atom((2, -4), "<", 1)),

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from valdim import cli, verify
-from valdim.boolean import MAX_NESTING
+from valdim.boolean import MAX_NESTING, MAX_VARIABLES
 from valdim.semilinear import cell_from_json
 
 
@@ -376,6 +376,44 @@ class TestDeepNesting:
         count = MAX_NESTING // len(opener)
         monkeypatch.setattr("sys.stdin", io.StringIO(opener * count + atom + ")" * count))
         code, out, _ = run(capsys, dsl, "dim", "-n", "1", "-")
+        assert code == 0 and out.strip() == answer
+
+
+class TestVariableLimit:
+    """An index or a count past ``MAX_VARIABLES`` is refused with one line naming
+    the limit: a written index at its token (exit 2), a declared count exit 3."""
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("gamma", "dim", "x99999999999999999999<1"), 2,
+             f"parse error: variable index 'x99999999999999999999' is above the limit of "
+             f"{MAX_VARIABLES} (at position 0)"),
+            (("mixed", "cells", "g999999999999999999991 + g2 < 3"), 2,
+             f"parse error: variable index 'g999999999999999999991' is above the limit of "
+             f"{MAX_VARIABLES} (at position 0)"),
+            (("gamma", "dim", "-n", "99999999999999999999", "x1<1"), 3,
+             f"error: variable count 99999999999999999999 is above the limit of {MAX_VARIABLES}"),
+            (("gamma", "dim", "x1 < x" + "9" * 5000), 2, "above the limit"),
+            (("mixed", "dim", "-n", str(MAX_VARIABLES + 1), "g1 < 1"), 3, "above the limit"),
+        ],
+    )
+    def test_past_the_limit(self, capsys, argv, code, message):
+        got, out, err = run(capsys, *argv)
+        assert (got, out) == (code, "")
+        assert err.count("\n") == 1 and message in err
+
+    @pytest.mark.parametrize(
+        "argv, answer",
+        [
+            (("gamma", "dim", f"x{MAX_VARIABLES} < 1"), str(MAX_VARIABLES)),
+            (("mixed", "dim", "-n", str(MAX_VARIABLES), f"g{MAX_VARIABLES} < 1"),
+             f"(1, {MAX_VARIABLES})"),
+            (("gamma", "dim", "-n", "3", "x0003 < 1"), "3"),
+        ],
+    )
+    def test_at_the_limit_answers(self, capsys, argv, answer):
+        code, out, _ = run(capsys, *argv)
         assert code == 0 and out.strip() == answer
 
 

@@ -8,6 +8,7 @@ and off it.  ``tests/test_mixedcell.py`` checks that ``matom`` rejects an
 unknown relation against a finite and an infinite right side.
 """
 
+import math
 import operator
 from fractions import Fraction as F
 
@@ -32,6 +33,17 @@ def dot(coeffs, point):
     return sum(c * v for c, v in zip(coeffs, point))
 
 
+def reference_text(coeffs, rel, q):
+    """``c1*x1 + ... REL q`` as the DSL prints it: unit magnitudes bare, signs spaced."""
+    text = ""
+    for i, c in enumerate(coeffs):
+        if c:
+            term = f"x{i + 1}" if abs(c) == 1 else f"{abs(c)}*x{i + 1}"
+            text += f" {'-' if c < 0 else '+'} {term}"
+    text = text[3:] if text.startswith(" + ") else "-" + text[3:]
+    return f"{text} {rel} {q}"
+
+
 @st.composite
 def linear_cases(draw):
     """(coeffs, point) in [-3, 3]^n x Q^n for n <= 3, all-zero coeffs allowed."""
@@ -47,6 +59,21 @@ class TestLinearAtoms:
     def test_atom_holds_like_python(self, case, rel, q):
         coeffs, point = case
         assert sl.atom(coeffs, rel, q).holds(point) == PY[rel](dot(coeffs, point), q)
+
+    @settings(max_examples=200, deadline=None)
+    @given(linear_cases(), st.sampled_from(SPELLINGS), rationals)
+    def test_atoms_are_primitive_rows_read_over_the_coefficient_gcd(self, case, rel, q):
+        coeffs, _ = case
+        for a in sl.atom(coeffs, rel, q).atoms():
+            row, arel, rhs = a
+            assert all(isinstance(x, int) for x in (*row, rhs))
+            assert math.gcd(*row, rhs) == 1
+            if arel == sl.EQ:
+                assert next(c for c in row if c) > 0
+            g = math.gcd(*row)
+            reduced, bound = tuple(c // g for c in row), F(rhs, g)
+            assert a.key() == (reduced, arel, bound.numerator, bound.denominator)
+            assert str(a) == reference_text(reduced, arel, bound)
 
     @settings(max_examples=200, deadline=None)
     @given(linear_cases(), st.sampled_from(SPELLINGS), rationals)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from valdim import semilinear as sl
 from valdim.errors import ParseError, SemanticError
 from valdim.lowerset import NEG_INF
-from valdim.semilinear import elimination
+from valdim.semilinear import cells, elimination
 from valdim.semilinear.cells import arrangement
 
 
@@ -79,10 +80,14 @@ class TestExactAtoms:
             build()
 
     def test_exact_data_accepted(self):
+        # the rational right side is cleared into one primitive integer row;
+        # the text reads the row over its coefficient gcd
         [a] = sl.atom((2, True), ">=", "1/2").atoms()
-        assert (a.coeffs, a.rel, a.rhs) == ((-2, -1), sl.LE, F(-1, 2))
+        assert (a.coeffs, a.rel, a.rhs) == ((-4, -2), sl.LE, -1)
+        assert str(a) == "-2*x1 - x2 <= -1/2"
         a = sl.LinearAtom((3,), sl.LT, F(3, 2))
-        assert (a.coeffs, a.rhs) == ((1,), F(1, 2))
+        assert (a.coeffs, a.rhs) == ((2,), 1)
+        assert str(a) == "x1 < 1/2"
 
 
 class TestNormalizeDnf:
@@ -153,7 +158,7 @@ class TestEmptiness:
     def test_clashes_on_one_functional(self, rows, empty):
         b = sl.BasicSet(tuple(sl.LinearAtom(c, rel, q) for c, rel, q in rows), 2)
         assert sl.is_empty(b) is empty
-        assert elimination.rows_infeasible(elimination.atom_rows(b.atoms), 2) is empty
+        assert elimination.rows_infeasible(list(b.atoms), 2) is empty
         point = sl.sample_point(b)
         assert point is None if empty else b.holds(point)
 
@@ -165,7 +170,7 @@ class TestEmptiness:
         for _ in range(150):
             n = rng.randint(1, 4)
             b = verify.random_basic_set(rng, n, rng.randint(1, 5), rng.random() < 0.3)
-            ascending = elimination.rows_infeasible(elimination.atom_rows(b.atoms), n)
+            ascending = elimination.rows_infeasible(list(b.atoms), n)
             assert sl.is_empty(b) is ascending
             stages = b._stages
             point = sl.sample_point(b)
@@ -623,6 +628,37 @@ class TestProductAndFrontier:
         f = sl.parse_formula("0 < x1 & x1 < 1 & 0 < x2 & x2 < 1")
         frontier = sl.And.of(sl.closure(f), sl.Not.of(f))
         assert sl.dimension(frontier) == 1 < sl.dimension(f)
+
+
+class TestAffineBoundRow:
+    def test_a_bound_equals_its_rescaling(self):
+        b = sl.AffineBound((2,), 1, 4)
+        assert b == sl.AffineBound((1,), F(1, 2), 2) == sl.AffineBound((6,), 3, 12)
+        assert (b.coeffs, b.const, b.div) == ((2,), 1, 4)
+        assert b.key() == ((1,), F(1, 2), 2)
+        assert b.value((F(3),)) == F(7, 4)
+
+    def test_json_reads_the_coefficient_gcd_form(self):
+        b = sl.AffineBound((2, -4), 1, 6)
+        assert cells.bound_to_json(b) == {"coeffs": [1, -2], "const": "1/2", "div": 3}
+        assert cells.bound_from_json(cells.bound_to_json(b)) == b
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(-6, 6), max_size=3),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6),
+        st.integers(1, 6),
+        st.integers(1, 5),
+    )
+    def test_row_is_primitive_and_round_trips(self, coeffs, const, div, k):
+        b = sl.AffineBound(tuple(coeffs), const, div)
+        row = (*b.coeffs, b.const, b.div)
+        assert all(isinstance(x, int) for x in row) and b.div > 0
+        assert math.gcd(*row) == 1
+        assert sl.AffineBound(tuple(k * c for c in coeffs), k * const, k * div) == b
+        assert cells.bound_from_json(cells.bound_to_json(b)) == b
+        point = tuple(F(i + 1, 2) for i in range(len(coeffs)))
+        assert b.value(point) == (sum(c * v for c, v in zip(coeffs, point)) + const) / div
 
 
 class TestJson:

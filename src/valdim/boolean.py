@@ -28,6 +28,7 @@ of ``Grammar`` that says what its NAMEs are and may add atoms of its own.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Any, Callable, ClassVar, Sequence
@@ -453,8 +454,23 @@ class Grammar:
         if t[0] != "num":
             raise ParseError(f"expected a number, found {t[1]!r}", t[2])
         if not self.toks.accept("/"):
-            return int(t[1])
+            return integer(t)
         d = self.toks.next()
-        if d[0] != "num" or int(d[1]) == 0:
+        if d[0] != "num" or integer(d) == 0:
             raise ParseError("expected a nonzero integer denominator", d[2])
-        return Fraction(int(t[1]), int(d[1]))
+        return Fraction(integer(t), integer(d))
+
+
+def integer(t: tuple[str, str, int]) -> int:
+    """The value of the number token ``t``.
+
+    A literal longer than the interpreter converts (``int`` refuses it
+    with a ValueError) is a parse error at its token.
+    """
+    try:
+        return int(t[1])
+    except ValueError:
+        raise ParseError(
+            f"number of {len(t[1])} digits is above the limit of "
+            f"{sys.get_int_max_str_digits()} digits", t[2]
+        ) from None

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
@@ -26,6 +25,9 @@ from typing import Iterable, Sequence
 NEG_INF = float("-inf")
 
 DimPoint = tuple[int, ...]
+
+#: Most cells (points of the bounding box) :func:`render_diagram` draws.
+MAX_DIAGRAM_CELLS = 1_000_000
 
 
 def _leq(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -80,22 +82,40 @@ def _check_point(p: Sequence[int], width: int | None) -> tuple[int, ...]:
     return t
 
 
-@dataclass(frozen=True)
 class LowerSet:
     """Finite lower subset of N^2 or N^3 in canonical maximal-antichain form.
 
     ``maxima`` is the sorted antichain of maximal points; the represented
     set is the union of the principal ideals below them, and its width is
     that of its points.  The empty tuple represents the empty lower set,
-    which fits every width.
+    which fits every width.  A value: immutable, compared and hashed by
+    ``maxima``.
     """
 
-    maxima: tuple[DimPoint, ...] = ()
+    __slots__ = ("maxima",)
+    maxima: tuple[DimPoint, ...]
 
-    def __post_init__(self):
-        width = self.width
-        pts = [_check_point(p, width) for p in self.maxima]
+    def __init__(self, maxima: Sequence[DimPoint] = ()):
+        width = len(maxima[0]) if maxima else None
+        pts = [_check_point(p, width) for p in maxima]
         object.__setattr__(self, "maxima", _antichain(pts))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.maxima == other.maxima
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.maxima,))
+
+    def __repr__(self) -> str:
+        return f"LowerSet(maxima={self.maxima!r})"
 
     @property
     def width(self) -> int | None:
@@ -227,7 +247,8 @@ def render_diagram(a: LowerSet) -> str:
     """ASCII diagram of a lower set of N^2: one row per second coordinate.
 
     Members print as a bullet, non-members as a dot; both axes are
-    labelled.  Output is deterministic.
+    labelled.  Output is deterministic.  A bounding box of more than
+    ``MAX_DIAGRAM_CELLS`` cells is refused with a ValueError.
     """
     if a.width == 3:
         raise ValueError("diagrams are drawn for lower sets of N^2 only")
@@ -235,6 +256,8 @@ def render_diagram(a: LowerSet) -> str:
         return "(empty)"
     xmax = max(p[0] for p in a.maxima)
     ymax = max(p[1] for p in a.maxima)
+    if (xmax + 1) * (ymax + 1) > MAX_DIAGRAM_CELLS:
+        raise ValueError(f"a diagram of more than {MAX_DIAGRAM_CELLS} cells is not drawn")
     ywidth = len(str(ymax))
     xwidth = max(len(str(x)) for x in range(xmax + 1))
     # reach[y]: the largest x with (x, y) in a, or -1

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..boolean import Formula, Grammar, Side, difference
+from ..boolean import Formula, Grammar, Side, difference, integer
 from ..errors import ParseError, SemanticError
 from .formula import matom
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
@@ -130,7 +130,7 @@ class _MixedParser(Grammar):
             m = self.toks.next()
             if m[0] != "num":
                 raise ParseError("expected an integer exponent", m[2])
-            mult = int(m[1])
+            mult = integer(m)
         return -shift, mult
 
     def pterm(self) -> tuple[int | Fraction, int | Fraction]:

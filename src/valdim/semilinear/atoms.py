@@ -82,16 +82,19 @@ class LinearAtom(tuple):
     def __new__(cls, coeffs: Sequence[int], rel: str, rhs: RatLike):
         if rel not in RELS:
             raise ValueError(f"bad relation {rel!r}")
-        q = exact(rhs)
-        d = q.denominator
-        coeffs = tuple(index(c) * d for c in coeffs)
+        if type(rhs) is int:
+            coeffs = tuple(map(index, coeffs))
+        else:
+            q = exact(rhs)
+            rhs, d = q.numerator, q.denominator
+            coeffs = tuple(index(c) * d for c in coeffs)
         g = gcd(*coeffs)
         if g == 0:
             raise ValueError("all-zero atom; use atom() which folds constants")
-        g = gcd(g, q.numerator)
+        g = gcd(g, rhs)
         if g > 1:
             coeffs = tuple(c // g for c in coeffs)
-        rhs = q.numerator // g
+            rhs //= g
         if rel == EQ and next(c for c in coeffs if c) < 0:
             coeffs = tuple(-c for c in coeffs)
             rhs = -rhs

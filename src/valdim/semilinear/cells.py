@@ -17,6 +17,17 @@ bound values at each base cell's sample point, and keeping the cells on
 which the formula is true; this is exact because it is the truth of
 every atom at the cell's own sample point.
 
+The lifting does no ``Fraction`` arithmetic.  A base sample is carried
+as integer numerators ``nums`` over one positive denominator ``den``.
+With L the lcm of the divisors of the bounds on x_n, each bound row is
+scaled once by ``L // div``, so its value at the sample is one integer
+over ``L * den`` and the bounds are ordered by sorting integers.  The
+strata samples are integers over ``2 * L * den``, the prefix numerators
+scaled to match, and an atom without x_n holds where ``sum(c * num) REL
+rhs * den``.  :meth:`GammaCell.sample` and :meth:`GammaCell.contains`
+evaluate the same way; :func:`arrangement` reads its points, and
+``sample`` its result, as ``Fraction``s.
+
 Cells are built only when a caller asks for them.  :func:`dimension`
 works on the DNF, reading each disjunct's signature off one
 back-substituted relative-interior point; the largest signature sum of a
@@ -28,8 +39,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
-from operator import itemgetter
+from math import gcd, lcm
+from operator import itemgetter, mul
 from typing import Sequence, Union
 
 from ..boolean import evaluate
@@ -44,7 +55,6 @@ from .atoms import (
     LinearAtom,
     Point,
     atom,
-    between,
     normalize_dnf,
 )
 from .elimination import basic_dimension, is_empty, project_basic
@@ -68,12 +78,15 @@ class AffineBound(tuple):
     def __new__(cls, coeffs: Sequence[int], const: Fraction | int, div: int = 1):
         if div < 1:
             raise ValueError("divisor must be a positive integer")
-        q = Fraction(const)
-        d = q.denominator
+        if type(const) is int:
+            d = 1
+        else:
+            q = Fraction(const)
+            const, d = q.numerator, q.denominator
         # the gcd of the row scaled by d, since d is prime to the numerator
-        g = gcd(q.numerator, div, *coeffs)
+        g = gcd(const, div, *coeffs)
         return tuple.__new__(
-            cls, (tuple(c * d // g for c in coeffs), q.numerator // g, div * d // g)
+            cls, (tuple(c * d // g for c in coeffs), const // g, div * d // g)
         )
 
     def value(self, prefix: Sequence[Fraction]) -> Fraction:
@@ -87,6 +100,14 @@ class AffineBound(tuple):
         coeffs, const, div = self
         g = gcd(div, *coeffs)
         return (tuple(c // g for c in coeffs), Fraction(const, g), div // g)
+
+
+def _at(coeffs: Sequence[int], const: int, nums: Sequence[int], den: int) -> int:
+    """``coeffs . x + const`` at the point ``x = nums / den``, times ``den``."""
+    acc = const * den
+    for c, x in zip(coeffs, nums):
+        acc += c * x
+    return acc
 
 
 #: A band end: an AffineBound, or None for an open end.
@@ -111,28 +132,40 @@ class GammaCell:
         return sum(self.signature)
 
     def sample(self) -> tuple[Fraction, ...]:
-        """A point of the cell, built coordinate by coordinate."""
-        values: list[Fraction] = []
+        """A point of the cell, built coordinate by coordinate.
+
+        It is carried in integers as the lifting carries it (each stratum
+        sample over twice the lcm of its bound divisors times the base
+        denominator) and read as ``Fraction``s at the end.
+        """
+        nums: tuple[int, ...] = ()
+        den = 1
         for i, spec in zip(self.signature, self.bounds):
-            if i == 0:
-                values.append(spec.value(values))
-            else:
-                lo, hi = (None if e is None else e.value(values) for e in spec)
-                values.append(between(lo, hi))
-        return tuple(values)
+            ends = (spec,) if i == 0 else tuple(e for e in spec if e is not None)
+            scale, rows = _scaled_rows(ends)
+            # the cell's stratum among its own ends: on the graph, above the
+            # lower end, or below the upper end (or anywhere) when none is below
+            p = 1 if i == 0 else (0 if spec[0] is None else 2)
+            values = [_at(coeffs, const, nums, den) for coeffs, const in rows]
+            x = _stratum_sample(values, p, scale * den)
+            nums = tuple(2 * scale * v for v in nums) + (x,)
+            den *= 2 * scale
+        return tuple(Fraction(v, den) for v in nums)
 
     def contains(self, point: Sequence[Fraction]) -> bool:
+        den = lcm(*(v.denominator for v in point))
+        nums = [v.numerator * (den // v.denominator) for v in point]
         for k, (i, spec) in enumerate(zip(self.signature, self.bounds)):
-            prefix = point[:k]
-            x = point[k]
+            # compare x_k with each bound b at the prefix, both times b.div * den
+            x = nums[k]
             if i == 0:
-                if x != spec.value(prefix):
+                if x * spec.div != _at(spec.coeffs, spec.const, nums, den):
                     return False
             else:
                 lo, hi = spec
-                if lo is not None and not (lo.value(prefix) < x):
+                if lo is not None and not _at(lo.coeffs, lo.const, nums, den) < x * lo.div:
                     return False
-                if hi is not None and not (x < hi.value(prefix)):
+                if hi is not None and not x * hi.div < _at(hi.coeffs, hi.const, nums, den):
                     return False
         return True
 
@@ -232,23 +265,38 @@ def _bound_from_atom(a: LinearAtom, j: int) -> AffineBound:
 
 
 def _comparison_atoms(b1: AffineBound, b2: AffineBound) -> list[LinearAtom]:
-    """Atoms whose truth pins the sign of b1 - b2 on a base cell."""
+    """The rows ``=`` and ``<`` of b1 - b2, whose truth pins its sign on a base cell.
+
+    Where b1 - b2 is a constant its sign is the same on every base cell,
+    so no row is needed: :func:`atom` would fold both to Booleans.
+    """
     coeffs = tuple(
         b2.div * c1 - b1.div * c2 for c1, c2 in zip(b1.coeffs, b2.coeffs)
     )
+    if not any(coeffs):
+        return []
     rhs = b1.div * b2.const - b2.div * b1.const
-    out = []
-    for rel in (EQ, LT):
-        f = atom(coeffs, rel, rhs)
-        if isinstance(f, Atom):
-            out.append(f.atom)
-    return out
+    return [LinearAtom(coeffs, EQ, rhs), LinearAtom(coeffs, LT, rhs)]
+
+
+def _scaled_rows(blist: Sequence[AffineBound]) -> tuple[int, list[tuple]]:
+    """The lcm L of the divisors, and each bound's ``(coeffs, const)`` times ``L // div``.
+
+    At an integer point ``nums`` over ``den`` a scaled row gives the
+    bound's value as one integer over ``L * den``.
+    """
+    scale = lcm(*(b.div for b in blist))
+    rows = []
+    for coeffs, const, div in blist:
+        m = scale // div
+        rows.append((tuple(c * m for c in coeffs), const * m))
+    return scale, rows
 
 
 def _lift(
     atoms_: Sequence[LinearAtom], n: int
-) -> tuple[list[AffineBound], list[tuple[GammaCell, Point]]]:
-    """The bounds on x_n solved out of ``atoms_``, and the base arrangement.
+) -> tuple[list[AffineBound], int, list[tuple], list[tuple[GammaCell, tuple[int, ...], int]]]:
+    """The bounds on x_n solved out of ``atoms_``, their scaled rows, and the base arrangement.
 
     The base arrangement of Q^(n-1) splits by the atoms without x_n and by
     the sign of every difference of two bounds, so on each base cell the
@@ -267,21 +315,25 @@ def _lift(
     if j:
         for b1, b2 in combinations(blist, 2):
             base_atoms.update(_comparison_atoms(b1, b2))
-    return blist, arrangement(sorted(base_atoms, key=LinearAtom.key), j)
+    scale, rows = _scaled_rows(blist)
+    return blist, scale, rows, _arrangement(sorted(base_atoms, key=LinearAtom.key), j)
 
 
 def _order(
-    blist: list[AffineBound], s: Point
-) -> tuple[list[Fraction], list[AffineBound], list[int]]:
-    """The bound values at base sample ``s``, as the lifting sees them.
+    blist: list[AffineBound], rows: list[tuple], nums: Sequence[int], den: int
+) -> tuple[list[int], list[AffineBound], list[int]]:
+    """The bound values at the base sample ``nums / den``, as the lifting sees them.
 
-    Returns the distinct values in ascending order, the bound of least key
-    for each, and for each bound of ``blist`` the position of its graph
-    among the strata: value k of m is stratum 2k + 1 of 0 .. 2m, and the
-    even strata are the bands between.
+    Each value is one integer over ``L * den``, L the lcm of the bound
+    divisors, read off the bound's row scaled by ``L // div``
+    (:func:`_scaled_rows`), so no two values need a common denominator
+    found.  Returns the distinct values in ascending order, the bound of
+    least key for each, and for each bound of ``blist`` the position of
+    its graph among the strata: value k of m is stratum 2k + 1 of 0 .. 2m,
+    and the even strata are the bands between.
     """
-    vals = [b.value(s) for b in blist]
-    values: list[Fraction] = []
+    vals = [_at(coeffs, const, nums, den) for coeffs, const in rows]
+    values: list[int] = []
     reps: list[AffineBound] = []
     slots = [0] * len(blist)
     # A stable sort of a key-sorted list puts the least key first on ties.
@@ -303,12 +355,40 @@ def _stratum(reps: list[AffineBound], p: int) -> tuple[int, CoordSpec]:
     return 1, (lo, hi)
 
 
-def _stratum_sample(values: list[Fraction], p: int) -> Fraction:
-    """The x_n sample of stratum ``p``, as :meth:`GammaCell.sample` computes it."""
+def _stratum_sample(values: list[int], p: int, one: int) -> int:
+    """The x_n sample of stratum ``p`` over ``2 * one``, values over ``one``.
+
+    It mirrors :func:`~valdim.semilinear.atoms.between`: the value of a
+    graph, one below the lowest value, one above the highest, the midpoint
+    of a band, and 0 on the whole line.
+    """
     k = p // 2
     if p % 2:
-        return values[k]
-    return between(values[k - 1] if k else None, values[k] if k < len(values) else None)
+        return 2 * values[k]
+    if k == len(values):
+        return 2 * (values[-1] + one) if values else 0
+    if k == 0:
+        return 2 * (values[0] - one)
+    return values[k - 1] + values[k]
+
+
+def _arrangement(
+    atoms_: Sequence[LinearAtom], n: int
+) -> list[tuple[GammaCell, tuple[int, ...], int]]:
+    """:func:`arrangement` with each sample as numerators over one denominator."""
+    if n == 0:
+        return [(GammaCell((), ()), (), 1)]
+    blist, scale, rows, base = _lift(atoms_, n)
+    out = []
+    for cell, nums, den in base:
+        values, reps, _ = _order(blist, rows, nums, den)
+        one = scale * den
+        prefix = tuple(2 * scale * x for x in nums)
+        for p in range(2 * len(values) + 1):
+            i, spec = _stratum(reps, p)
+            stratum = GammaCell(cell.signature + (i,), cell.bounds + (spec,))
+            out.append((stratum, prefix + (_stratum_sample(values, p, one),), 2 * one))
+    return out
 
 
 def arrangement(
@@ -318,19 +398,13 @@ def arrangement(
 
     Each cell comes with its sample point, carried up the lifting: the
     sample of a stratum is built from the bound values at the base sample,
-    so it equals :meth:`GammaCell.sample` of the cell.
+    so it equals :meth:`GammaCell.sample` of the cell.  The lifting carries
+    it in integers; only this result is read as ``Fraction``s.
     """
-    if n == 0:
-        return [(GammaCell((), ()), ())]
-    blist, base = _lift(atoms_, n)
-    out = []
-    for cell, s in base:
-        values, reps, _ = _order(blist, s)
-        for p in range(2 * len(values) + 1):
-            i, spec = _stratum(reps, p)
-            stratum = GammaCell(cell.signature + (i,), cell.bounds + (spec,))
-            out.append((stratum, s + (_stratum_sample(values, p),)))
-    return out
+    return [
+        (cell, tuple(Fraction(x, den) for x in nums))
+        for cell, nums, den in _arrangement(atoms_, n)
+    ]
 
 
 def cell_decompose(f: Formula) -> list[GammaCell]:
@@ -354,7 +428,7 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
         return [GammaCell((), ())] if f.holds(()) else []
     j = n - 1
     atoms_ = sorted(f.atoms(), key=LinearAtom.key)
-    blist, base = _lift(atoms_, n)
+    blist, _, rows, base = _lift(atoms_, n)
     index = {b: k for k, b in enumerate(blist)}
     flat = [a for a in atoms_ if a.coeffs[j] == 0]
     # Each atom with x_n, its bound, and whether it holds where x_n minus
@@ -368,11 +442,15 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
             holds = COMPARE[a.rel]
             lifted.append((a, k, holds(-c, 0), holds(0, 0), holds(c, 0)))
     out = []
-    for cell, s in base:
-        values, reps, slots = _order(blist, s)
+    for cell, nums, den in base:
+        values, reps, slots = _order(blist, rows, nums, den)
         top = 2 * len(values)
         full = (2 << top) - 1
-        masks = {a: full if a.holds(s) else 0 for a in flat}
+        # sum(c * x) / den REL rhs, with den > 0
+        masks = {
+            a: full if COMPARE[a.rel](sum(map(mul, a.coeffs, nums)), a.rhs * den) else 0
+            for a in flat
+        }
         for a, k, neg, zero, pos in lifted:
             on = 1 << slots[k]
             below, above = on - 1, full ^ (2 * on - 1)

@@ -93,6 +93,16 @@ class TestLowerset:
         assert rows[300] == "  0 | " + " ".join(["  •"] * 301)
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize("top", ["1000", "9" * 4300])
+    def test_render_past_the_cell_limit_exit_3(self, capsys, top):
+        code, out, err = run(capsys, "lowerset", "render", f"[[{top},999]]")
+        assert (code, out) == (3, "")
+        assert err == "error: a diagram of more than 1000000 cells is not drawn\n"
+
+    def test_render_at_the_cell_limit(self, capsys):
+        code, out, _ = run(capsys, "lowerset", "render", "[[999,999]]")
+        assert code == 0 and len(out.splitlines()) == 1002
+
     def test_empty_dimnat(self, capsys):
         code, out, _ = run(capsys, "lowerset", "dimnat", "[]")
         assert code == 0 and out.strip() == "-inf"
@@ -417,6 +427,35 @@ class TestVariableLimit:
         assert code == 0 and out.strip() == answer
 
 
+class TestLongLiterals:
+    """A number longer than the interpreter converts is a parse error at its token."""
+
+    LONG = "9" * (sys.get_int_max_str_digits() + 1) if hasattr(sys, "get_int_max_str_digits") else None
+
+    @pytest.mark.skipif(LONG is None, reason="no integer digit limit on this interpreter")
+    @pytest.mark.parametrize(
+        "argv, position",
+        [
+            (("gamma", "dim", "x1 < {}"), 5),
+            (("gamma", "cells", "x1 < 1/{}"), 7),
+            (("mixed", "dim", "v(x - {}) < 1"), 6),
+            (("mixed", "dim", "v((x - 1)^{}) < 1"), 10),
+            (("mixed", "cells", "g1 < {}"), 5),
+        ],
+    )
+    def test_exit_2_at_the_token(self, capsys, argv, position):
+        *head, text = argv
+        code, out, err = run(capsys, *head, text.format(self.LONG))
+        assert (code, out) == (2, "")
+        assert err.count("\n") == 1
+        assert err.startswith(f"parse error: number of {len(self.LONG)} digits is above the limit")
+        assert err.endswith(f"(at position {position})\n")
+
+    def test_a_long_literal_under_the_limit_answers(self, capsys):
+        code, out, _ = run(capsys, "gamma", "dim", "x1 < " + "9" * 4000 + " & x1 > 0")
+        assert code == 0 and out.strip() == "1"
+
+
 class TestRecursionLimit:
     """Work nested past the recursion limit exits 3, not with a traceback."""
 
@@ -507,6 +546,22 @@ class TestImports:
         _, modules = self.loaded(*argv)
         assert f"valdim.{engine}" in modules
         assert {m.split(".")[1] for m in modules if "." in m}.isdisjoint(absent)
+
+    def test_lowerset_loads_no_dataclasses(self):
+        """``dataclasses`` pulls in ``inspect``, ``ast`` and ``dis``: most of a lowerset start-up."""
+        probe = (
+            "import sys\n"
+            "from valdim import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print('dataclasses' in sys.modules)\n"
+            "sys.exit(code)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        out = subprocess.run(
+            [sys.executable, "-c", probe, "lowerset", "shift", "[[2,1]]"],
+            capture_output=True, text=True, check=True, env=env,
+        ).stdout.splitlines()
+        assert out == ["(0, 3) (1, 2) (2, 1)", "False"]
 
     def test_puiseux_weight_loads_the_mixed_parser(self):
         out, modules = self.loaded("trop", "hypersurface", "t^2@(1,0)+0@(0,1)+0@(0,0)")

@@ -239,6 +239,16 @@ class TestJsonAndValidation:
         a = lower_closure(D1)
         assert LowerSet.from_json(a.to_json()) == a
 
+    def test_value_semantics(self):
+        """Equal, hashed and shown by ``maxima`` alone, and immutable."""
+        a = LowerSet(((2, 1), (1, 2), (0, 0)))
+        assert repr(a) == "LowerSet(maxima=((1, 2), (2, 1)))"
+        assert a == LowerSet([(1, 2), (2, 1)]) and hash(a) == hash((((1, 2), (2, 1)),))
+        assert a != principal((1, 2)) and a.__eq__(a.maxima) is NotImplemented
+        assert len({a, lower_closure([(1, 1), (1, 2), (2, 1)])}) == 1
+        with pytest.raises(AttributeError):
+            a.maxima = ()
+
     def test_sorted_encoding(self):
         a = lower_closure([(4, 1), (1, 4), (2, 2)])
         assert a.to_json() == '{"maxima": [[1, 4], [2, 2], [4, 1]]}'

@@ -728,3 +728,148 @@ def test_projection_sample_points_are_shadows(b, order):
     w = sl.sample_point(b)
     assert w is not None
     assert p.holds(tuple(w[i] for i in keep))
+
+
+def fraction_value(b, point):
+    """Bound ``b`` at ``point`` in Fraction arithmetic written here, apart from the library's."""
+    return sum((F(c) * v for c, v in zip(b.coeffs, point)), F(b.const)) / b.div
+
+
+def fraction_between(lo, hi):
+    if lo is None:
+        return F(0) if hi is None else hi - 1
+    if hi is None:
+        return lo + 1
+    return (lo + hi) / 2
+
+
+def fraction_sample(cell):
+    point = []
+    for i, spec in zip(cell.signature, cell.bounds):
+        if i == 0:
+            point.append(fraction_value(spec, point))
+        else:
+            lo, hi = (None if e is None else fraction_value(e, point) for e in spec)
+            point.append(fraction_between(lo, hi))
+    return tuple(point)
+
+
+def fraction_contains(cell, point):
+    for k, (i, spec) in enumerate(zip(cell.signature, cell.bounds)):
+        x, prefix = point[k], point[:k]
+        if i == 0:
+            if x != fraction_value(spec, prefix):
+                return False
+            continue
+        lo, hi = spec
+        if lo is not None and not fraction_value(lo, prefix) < x:
+            return False
+        if hi is not None and not x < fraction_value(hi, prefix):
+            return False
+    return True
+
+
+def random_bound(rng, j):
+    coeffs = tuple(rng.randint(-4, 4) for _ in range(j))
+    return sl.AffineBound(coeffs, F(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(1, 6))
+
+
+class TestIntegerKernel:
+    """The integer lifting of ``cells`` against Fraction arithmetic written in the test.
+
+    Bounds have divisors 1 to 6 and points denominators above 1, so no
+    common denominator is 1 by accident; ties between distinct bounds are
+    planted at the sample point.
+    """
+
+    @staticmethod
+    def seeded_bounds(seed):
+        """A point over a common denominator, and bounds key-sorted as ``_lift`` sorts them."""
+        rng = random.Random(seed)
+        j = rng.randint(0, 3)
+        point = tuple(F(rng.randint(-12, 12), rng.randint(2, 6)) for _ in range(j))
+        # a carried denominator is common, not necessarily least
+        den = math.lcm(1, *(v.denominator for v in point)) * rng.randint(1, 3)
+        nums = tuple(int(v * den) for v in point)
+        bounds = set()
+        for _ in range(rng.randint(1, 8)):
+            b = random_bound(rng, j)
+            bounds.add(b)
+            if rng.random() < 0.5:
+                # another bound through the same value at the point
+                c = random_bound(rng, j)
+                shift = fraction_value(b, point) - fraction_value(c, point)
+                bounds.add(sl.AffineBound(c.coeffs, c.const + c.div * shift, c.div))
+        return point, nums, den, sorted(bounds, key=sl.AffineBound.key)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_order_ranks_match_a_fraction_sort(self, seed):
+        point, nums, den, blist = self.seeded_bounds(seed)
+        scale, rows = cells._scaled_rows(blist)
+        values, reps, slots = cells._order(blist, rows, nums, den)
+        fvals = [fraction_value(b, point) for b in blist]
+        distinct = sorted(set(fvals))
+        assert [F(v, scale * den) for v in values] == distinct
+        assert reps == [
+            min((b for b, v in zip(blist, fvals) if v == d), key=sl.AffineBound.key)
+            for d in distinct
+        ]
+        assert slots == [2 * distinct.index(v) + 1 for v in fvals]
+        for p in range(2 * len(values) + 1):
+            k = p // 2
+            want = distinct[k] if p % 2 else fraction_between(
+                distinct[k - 1] if k else None, distinct[k] if k < len(distinct) else None
+            )
+            assert F(cells._stratum_sample(values, p, scale * den), 2 * scale * den) == want
+
+    def test_the_seeds_plant_ties_and_mixed_divisors(self):
+        ties = mixed = 0
+        for seed in range(60):
+            point, _, den, blist = self.seeded_bounds(seed)
+            ties += len({fraction_value(b, point) for b in blist}) < len(blist)
+            mixed += len({b.div for b in blist}) > 1 and den > 1
+        assert ties > 20 and mixed > 20
+
+    @staticmethod
+    def seeded_atoms(seed):
+        rng = random.Random(seed)
+        n = rng.choice((1, 2, 2, 3))
+        atoms = set()
+        while len(atoms) < rng.randint(1, 4 if n < 3 else 3):
+            coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
+            if any(coeffs):
+                rhs = F(rng.randint(-6, 6), rng.randint(1, 6))
+                atoms.add(sl.LinearAtom(coeffs, rng.choice(("<", "<=", "=")), rhs))
+        return sorted(atoms, key=sl.LinearAtom.key), n
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_carried_samples_are_the_cell_samples(self, seed):
+        atoms, n = self.seeded_atoms(seed)
+        carried = cells._arrangement(atoms, n)
+        assert [c for c, _, _ in carried] == [c for c, _ in arrangement(atoms, n)]
+        for cell, nums, den in carried:
+            assert den > 0 and all(type(x) is int for x in nums)
+            s = tuple(F(x, den) for x in nums)
+            assert s == cell.sample() == fraction_sample(cell)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_contains_agrees_on_and_around_each_cell(self, seed):
+        atoms, n = self.seeded_atoms(seed)
+        rng = random.Random(seed)
+        verdicts = set()
+        for cell, s in arrangement(atoms, n):
+            points = [s]
+            for k, (i, spec) in enumerate(zip(cell.signature, cell.bounds)):
+                ends = [spec] if i == 0 else [e for e in spec if e is not None]
+                for e in ends:
+                    at = fraction_value(e, s[:k])
+                    eps = F(1, rng.choice((7, 60, 997)))
+                    for x in (at, at - eps, at + eps):
+                        points.append(s[:k] + (x,) + s[k + 1:])
+            # whole numbers reach contains as ints
+            points.append(tuple(math.floor(v) for v in s))
+            for p in points:
+                want = fraction_contains(cell, p)
+                assert cell.contains(p) == want, (cell, p)
+                verdicts.add(want)
+        assert verdicts == {True, False}

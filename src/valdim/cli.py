@@ -5,10 +5,10 @@ arithmetic, ``gamma`` for the group-sort engine, ``mixed`` for the valued
 coordinate, ``trop`` for tropical hypersurfaces and images, and
 ``verify`` for the randomized oracle suites.  Inputs are inline strings
 or ``-`` for stdin; output is plain text or ``--format json``.  Exit
-codes: 0 success, 1 verification mismatch, 2 parse error, 3 semantic
-error or work nested past the recursion limit, 4 internal error (any
-other exception, reported in one line).  Output depends only on
-(argv, seed) and is never colored.
+codes: 0 success, 1 verification mismatch, 2 parse error (a usage error
+included), 3 semantic error or work nested past the recursion limit,
+4 internal error (any other exception, reported in one line).  Output
+depends only on (argv, seed) and is never colored.
 
 Each handler imports the engine it runs, so a command loads and compiles
 only its own part of the library.
@@ -55,7 +55,14 @@ def _parse_lowerset(text: str):
 
 
 def _dim_str(d) -> str:
-    return "-inf" if d == float("-inf") else str(int(d))
+    if d == float("-inf"):
+        return "-inf"
+    try:
+        return str(int(d))
+    except ValueError:  # longer than the interpreter converts to text
+        raise SemanticError(
+            f"a dimension of more than {sys.get_int_max_str_digits()} digits is not printed"
+        ) from None
 
 
 def _emit_lowerset(a, fmt: str) -> str:
@@ -266,8 +273,22 @@ def _run_verify(args) -> int:
     raise SemanticError(f"unknown verify suite {args.op!r}")
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are parse errors (exit 2, one line).
+
+    Subparsers are made of the parser's own class, so theirs are too.
+    ``--help`` still prints the usage and exits 0.
+    """
+
+    def error(self, message: str):
+        missing = message.startswith("the following arguments are required")
+        if (missing and not message.endswith(": command")) or message.startswith("unrecognized"):
+            message += "; a formula that starts with '-' goes after '--'"
+        raise ParseError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="valdim",
         description="Exact dimension calculus over valued and ordered-group coordinates.",
     )

@@ -16,6 +16,11 @@ generated by its cells' dimension pairs.  :func:`mixed_dimension`
 computes that lower set without building cells, from the signature of
 one relative-interior point of each convex DNF disjunct; cells are built
 only by :func:`mixed_cell_decompose`.
+
+The pieces and their formulas are built once per formula value, on
+first use, and kept on it: :func:`mixed_dimension`,
+:func:`project_to_gamma` and :func:`mixed_cell_decompose` all read the
+same :func:`piece_formulas`.
 """
 
 from __future__ import annotations
@@ -135,28 +140,43 @@ def _rho_constraints(piece: SwissPiece, n: int) -> list[sl.Formula]:
 
 def piece_formulas(
     f: Formula,
-) -> list[tuple[SwissPiece, sl.Formula]]:
+) -> tuple[tuple[SwissPiece, sl.Formula], ...]:
     """Per-piece linear formulas over (rho, gamma) or gamma (point pieces).
 
     The conjunction of the translated formula with the piece's radius
-    window; together the pairs describe the set of ``f`` exactly.
+    window; together the pairs describe the set of ``f`` exactly.  The
+    pairs are built on the first call and kept on ``f`` outside its
+    fields, so they take no part in its equality, hash or repr.  A pure
+    group atom reads no valuation, so it is translated once for the point
+    pieces and once for the others.
     """
+    kept = getattr(f, "_pieces", None)
+    if kept is not None:
+        return kept
     n = f.arity
     tracked = polys(f)
     position = {a: tracked.index(a.poly) for a in f.atoms() if a.weight}
+    # images of the weight-0 atoms, off and on the point pieces
+    group: tuple[dict, dict] = ({}, {})
     out = []
     for piece, vals in monomial_decompose(tracked):
         at_point = piece.kind == "points"
+        images = group[at_point]
 
         def on_piece(a: MixedAtom) -> sl.Formula:
-            mv = vals[position[a]] if a.weight else None
-            return _atom_on_piece(a, mv, n, at_point)
+            if a.weight:
+                return _atom_on_piece(a, vals[position[a]], n, at_point)
+            if a not in images:
+                images[a] = _atom_on_piece(a, None, n, at_point)
+            return images[a]
 
         g = map_atoms(f, on_piece, n if at_point else n + 1)
         if not at_point:
             g = sl.And.of(g, *_rho_constraints(piece, n))
         out.append((piece, g))
-    return out
+    kept = tuple(out)
+    object.__setattr__(f, "_pieces", kept)
+    return kept
 
 
 def mixed_cell_decompose(f: Formula) -> list[MixedCell]:

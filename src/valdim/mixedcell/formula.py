@@ -67,13 +67,31 @@ class MixedAtom:
         return len(self.gcoeffs)
 
     def holds(self, x: PuiseuxElement, gamma: Sequence[Fraction]) -> bool:
-        lhs = sum(c * g for c, g in zip(self.gcoeffs, gamma))
+        """Truth at (x, gamma), the left side summed as ``num / den`` with ``den > 0``.
+
+        ``gamma`` holds ints or Fractions.  ``verify.mixed_atom_holds``
+        decides the same atom in Fractions.
+        """
+        num, den = 0, 1
+        for c, g in zip(self.gcoeffs, gamma):
+            if c:
+                d = g.denominator
+                if d == den:
+                    num += c * g.numerator
+                else:
+                    num = num * d + c * g.numerator * den
+                    den *= d
         if self.weight:
             v = self.poly.valuation_at(x)
             if v is INFINITY:
                 return self.at_infinity()
-            lhs += self.weight * v
-        return COMPARE[self.rel](lhs, self.rhs)
+            d = v.denominator
+            num = num * d + self.weight * v.numerator * den
+            den *= d
+        rhs = self.rhs
+        if rhs is INFINITY:
+            return COMPARE[self.rel](num, INFINITY)
+        return COMPARE[self.rel](num * rhs.denominator, rhs.numerator * den)
 
     def at_infinity(self) -> bool:
         """Truth where the valuation term is infinite: +inf, or -inf for a negative weight.

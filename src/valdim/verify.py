@@ -31,6 +31,7 @@ from .lowerset import (
 from .mixedcell import (
     AffineBijection,
     FactoredPoly,
+    MixedAtom,
     MixedCell,
     PuiseuxElement,
     apply_bijection,
@@ -686,6 +687,31 @@ def _sample_points_for(
     return points[:count]
 
 
+def mixed_atom_holds(a: MixedAtom, x: PuiseuxElement, gamma) -> bool:
+    """Independent route for ``MixedAtom.holds``: the left side summed in Fractions.
+
+    An infinite valuation term is +inf for a positive weight and -inf for
+    a negative one.  The top element INFINITY lies above every rational
+    and equals +inf.
+    """
+    lhs = sum((c * Fraction(g) for c, g in zip(a.gcoeffs, gamma)), Fraction(0))
+    top = a.rhs is INFINITY
+    if a.weight:
+        v = a.poly.valuation_at(x)
+        if v is INFINITY:
+            if a.weight < 0:
+                return a.rel != sl.EQ
+            return top and a.rel != sl.LT
+        lhs += a.weight * v
+    if top:
+        return a.rel != sl.EQ
+    if a.rel == sl.LT:
+        return lhs < a.rhs
+    if a.rel == sl.LE:
+        return lhs <= a.rhs
+    return lhs == a.rhs
+
+
 def mixed_dimension_via_fibers(cells: list[MixedCell]) -> LowerSet:
     """Independent route: dimensions of the fiber-dimension loci.
 
@@ -765,7 +791,11 @@ def suite_mixed(seed: int = 0, cases: int = 100, samples_per_case: int = 100) ->
         for x in xs[:12]:
             for gamma in gammas:
                 inside = [c for c in cells if c.contains(x, gamma)]
-                if f.holds(x, gamma) != (len(inside) == 1) or len(inside) > 1:
+                truth = f.holds(x, gamma)
+                if truth != evaluate(f, lambda a: mixed_atom_holds(a, x, gamma)):
+                    bad = f"case {case}: membership disagrees with the Fraction route"
+                    break
+                if truth != (len(inside) == 1) or len(inside) > 1:
                     bad = f"case {case}: cell partition broken at sampled point"
                     break
             if bad:

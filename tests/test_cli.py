@@ -456,6 +456,46 @@ class TestLongLiterals:
         assert code == 0 and out.strip() == "1"
 
 
+    @pytest.mark.skipif(LONG is None, reason="no integer digit limit on this interpreter")
+    def test_dimnat_past_the_limit_exit_3(self, capsys):
+        n = self.LONG[1:]  # as many digits as the interpreter converts
+        code, out, err = run(capsys, "lowerset", "dimnat", f"[[{n},{n}]]")
+        assert (code, out) == (3, "")
+        assert err == f"error: a dimension of more than {len(n)} digits is not printed\n"
+        code, out, _ = run(capsys, "lowerset", "dimnat", f"[[{n},0]]")
+        assert (code, out) == (0, n + "\n")
+
+
+class TestUsageErrors:
+    """A usage error is a parse error: exit 2 and one stderr line, returned from ``main``."""
+
+    @pytest.mark.parametrize(
+        "argv, says",
+        [
+            (("gamma", "dim"), "the following arguments are required: formula"),
+            (("gamma", "frob", "x1 < 1"), "argument op: invalid choice: 'frob'"),
+            (("gamma", "dim", "-x1<1"), "the following arguments are required: formula"),
+            (("mixed", "dim", "-v(x)<1", "g1 < 0"), "unrecognized arguments: -v(x)<1"),
+        ],
+    )
+    def test_exit_2_in_one_line(self, capsys, argv, says):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("parse error: valdim") and err.count("\n") == 1
+        assert says in err
+
+    def test_a_leading_minus_is_told_to_go_after_the_separator(self, capsys):
+        _, _, err = run(capsys, "gamma", "dim", "-x1<1")
+        assert err.endswith("a formula that starts with '-' goes after '--'\n")
+        assert run(capsys, "gamma", "dim", "--", "-x1<1") == (0, "1\n", "")
+
+    def test_help_still_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["gamma", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: valdim gamma")
+
+
 class TestRecursionLimit:
     """Work nested past the recursion limit exits 3, not with a traceback."""
 

@@ -481,6 +481,83 @@ class TestPieceFormulas:
                 assert g.holds(point) == f.holds(x, gamma), (piece, gamma)
 
 
+class TestKeptPieces:
+    TEXT = "(v(x - t) < g1 & g1 + g2 <= 1) | (v((x - 1)*(x + 1)) = inf & g2 > 0) | g1 = 2"
+
+    def test_one_split_for_the_three_questions(self, monkeypatch):
+        from valdim.mixedcell import engine
+
+        calls = []
+
+        def counted(polys_):
+            calls.append(1)
+            return monomial_decompose(polys_)
+
+        monkeypatch.setattr(engine, "monomial_decompose", counted)
+        f = parse_mixed_formula(self.TEXT, 2)
+        mixed_dimension(f)
+        project_to_gamma(f)
+        mixed_cell_decompose(f)
+        assert len(calls) == 1
+
+    def test_kept_pieces_change_no_equality_hash_or_repr(self):
+        f = parse_mixed_formula(self.TEXT, 2)
+        fresh = parse_mixed_formula(self.TEXT, 2)
+        before = repr(f)
+        pieces = piece_formulas(f)
+        assert piece_formulas(f) is pieces
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == before == repr(fresh)
+
+    def test_bijection_image_builds_its_own_pieces(self):
+        f = parse_mixed_formula(self.TEXT, 2)
+        pieces = piece_formulas(f)
+        b = AffineBijection(((1, 0), (0, 1)), (F(1), F(0)), T)
+        g = apply_bijection(f, b)
+        assert piece_formulas(g) is not pieces
+        assert piece_formulas(g) != pieces
+        assert piece_formulas(g) == piece_formulas(apply_bijection(parse_mixed_formula(self.TEXT, 2), b))
+
+    @pytest.mark.parametrize("text", [TEXT, "g1 < 1", "true", "v(x) = inf"])
+    def test_pieces_are_a_tuple(self, text):
+        pieces = piece_formulas(parse_mixed_formula(text, 2))
+        assert isinstance(pieces, tuple) and all(isinstance(p, tuple) for p in pieces)
+
+
+class TestIntegerHolds:
+    def test_agrees_with_the_fraction_route(self):
+        # MixedAtom built directly, so every weight, relation and right
+        # side occurs, INFINITY included; x is a root of the polynomial
+        # (infinite valuation) about one time in four.
+        rng = random.Random(18)
+        seen = {"root": 0, "top": 0, "negative": 0, "zero": 0, "int": 0}
+        pairs = 0
+        while pairs < 1500:
+            n = rng.choice([1, 2, 3])
+            weight = rng.choice([-2, -1, 0, 1, 2])
+            poly = verify.random_factored_poly(rng, 3) if weight else None
+            gcoeffs = tuple(rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n))
+            rel = rng.choice([sl.LT, sl.LE, sl.EQ])
+            rhs = INFINITY if rng.random() < 0.2 else verify.random_rational(rng, -3, 3)
+            a = MixedAtom(weight, poly, gcoeffs, rel, rhs)
+            for _ in range(5):
+                if poly is not None and rng.random() < 0.3:
+                    x = rng.choice(poly.roots)[0]
+                else:
+                    x = verify.random_puiseux(rng, 3)
+                gamma = tuple(
+                    rng.randint(-3, 3) if rng.random() < 0.5 else verify.random_rational(rng)
+                    for _ in range(n)
+                )
+                assert a.holds(x, gamma) == verify.mixed_atom_holds(a, x, gamma), (a, x, gamma)
+                pairs += 1
+                seen["root"] += weight != 0 and poly.valuation_at(x) is INFINITY
+                seen["top"] += rhs is INFINITY
+                seen["negative"] += weight < 0
+                seen["zero"] += not any(gcoeffs)
+                seen["int"] += any(type(g) is int for g in gamma)
+        assert min(seen.values()) >= 50, seen
+
+
 class TestPieceKDimension:
     def test_point_list(self):
         pieces = monomial_decompose([FactoredPoly(1, ((ZERO, 1), (T, 1)))])

@@ -54,21 +54,24 @@ def _parse_lowerset(text: str):
     return ls.lower_closure(_parse_points(text))
 
 
-def _dim_str(d) -> str:
-    if d == float("-inf"):
-        return "-inf"
+def _printed(render) -> str:
+    """``render()``, refused when a number is longer than the interpreter converts to text."""
     try:
-        return str(int(d))
-    except ValueError:  # longer than the interpreter converts to text
+        return render()
+    except ValueError:
         raise SemanticError(
             f"a dimension of more than {sys.get_int_max_str_digits()} digits is not printed"
         ) from None
 
 
+def _dim_str(d) -> str:
+    return "-inf" if d == float("-inf") else _printed(lambda: str(int(d)))
+
+
 def _emit_lowerset(a, fmt: str) -> str:
     if fmt == "json":
-        return a.to_json()
-    return "(empty)" if a.is_empty() else " ".join(str(p) for p in a.maxima)
+        return _printed(a.to_json)
+    return "(empty)" if a.is_empty() else _printed(lambda: " ".join(map(str, a.maxima)))
 
 
 def _run_lowerset(args) -> int:

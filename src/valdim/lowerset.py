@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left, bisect_right
 from itertools import product
+from math import comb
 from typing import Iterable, Sequence
 
 #: Dimension of the empty lower set.  Kept distinct from 0: a lower set has
@@ -26,8 +27,9 @@ NEG_INF = float("-inf")
 
 DimPoint = tuple[int, ...]
 
-#: Most cells (points of the bounding box) :func:`render_diagram` draws.
-MAX_DIAGRAM_CELLS = 1_000_000
+#: Most points :func:`render_diagram` draws (its bounding box) and
+#: :func:`shift_closure` generates.
+MAX_POINTS = 1_000_000
 
 
 def _leq(p: Sequence[int], q: Sequence[int]) -> bool:
@@ -188,49 +190,43 @@ def add(a: LowerSet, b: LowerSet) -> LowerSet:
 
 
 def shift_closure(a: LowerSet) -> LowerSet:
-    """Closure of ``a`` under converting valued-field into group dimensions.
+    """Closure of ``a`` under converting valued-field into other dimensions.
 
-    Returns max over k >= 0 of ``a + (-k, k)`` intersected with N^2,
-    i.e. the closure under the single-step move (d1, d2) -> (d1-1, d2+1)
-    for d1 >= 1, followed by lower closure.  This is the upper bound for
-    the dimension of any image of a set of dimension ``a``: a valued-field
-    dimension may become a group dimension, never the reverse.  A lower
-    set of N^3 gets :func:`shift_closure3`.
+    In N^2 one valued-field dimension may become a group dimension,
+    (d1, d2) -> (d1-1, d2+1) for d1 >= 1; in N^3 it may become a group or
+    a residue dimension.  Any dimension may also disappear, which the
+    lower closure covers.  This is the upper bound for the dimension of
+    any image of a set of dimension ``a``: a valued-field dimension may
+    become a group dimension, never the reverse.  The closure of a point p
+    of width w is generated by ``p - |k| e_1 + (0, k)`` for k in N^(w-1)
+    with |k| <= p_1, C(p_1 + w - 1, w - 1) points; a closure of more than
+    ``MAX_POINTS`` generators is refused with a ValueError before any is
+    built.
     """
-    if a.width == 3:
-        return shift_closure3(a)
-    gens = set(a.maxima)
-    for (d1, d2) in a.maxima:
-        for k in range(1, d1 + 1):
-            gens.add((d1 - k, d2 + k))
+    w = a.width
+    if w is None:
+        return a
+    if sum(comb(p[0] + w - 1, w - 1) for p in a.maxima) > MAX_POINTS:
+        raise ValueError(f"a shift closure of more than {MAX_POINTS} points is not built")
+    gens = []
+    for d1, *rest in a.maxima:
+        for k in product(range(d1 + 1), repeat=w - 1):
+            moved = sum(k)
+            if moved <= d1:
+                gens.append((d1 - moved, *(r + c for r, c in zip(rest, k))))
     return LowerSet(tuple(gens))
-
-
-_SHIFTS3 = ((-1, 0, 0), (-1, 1, 0), (-1, 0, 1), (0, -1, 0), (0, 0, -1))
 
 
 def shift_closure3(a: LowerSet) -> LowerSet:
-    """Closure of ``a`` under the three-sort single-step dimension shifts.
+    """:func:`shift_closure` of a lower set of N^3, which it requires.
 
-    The shift family lets one valued-field dimension disappear or convert
-    into one group dimension or one residue dimension; group and residue
-    dimensions can only disappear.  Shifts are applied to a fixpoint
-    (compositions realize every (-a-b, a, b)), then lower closure.
+    One valued-field dimension may disappear or convert into one group
+    dimension or one residue dimension; group and residue dimensions can
+    only disappear.
     """
     if a.width == 2:
         raise ValueError("shift_closure3 takes lower sets of N^3")
-    gens: set[tuple[int, ...]] = set(a.maxima)
-    frontier = set(gens)
-    while frontier:
-        nxt: set[tuple[int, ...]] = set()
-        for p in frontier:
-            for s in _SHIFTS3:
-                q = tuple(c + d for c, d in zip(p, s))
-                if all(c >= 0 for c in q) and q not in gens:
-                    gens.add(q)
-                    nxt.add(q)
-        frontier = nxt
-    return LowerSet(tuple(gens))
+    return shift_closure(a)
 
 
 def dim_nat(a: LowerSet) -> int | float:
@@ -248,7 +244,7 @@ def render_diagram(a: LowerSet) -> str:
 
     Members print as a bullet, non-members as a dot; both axes are
     labelled.  Output is deterministic.  A bounding box of more than
-    ``MAX_DIAGRAM_CELLS`` cells is refused with a ValueError.
+    ``MAX_POINTS`` cells is refused with a ValueError.
     """
     if a.width == 3:
         raise ValueError("diagrams are drawn for lower sets of N^2 only")
@@ -256,8 +252,8 @@ def render_diagram(a: LowerSet) -> str:
         return "(empty)"
     xmax = max(p[0] for p in a.maxima)
     ymax = max(p[1] for p in a.maxima)
-    if (xmax + 1) * (ymax + 1) > MAX_DIAGRAM_CELLS:
-        raise ValueError(f"a diagram of more than {MAX_DIAGRAM_CELLS} cells is not drawn")
+    if (xmax + 1) * (ymax + 1) > MAX_POINTS:
+        raise ValueError(f"a diagram of more than {MAX_POINTS} cells is not drawn")
     ywidth = len(str(ymax))
     xwidth = max(len(str(x)) for x in range(xmax + 1))
     # reach[y]: the largest x with (x, y) in a, or -1

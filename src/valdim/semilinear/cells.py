@@ -8,14 +8,18 @@ earlier coordinates (i_k = 0) or an open band between two such bounds
 above in the cell JSON.  The dimension of a cell is the sum of its signature.
 
 The decomposition refines the arrangement of every atom of the input
-formula: the last coordinate is sliced along the bound functions solved
-out of the atoms mentioning it, uniformly over a recursive decomposition
-of the base that keeps the relative order of those bounds constant.  On
-each resulting cell every atom has constant truth value.  A formula is
-decomposed by deciding that truth while lifting, from the order of the
-bound values at each base cell's sample point, and keeping the cells on
-which the formula is true; this is exact because it is the truth of
-every atom at the cell's own sample point.
+formula, and one routine, :func:`arrangement`, lifts it.  The last
+coordinate is sliced along the bound functions solved out of the atoms
+mentioning it, each atom solved once, uniformly over the arrangement of
+the base that the routine builds by calling itself once on Q^(n-1): the
+atoms without x_n and one ``=`` row per pair of bounds, which keeps the
+order of the bounds constant on every base cell.  On each resulting cell
+every atom has constant truth value.  Only the atoms of the formula are
+asked for that truth, at the top level and nowhere below it: it is read
+while lifting, from the order of the bound values at each base cell's
+sample point, and the cells on which the formula is true are kept; this
+is exact because it is the truth of every atom at the cell's own sample
+point.
 
 The lifting does no ``Fraction`` arithmetic.  A base sample is carried
 as integer numerators ``nums`` over one positive denominator ``den``.
@@ -25,8 +29,7 @@ over ``L * den`` and the bounds are ordered by sorting integers.  The
 strata samples are integers over ``2 * L * den``, the prefix numerators
 scaled to match, and an atom without x_n holds where ``sum(c * num) REL
 rhs * den``.  :meth:`GammaCell.sample` and :meth:`GammaCell.contains`
-evaluate the same way; :func:`arrangement` reads its points, and
-``sample`` its result, as ``Fraction``s.
+evaluate the same way, and ``sample`` reads its result as ``Fraction``s.
 
 Cells are built only when a caller asks for them.  :func:`dimension`
 works on the DNF, reading each disjunct's signature off one
@@ -36,14 +39,13 @@ decomposition is the oracle it is checked against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 from operator import itemgetter, mul
 from typing import Sequence, Union
 
-from ..boolean import evaluate
+from ..boolean import Bool, evaluate
 from ..lowerset import NEG_INF
 from .atoms import (
     COMPARE,
@@ -53,7 +55,6 @@ from .atoms import (
     BasicSet,
     Formula,
     LinearAtom,
-    Point,
     atom,
     normalize_dnf,
 )
@@ -117,12 +118,15 @@ Bound = AffineBound | None
 CoordSpec = Union[AffineBound, tuple[Bound, Bound]]
 
 
-@dataclass(frozen=True)
-class GammaCell:
-    """A cell: 0/1 signature plus one bound (graph) or two (band) per coordinate."""
+class GammaCell(tuple):
+    """A cell ``(signature, bounds)``: a 0/1 signature, one bound (graph) or two (band) each."""
 
-    signature: tuple[int, ...]
-    bounds: tuple[CoordSpec, ...]
+    __slots__ = ()
+    signature = property(itemgetter(0))
+    bounds = property(itemgetter(1))
+
+    def __new__(cls, signature: tuple[int, ...], bounds: tuple[CoordSpec, ...]):
+        return tuple.__new__(cls, (signature, bounds))
 
     @property
     def arity(self) -> int:
@@ -182,9 +186,7 @@ class GammaCell:
                 for idx, c in enumerate(b.coeffs):
                     coeffs[idx] = -c
                 coeffs[k] = b.div
-                a = atom(coeffs, rel, b.const)
-                if isinstance(a, Atom):
-                    atoms.append(a.atom)
+                atoms.append(atom(coeffs, rel, b.const).atom)
         return BasicSet(tuple(atoms), n)
 
     def is_consistent(self) -> bool:
@@ -201,12 +203,7 @@ class GammaCell:
                 continue
             # lo >= hi anywhere on the base would break the cell; both
             # bounds and the base live on the first k coordinates.
-            coeffs = [0] * k
-            for idx, c in enumerate(lo.coeffs):
-                coeffs[idx] += c * hi.div
-            for idx, c in enumerate(hi.coeffs):
-                coeffs[idx] -= c * lo.div
-            rhs = hi.const * lo.div - lo.const * hi.div
+            coeffs, rhs = _difference(lo, hi)
             bad = atom(coeffs, ">=", rhs)
             if not isinstance(bad, Atom):
                 if bad.holds(()):
@@ -264,19 +261,10 @@ def _bound_from_atom(a: LinearAtom, j: int) -> AffineBound:
     return AffineBound(tuple(rest), -a.rhs, -c)
 
 
-def _comparison_atoms(b1: AffineBound, b2: AffineBound) -> list[LinearAtom]:
-    """The rows ``=`` and ``<`` of b1 - b2, whose truth pins its sign on a base cell.
-
-    Where b1 - b2 is a constant its sign is the same on every base cell,
-    so no row is needed: :func:`atom` would fold both to Booleans.
-    """
-    coeffs = tuple(
-        b2.div * c1 - b1.div * c2 for c1, c2 in zip(b1.coeffs, b2.coeffs)
-    )
-    if not any(coeffs):
-        return []
-    rhs = b1.div * b2.const - b2.div * b1.const
-    return [LinearAtom(coeffs, EQ, rhs), LinearAtom(coeffs, LT, rhs)]
+def _difference(b1: AffineBound, b2: AffineBound) -> tuple[tuple[int, ...], int]:
+    """``(coeffs, rhs)`` with b1 - b2 REL 0 exactly where ``coeffs . x REL rhs``."""
+    coeffs = tuple(b2.div * c1 - b1.div * c2 for c1, c2 in zip(b1.coeffs, b2.coeffs))
+    return coeffs, b1.div * b2.const - b2.div * b1.const
 
 
 def _scaled_rows(blist: Sequence[AffineBound]) -> tuple[int, list[tuple]]:
@@ -291,32 +279,6 @@ def _scaled_rows(blist: Sequence[AffineBound]) -> tuple[int, list[tuple]]:
         m = scale // div
         rows.append((tuple(c * m for c in coeffs), const * m))
     return scale, rows
-
-
-def _lift(
-    atoms_: Sequence[LinearAtom], n: int
-) -> tuple[list[AffineBound], int, list[tuple], list[tuple[GammaCell, tuple[int, ...], int]]]:
-    """The bounds on x_n solved out of ``atoms_``, their scaled rows, and the base arrangement.
-
-    The base arrangement of Q^(n-1) splits by the atoms without x_n and by
-    the sign of every difference of two bounds, so on each base cell the
-    atoms without x_n have constant truth and the bounds a constant order.
-    """
-    j = n - 1
-    bounds: set[AffineBound] = set()
-    base_atoms: set[LinearAtom] = set()
-    for a in atoms_:
-        if a.coeffs[j] != 0:
-            bounds.add(_bound_from_atom(a, j))
-        else:
-            base_atoms.add(LinearAtom(a.coeffs[:j], a.rel, a.rhs))
-    blist = sorted(bounds, key=AffineBound.key)
-    # At the lowest level every comparison is a constant and Q^0 is one cell.
-    if j:
-        for b1, b2 in combinations(blist, 2):
-            base_atoms.update(_comparison_atoms(b1, b2))
-    scale, rows = _scaled_rows(blist)
-    return blist, scale, rows, _arrangement(sorted(base_atoms, key=LinearAtom.key), j)
 
 
 def _order(
@@ -372,75 +334,65 @@ def _stratum_sample(values: list[int], p: int, one: int) -> int:
     return values[k - 1] + values[k]
 
 
-def _arrangement(
-    atoms_: Sequence[LinearAtom], n: int
-) -> list[tuple[GammaCell, tuple[int, ...], int]]:
-    """:func:`arrangement` with each sample as numerators over one denominator."""
-    if n == 0:
-        return [(GammaCell((), ()), (), 1)]
-    blist, scale, rows, base = _lift(atoms_, n)
-    out = []
-    for cell, nums, den in base:
-        values, reps, _ = _order(blist, rows, nums, den)
-        one = scale * den
-        prefix = tuple(2 * scale * x for x in nums)
-        for p in range(2 * len(values) + 1):
-            i, spec = _stratum(reps, p)
-            stratum = GammaCell(cell.signature + (i,), cell.bounds + (spec,))
-            out.append((stratum, prefix + (_stratum_sample(values, p, one),), 2 * one))
-    return out
+#: The arrangement of Q^0: its one cell, with the empty sample.
+_ORIGIN = ((GammaCell((), ()), (), 1),)
 
 
 def arrangement(
-    atoms_: Sequence[LinearAtom], n: int
-) -> list[tuple[GammaCell, Point]]:
-    """Partition Q^n into cells on which every atom has constant truth.
+    atoms_: Sequence[LinearAtom], n: int, f: Formula
+) -> list[tuple[GammaCell, tuple[int, ...], int]]:
+    """The strata of the arrangement of ``atoms_`` in Q^n on which ``f`` holds.
 
-    Each cell comes with its sample point, carried up the lifting: the
-    sample of a stratum is built from the bound values at the base sample,
-    so it equals :meth:`GammaCell.sample` of the cell.  The lifting carries
-    it in integers; only this result is read as ``Fraction``s.
+    Each comes as ``(cell, nums, den)``, its sample ``nums / den`` with
+    ``den > 0``.  The last coordinate is sliced along the bounds solved out
+    of the atoms with x_n, over the base arrangement of Q^(n-1): this
+    routine again, with ``f = Bool(True)`` so that it keeps every stratum
+    (for n = 1, the one cell of Q^0), on the atoms without x_n and one
+    ``=`` row of each difference of two bounds.  That row pins the order
+    of the bounds on every base cell; the base needs their bounds, not
+    their relations.  The atoms of ``f``, all among ``atoms_``, have
+    constant truth on each stratum, read for all strata over a base cell
+    at once: an atom without x_n by its value at the base sample, and an
+    atom with x_n by the sign of x_n minus its bound, negative on the
+    strata below that bound's graph, zero on it and positive above, as
+    the strata lie in the order of the bound values at the base sample.
+    With one bit per stratum, ``f`` is evaluated once per base cell.
+    Output order is deterministic: base cells in recursive order, strata
+    bottom to top.
     """
-    return [
-        (cell, tuple(Fraction(x, den) for x in nums))
-        for cell, nums, den in _arrangement(atoms_, n)
-    ]
-
-
-def cell_decompose(f: Formula) -> list[GammaCell]:
-    """Partition the set of ``f`` into pairwise disjoint cells.
-
-    The cells are those of the arrangement of the atoms of ``f`` on which
-    ``f`` is true.  Every atom has constant truth on a cell, so truth is
-    decided per base cell while lifting, for all strata above it at once:
-    an atom without x_n by its value at the base sample, and an atom with
-    x_n by the sign of x_n minus its bound, which is negative on the
-    strata below the graph of that bound, zero on it and positive above,
-    since the strata lie in the order of the bound values at the base
-    sample.  This is exactly the truth of the atom at each cell's sample
-    point.  With one bit per stratum, ``f`` is evaluated once per base
-    cell, and only the kept cells are built.  The returned cells cover
-    exactly the set of ``f``; output order is deterministic (base cells in
-    recursive order, strata bottom to top).
-    """
-    n = f.arity
     if n == 0:
-        return [GammaCell((), ())] if f.holds(()) else []
+        return list(_ORIGIN) if f.holds(()) else []
     j = n - 1
-    atoms_ = sorted(f.atoms(), key=LinearAtom.key)
-    blist, _, rows, base = _lift(atoms_, n)
-    index = {b: k for k, b in enumerate(blist)}
-    flat = [a for a in atoms_ if a.coeffs[j] == 0]
-    # Each atom with x_n, its bound, and whether it holds where x_n minus
-    # that bound is negative, zero and positive: the atom is c * (x_n -
-    # bound) REL 0, c its x_n coefficient.
-    lifted = []
+    wanted = f.atoms()
+    solved: dict[LinearAtom, AffineBound] = {}
+    base_atoms: set[LinearAtom] = set()
+    flat = []
     for a in atoms_:
-        c = a.coeffs[j]
-        if c != 0:
-            k = index[_bound_from_atom(a, j)]
-            holds = COMPARE[a.rel]
-            lifted.append((a, k, holds(-c, 0), holds(0, 0), holds(c, 0)))
+        if a.coeffs[j]:
+            solved[a] = _bound_from_atom(a, j)
+        else:
+            base_atoms.add(LinearAtom(a.coeffs[:j], a.rel, a.rhs))
+            if a in wanted:
+                flat.append(a)
+    blist = sorted(set(solved.values()), key=AffineBound.key)
+    # Over Q^0 every comparison is a constant, and its one cell is the base.
+    base = _ORIGIN
+    if j:
+        for b1, b2 in combinations(blist, 2):
+            coeffs, rhs = _difference(b1, b2)
+            if any(coeffs):
+                base_atoms.add(LinearAtom(coeffs, EQ, rhs))
+        base = arrangement(sorted(base_atoms, key=LinearAtom.key), j, Bool(True, j))
+    scale, rows = _scaled_rows(blist)
+    index = {b: k for k, b in enumerate(blist)}
+    # Each atom of f with x_n, its bound, and whether it holds where x_n
+    # minus that bound is negative, zero and positive: the atom is
+    # c * (x_n - bound) REL 0, c its x_n coefficient.
+    lifted = []
+    for a, b in solved.items():
+        if a in wanted:
+            c, holds = a.coeffs[j], COMPARE[a.rel]
+            lifted.append((a, index[b], holds(-c, 0), holds(0, 0), holds(c, 0)))
     out = []
     for cell, nums, den in base:
         values, reps, slots = _order(blist, rows, nums, den)
@@ -456,11 +408,27 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
             below, above = on - 1, full ^ (2 * on - 1)
             masks[a] = (below if neg else 0) | (on if zero else 0) | (above if pos else 0)
         kept = evaluate(f, masks.__getitem__, full)
+        if not kept:
+            continue
+        one = scale * den
+        prefix = tuple(2 * scale * x for x in nums)
         for p in range(top + 1):
             if kept >> p & 1:
                 i, spec = _stratum(reps, p)
-                out.append(GammaCell(cell.signature + (i,), cell.bounds + (spec,)))
+                stratum = GammaCell(cell.signature + (i,), cell.bounds + (spec,))
+                out.append((stratum, prefix + (_stratum_sample(values, p, one),), 2 * one))
     return out
+
+
+def cell_decompose(f: Formula) -> list[GammaCell]:
+    """Partition the set of ``f`` into pairwise disjoint cells.
+
+    The cells are the strata of the arrangement of the atoms of ``f`` on
+    which ``f`` holds (:func:`arrangement`), so they cover exactly the set
+    of ``f``.
+    """
+    atoms_ = sorted(f.atoms(), key=LinearAtom.key)
+    return [cell for cell, _, _ in arrangement(atoms_, f.arity, f)]
 
 
 def has_interior(b: BasicSet) -> bool:

@@ -414,7 +414,8 @@ def filtered_arrangement(f: sl.Formula) -> list[sl.GammaCell]:
     route is independent of how :func:`sl.cell_decompose` decides truth.
     """
     atoms = sorted(f.atoms(), key=sl.LinearAtom.key)
-    return [c for c, _ in sl_cells.arrangement(atoms, f.arity) if f.holds(c.sample())]
+    strata = sl_cells.arrangement(atoms, f.arity, sl.Bool(True, f.arity))
+    return [c for c, _, _ in strata if f.holds(c.sample())]
 
 
 def _rank(matrix: list[tuple[int, ...]]) -> int:

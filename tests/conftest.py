@@ -12,6 +12,5 @@ def no_cells(monkeypatch):
         raise AssertionError("cell decomposition was built")
 
     monkeypatch.setattr(cells, "arrangement", refuse)
-    monkeypatch.setattr(cells, "_lift", refuse)
     monkeypatch.setattr(cells, "cell_decompose", refuse)
     monkeypatch.setattr(sl, "cell_decompose", refuse)

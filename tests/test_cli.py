@@ -82,6 +82,14 @@ class TestLowerset:
         assert json.loads(out) == {"maxima": triples}
         assert elapsed < 1.0
 
+    @pytest.mark.parametrize(
+        "text", ["[[1413,0,0]]", "[[1000000,0]]", "[[0,2],[999999,1]]", f"[[{'9' * 400},0]]"]
+    )
+    def test_shift_past_the_point_limit_exit_3(self, capsys, text):
+        code, out, err = run(capsys, "lowerset", "shift", text)
+        assert (code, out) == (3, "")
+        assert err == "error: a shift closure of more than 1000000 points is not built\n"
+
     def test_render_of_a_long_antichain_is_quick(self, capsys):
         text = json.dumps([[k, 300 - k] for k in range(301)])
         start = time.monotonic()
@@ -465,6 +473,16 @@ class TestLongLiterals:
         code, out, _ = run(capsys, "lowerset", "dimnat", f"[[{n},0]]")
         assert (code, out) == (0, n + "\n")
 
+    @pytest.mark.skipif(LONG is None, reason="no integer digit limit on this interpreter")
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_lowerset_past_the_limit_exit_3(self, capsys, fmt):
+        n = self.LONG[1:]
+        code, out, err = run(capsys, "lowerset", "add", "--format", fmt, f"[[{n},0]]", f"[[{n},0]]")
+        assert (code, out) == (3, "")
+        assert err == f"error: a dimension of more than {len(n)} digits is not printed\n"
+        code, out, _ = run(capsys, "lowerset", "add", "--format", fmt, f"[[{n},0]]", "[[0,1]]")
+        assert code == 0 and n in out
+
 
 class TestUsageErrors:
     """A usage error is a parse error: exit 2 and one stderr line, returned from ``main``."""
@@ -497,10 +515,18 @@ class TestUsageErrors:
 
 
 class TestRecursionLimit:
-    """Work nested past the recursion limit exits 3, not with a traceback."""
+    """Work nested past the recursion limit exits 3, not with a traceback.
+
+    The cell decomposition recurses once per variable, so as many
+    variables as the limit always nest past it.
+    """
 
     @pytest.mark.parametrize(
-        "argv", [("gamma", "cells", "x1 < 1", "-n", "500"), ("mixed", "cells", "g1 < 1", "-n", "1500")]
+        "argv",
+        [
+            ("gamma", "cells", "x1 < 1", "-n", str(sys.getrecursionlimit())),
+            ("mixed", "cells", "g1 < 1", "-n", "1500"),
+        ],
     )
     def test_past_the_limit_exit_3(self, capsys, argv):
         code, out, err = run(capsys, *argv)

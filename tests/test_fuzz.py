@@ -7,9 +7,11 @@ near and past ``MAX_NESTING``.  Every case is one ``cli.main`` call in this proc
 Its exit code must be 0, 2 (parse error) or 3 (semantic error), never 4
 (internal error), and a failing call writes exactly one line to stderr.
 
-The text follows ``--`` so that argparse never reads it as an option.
-Lower-set mutations insert no digits: ``shift`` does work that grows with
-the values of the coordinates, which is not what is tested here.
+In three cases of four the text follows ``--``, so that argparse never
+reads it as an option.  In the fourth it stands alone after up to two
+added dashes, so argparse may read it as an option: usage errors are
+fuzzed too.  Lower-set mutations insert digits as well, since ``shift``
+refuses a closure of more than ``MAX_POINTS`` generators.
 """
 
 import random
@@ -68,7 +70,7 @@ FAMILIES = {
         for op in ("hypersurface", "check-pure")
     ] + [(("trop", "image", "--map", "1,1"), GAMMA_TEXTS[:3], "x120<=&|()- ")],
     "lowerset": [
-        (("lowerset", op), LOWERSET_TEXTS, "[],- x")
+        (("lowerset", op), LOWERSET_TEXTS, "[],- x0123456789")
         for op in ("closure", "shift", "dimnat", "render")
     ],
 }
@@ -104,16 +106,17 @@ def grow(rng: random.Random, text: str) -> str:
     return "!" * depth + text
 
 
-def mutate(rng: random.Random, text: str, alphabet: str) -> str:
-    """``text`` after up to two small edits and, one time in four, a growth.
+def mutate(rng: random.Random, text: str, alphabet: str, dashes: int = 0) -> str:
+    """``text`` after up to two small edits, one time in four a growth, then ``dashes`` dashes.
 
-    The growth comes last, so no edit can cut a long literal back under
-    the limit.
+    The growth comes after the edits, so no edit can cut a long literal
+    back under the limit.
     """
     for _ in range(rng.randint(0, 2)):
         text = edit(rng, text, alphabet)
     if rng.random() < 0.25:
         text = grow(rng, text)
+    text = "-" * dashes + text
     # "-" alone would read stdin
     return "" if text == "-" else text
 
@@ -124,10 +127,11 @@ def test_exit_codes_hold_under_mutation(capsys, family):
     commands = FAMILIES[family]
     for case in range(300):
         head, texts, alphabet = rng.choice(commands)
-        text = mutate(rng, rng.choice(texts), alphabet)
-        code = cli.main([*head, "--", text])
+        guard = ["--"] if rng.random() < 0.75 else []
+        text = mutate(rng, rng.choice(texts), alphabet, 0 if guard else rng.randint(0, 2))
+        code = cli.main([*head, *guard, text])
         out, err = capsys.readouterr()
-        where = f"case {case}: {' '.join(head)} {text[:80]!r}"
+        where = f"case {case}: {' '.join([*head, *guard])} {text[:80]!r}"
         assert code in (0, 2, 3), f"{where} exited {code}: {err.strip()[:200]}"
         if code:
             assert err.count("\n") == 1 and err.endswith("\n"), f"{where}: {err[:300]!r}"

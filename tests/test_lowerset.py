@@ -1,10 +1,12 @@
 import random
+import time
 from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from valdim import lowerset
 from valdim.lowerset import (
     NEG_INF,
     _antichain,
@@ -179,6 +181,53 @@ class TestShiftClosure3:
                         nxt.add(q)
             frontier = nxt
         assert shift_closure3(a).points() == pts
+
+
+def shift_fixpoint(a):
+    """The shift closure by single moves to a fixpoint, from the maxima."""
+    w = a.width
+    moves = [(-1,) + tuple(int(i == j) for i in range(w - 1)) for j in range(w - 1)]
+    gens, frontier = set(a.maxima), set(a.maxima)
+    while frontier:
+        frontier = {
+            q for p in frontier for m in moves
+            for q in [tuple(c + d for c, d in zip(p, m))] if q[0] >= 0
+        } - gens
+        gens |= frontier
+    return lower_closure(gens)
+
+
+class TestShiftBound:
+    """One generator rule for both widths, refused past ``MAX_POINTS`` generators."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_single_move_fixpoint(self, seed):
+        rng = random.Random(seed)
+        for _ in range(25):
+            w = rng.choice((2, 3))
+            a = lower_closure(
+                [tuple(rng.randint(0, 9) for _ in range(w)) for _ in range(rng.randint(1, 5))]
+            )
+            assert shift_closure(a) == shift_fixpoint(a)
+
+    def test_refused_past_the_limit(self, monkeypatch):
+        monkeypatch.setattr(lowerset, "MAX_POINTS", 10)
+        # p generates C(p_1 + w - 1, w - 1) points, summed over the maxima
+        assert len(shift_closure(principal((9, 0))).maxima) == 10
+        assert len(shift_closure(principal((3, 0, 0))).maxima) == 10
+        two = shift_closure(lower_closure([(4, 0), (0, 9)]))
+        assert two == lower_closure([(0, 9), (1, 3), (2, 2), (3, 1), (4, 0)])
+        for a in (principal((10, 0)), principal((4, 0, 0)), lower_closure([(5, 0), (4, 1)])):
+            with pytest.raises(ValueError, match="more than 10 points"):
+                shift_closure(a)
+
+    def test_a_large_n3_shift_is_quick(self):
+        start = time.monotonic()
+        s = shift_closure3(principal((140, 0, 0)))
+        assert len(s.maxima) == 141 * 142 // 2
+        assert time.monotonic() - start < 1.0
+        with pytest.raises(ValueError, match="points is not built"):
+            shift_closure3(principal((10**50, 0, 0)))
 
 
 class TestDimNat:

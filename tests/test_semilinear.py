@@ -13,6 +13,12 @@ from valdim.semilinear import cells, elimination
 from valdim.semilinear.cells import arrangement
 
 
+def samples(atoms, n, f=None):
+    """The strata of :func:`arrangement`, all unless ``f`` is given, with Fraction samples."""
+    strata = arrangement(atoms, n, sl.Bool(True, n) if f is None else f)
+    return [(cell, tuple(F(x, den) for x in nums)) for cell, nums, den in strata]
+
+
 def grid(lo, hi, denom):
     return [F(i, denom) for i in range(lo * denom, hi * denom + 1)]
 
@@ -363,7 +369,9 @@ class TestCellTruthFromLifting:
             assert cells == verify.filtered_arrangement(f), sl.formula_to_dsl(f)
             kept += len(cells)
             atoms = sorted(f.atoms(), key=sl.LinearAtom.key)
-            assert all(s == c.sample() for c, s in arrangement(atoms, f.arity))
+            assert all(s == c.sample() for c, s in samples(atoms, f.arity))
+            # the strata kept for f carry their samples too
+            assert [(c, c.sample()) for c in cells] == samples(atoms, f.arity, f)
         assert kept > 0
 
     def test_arity_zero(self):
@@ -784,7 +792,7 @@ class TestIntegerKernel:
 
     @staticmethod
     def seeded_bounds(seed):
-        """A point over a common denominator, and bounds key-sorted as ``_lift`` sorts them."""
+        """A point over a common denominator, and bounds key-sorted as the lifting sorts them."""
         rng = random.Random(seed)
         j = rng.randint(0, 3)
         point = tuple(F(rng.randint(-12, 12), rng.randint(2, 6)) for _ in range(j))
@@ -845,9 +853,7 @@ class TestIntegerKernel:
     @pytest.mark.parametrize("seed", range(40))
     def test_carried_samples_are_the_cell_samples(self, seed):
         atoms, n = self.seeded_atoms(seed)
-        carried = cells._arrangement(atoms, n)
-        assert [c for c, _, _ in carried] == [c for c, _ in arrangement(atoms, n)]
-        for cell, nums, den in carried:
+        for cell, nums, den in arrangement(atoms, n, sl.Bool(True, n)):
             assert den > 0 and all(type(x) is int for x in nums)
             s = tuple(F(x, den) for x in nums)
             assert s == cell.sample() == fraction_sample(cell)
@@ -857,7 +863,7 @@ class TestIntegerKernel:
         atoms, n = self.seeded_atoms(seed)
         rng = random.Random(seed)
         verdicts = set()
-        for cell, s in arrangement(atoms, n):
+        for cell, s in samples(atoms, n):
             points = [s]
             for k, (i, spec) in enumerate(zip(cell.signature, cell.bounds)):
                 ends = [spec] if i == 0 else [e for e in spec if e is not None]

@@ -167,11 +167,7 @@ def _run_mixed(args) -> int:
 
     f = mc.parse_mixed_formula(_read_arg(args.formula), args.nvars)
     if args.op == "dim":
-        d = mc.mixed_dimension(f)
-        if args.format == "json":
-            print(d.to_json())
-        else:
-            print("(empty)" if d.is_empty() else " ".join(str(p) for p in d.maxima))
+        print(_emit_lowerset(mc.mixed_dimension(f), args.format))
     elif args.op == "cells":
         cells = mc.mixed_cell_decompose(f)
         if args.format == "json":
@@ -345,10 +341,7 @@ def main(argv: list[str] | None = None) -> int:
     except ParseError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except SemanticError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_SEMANTIC
-    except ValueError as exc:
+    except ValueError as exc:  # SemanticError included
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SEMANTIC
     except RecursionError:

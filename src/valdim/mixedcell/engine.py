@@ -3,14 +3,16 @@
 The engine reduces every mixed formula to group-sort reasoning: the
 valued line is partitioned by :func:`monomial_decompose` so each
 valuation term becomes affine in the radius coordinate rho = v(x - c);
-on each piece the formula turns into a linear formula over
-(rho, gamma_1, ..., gamma_n) which is decomposed fiberwise, rho acting
-as the base-linked coordinate.  Zero loci of the tracked polynomials are
-resolved into explicit point pieces first, so the infinite valuation
-never reaches the group-sort engine.
+on each piece the formula turns into a linear formula over k radius
+coordinates and then gamma_1, ..., gamma_n, k the piece's dimension:
+(rho, gamma) on a sphere or an annulus, rho acting as the base-linked
+coordinate, and gamma alone at a point.  Every reader slices at k.
+Zero loci of the tracked polynomials are resolved into explicit point
+pieces first, so the infinite valuation never reaches the group-sort
+engine.
 
-A mixed cell is a piece of the line together with a group-sort cell over
-(rho, gamma); its dimension is the pair (piece dimension, sum of the
+A mixed cell is a piece of the line together with a group-sort cell in
+that layout; its dimension is the pair (piece dimension, sum of the
 gamma signature), and the mixed dimension of a set is the lower set
 generated by its cells' dimension pairs.  :func:`mixed_dimension`
 computes that lower set without building cells, from the signature of
@@ -41,16 +43,16 @@ from .puiseux import INFINITY, PuiseuxElement
 
 @dataclass(frozen=True)
 class MixedCell:
-    """A swiss piece with a group-sort cell over (rho, gamma) above it.
+    """A swiss piece with a group-sort cell above it.
 
-    For a non-point piece the fiber cell's first coordinate is the
-    base-linked radius rho; its remaining coordinates are the gamma
-    variables.  For a point piece the fiber is a plain gamma cell.
+    The fiber's first ``kdim`` coordinates are the radius rho: one for a
+    sphere or an annulus, whose base-linked coordinate it is, and none at
+    a point, where rho is infinite.  The gamma coordinates follow, and
+    every reader slices the fiber at ``kdim``.
     """
 
     piece: SwissPiece
     fiber: sl.GammaCell
-    n_gamma: int
 
     @property
     def kdim(self) -> int:
@@ -58,9 +60,7 @@ class MixedCell:
 
     @property
     def gamma_signature(self) -> tuple[int, ...]:
-        if self.piece.kind == "points":
-            return self.fiber.signature
-        return self.fiber.signature[1:]
+        return self.fiber.signature[self.kdim:]
 
     def dim_pair(self) -> tuple[int, int]:
         return (self.kdim, sum(self.gamma_signature))
@@ -68,60 +68,38 @@ class MixedCell:
     def contains(self, x: PuiseuxElement, gamma: Sequence[Fraction]) -> bool:
         if not self.piece.contains(x):
             return False
-        if self.piece.kind == "points":
-            return self.fiber.contains(tuple(gamma))
-        rho = self.piece.rho_of(x)
-        return self.fiber.contains((rho, *gamma))
+        return self.fiber.contains((self.piece.rho_of(x),) * self.kdim + tuple(gamma))
 
     def sample(self) -> tuple[PuiseuxElement, tuple[Fraction, ...]]:
-        """A member (x, gamma) of the cell."""
+        """A member (x, gamma) of the cell; on a sphere the fiber pins rho to its radius."""
         point = self.fiber.sample()
-        if self.piece.kind == "points":
-            return self.piece.sample(), point
-        rho = point[0]
-        if self.piece.kind == "sphere":
-            return self.piece.sample(), point[1:]
-        return self.piece.sample(rho=rho), point[1:]
+        k = self.kdim
+        return self.piece.sample(*point[:k]), point[k:]
 
     def gamma_projection(self) -> sl.Formula:
-        """Exact projection of the cell to the gamma coordinates."""
-        if self.piece.kind == "points":
-            return self.fiber.to_basicset().to_formula()
+        """Exact projection of the cell, never empty, to the gamma coordinates."""
         b = self.fiber.to_basicset()
-        p = sl.project_basic(b, list(range(1, self.n_gamma + 1)))
-        if p is None:
-            return sl.Bool(False, self.n_gamma)
-        return p.to_formula()
+        return sl.project_basic(b, range(self.kdim, b.arity)).to_formula()
 
 
-def _atom_on_piece(
-    a: MixedAtom,
-    mv: MonomialValuation | None,
-    n: int,
-    at_point: bool,
-) -> sl.Formula:
-    """Translate one mixed atom into a linear formula on one piece.
+def _atom_on_piece(a: MixedAtom, mv: MonomialValuation | None, n: int, k: int) -> sl.Formula:
+    """Translate one mixed atom into a linear formula over (rho,)*k + gamma on one piece.
 
     ``mv`` is the valuation of the atom's polynomial on the piece (None
-    for a pure group atom).  Non-point pieces get arity n+1 with rho
-    first; point pieces get arity n (and resolve infinite valuations to
-    constants).
+    for a pure group atom) and ``k`` the piece's dimension.  The term
+    ``weight * mv`` is ``weight * slope`` times rho plus ``weight *
+    const``; a pure group atom has neither.  Only at a point (k = 0) with
+    a positive slope is the valuation infinite, and the atom is then
+    decided by :meth:`MixedAtom.at_infinity`.
     """
-    arity = n if at_point else n + 1
-    if a.weight != 0 and at_point:
-        v = mv.value(INFINITY)
-        if v is INFINITY:
-            return sl.Bool(a.at_infinity(), arity)
-    # From here the left side is finite: off the point pieces every tracked
-    # valuation is finite, and at a point piece v was checked above.
+    if k == 0 and a.weight and mv.slope:
+        return sl.Bool(a.at_infinity(), n)
+    # From here the left side is finite.
     if a.rhs is INFINITY:
-        return sl.Bool(COMPARE[a.rel](0, INFINITY), arity)
-    if a.weight == 0:
-        coeffs = a.gcoeffs if at_point else (0, *a.gcoeffs)
-        return sl.atom(coeffs, a.rel, a.rhs)
-    if at_point:
-        return sl.atom(a.gcoeffs, a.rel, a.rhs - a.weight * v)
-    coeffs = (a.weight * mv.slope, *a.gcoeffs)
+        return sl.Bool(COMPARE[a.rel](0, INFINITY), n + k)
+    if not a.weight:
+        return sl.atom((0,) * k + a.gcoeffs, a.rel, a.rhs)
+    coeffs = (a.weight * mv.slope,) * k + a.gcoeffs
     return sl.atom(coeffs, a.rel, a.rhs - a.weight * mv.const)
 
 
@@ -141,14 +119,14 @@ def _rho_constraints(piece: SwissPiece, n: int) -> list[sl.Formula]:
 def piece_formulas(
     f: Formula,
 ) -> tuple[tuple[SwissPiece, sl.Formula], ...]:
-    """Per-piece linear formulas over (rho, gamma) or gamma (point pieces).
+    """Per-piece linear formulas over ``(rho,) * k + gamma``, k the piece dimension.
 
     The conjunction of the translated formula with the piece's radius
     window; together the pairs describe the set of ``f`` exactly.  The
     pairs are built on the first call and kept on ``f`` outside its
     fields, so they take no part in its equality, hash or repr.  A pure
-    group atom reads no valuation, so it is translated once for the point
-    pieces and once for the others.
+    group atom reads no valuation, so it is translated once for each piece
+    dimension.
     """
     kept = getattr(f, "_pieces", None)
     if kept is not None:
@@ -156,22 +134,22 @@ def piece_formulas(
     n = f.arity
     tracked = polys(f)
     position = {a: tracked.index(a.poly) for a in f.atoms() if a.weight}
-    # images of the weight-0 atoms, off and on the point pieces
+    # images of the weight-0 atoms, keyed by the piece dimension
     group: tuple[dict, dict] = ({}, {})
     out = []
     for piece, vals in monomial_decompose(tracked):
-        at_point = piece.kind == "points"
-        images = group[at_point]
+        k = piece_k_dimension(piece)
+        images = group[k]
 
         def on_piece(a: MixedAtom) -> sl.Formula:
             if a.weight:
-                return _atom_on_piece(a, vals[position[a]], n, at_point)
+                return _atom_on_piece(a, vals[position[a]], n, k)
             if a not in images:
-                images[a] = _atom_on_piece(a, None, n, at_point)
+                images[a] = _atom_on_piece(a, None, n, k)
             return images[a]
 
-        g = map_atoms(f, on_piece, n if at_point else n + 1)
-        if not at_point:
+        g = map_atoms(f, on_piece, n + k)
+        if k:
             g = sl.And.of(g, *_rho_constraints(piece, n))
         out.append((piece, g))
     kept = tuple(out)
@@ -182,7 +160,7 @@ def piece_formulas(
 def mixed_cell_decompose(f: Formula) -> list[MixedCell]:
     """Partition the set of ``f`` into mixed cells, grouped by piece."""
     return [
-        MixedCell(piece, cell, f.arity)
+        MixedCell(piece, cell)
         for piece, g in piece_formulas(f)
         for cell in sl.cell_decompose(g)
     ]
@@ -191,14 +169,14 @@ def mixed_cell_decompose(f: Formula) -> list[MixedCell]:
 def mixed_dimension(f: Formula) -> LowerSet:
     """The lower set generated by the dimension pairs of the cells, without cells.
 
-    Each DNF disjunct P of a piece formula contributes (0, dim P) on a
-    point piece and (1, s) on any other piece, s being the sum of the
-    signature bits of P after the radius rho.  That is the largest
-    dimension of a gamma-fiber of P.  Proof: rho is coordinate 0, so the
-    back-substitution of :func:`sl.basic_signature` picks rho first, in
-    the relative interior of the projection pi P, and then a point of the
-    relative interior of the fiber above it (Rockafellar, Convex
-    Analysis, Thm 6.8).  The bits after rho sum to dim P - dim pi P, the
+    Each DNF disjunct P of a piece formula contributes (k, s), k the
+    piece dimension and s the sum of the signature bits of P after its k
+    radius coordinates.  At a point (k = 0) s is dim P.  Otherwise s is
+    the largest dimension of a gamma-fiber of P.  Proof: rho is
+    coordinate 0, so the back-substitution of :func:`sl.basic_signature`
+    picks rho first, in the relative interior of the projection pi P, and
+    then a point of the relative interior of the fiber above it
+    (Rockafellar, Convex Analysis, Thm 6.8).  The bits after rho sum to dim P - dim pi P, the
     fiber dimension above any relative-interior rho; no fiber is larger,
     since every fiber lies in a translate of the kernel of pi on the
     direction space of the affine hull of P.  Fibers of a union are
@@ -209,12 +187,9 @@ def mixed_dimension(f: Formula) -> LowerSet:
     """
     pairs = set()
     for piece, g in piece_formulas(f):
+        k = piece_k_dimension(piece)
         for p in sl.normalize_dnf(g):
-            sig = sl.basic_signature(p)
-            if piece.kind == "points":
-                pairs.add((0, sum(sig)))
-            else:
-                pairs.add((1, sum(sig[1:])))
+            pairs.add((k, sum(sl.basic_signature(p)[k:])))
     return lower_closure(pairs)
 
 
@@ -223,10 +198,8 @@ def project_to_gamma(f: Formula) -> sl.Formula:
     n = f.arity
     parts = []
     for piece, g in piece_formulas(f):
-        if piece.kind == "points":
-            parts.append(g)
-        else:
-            parts.append(sl.project(g, list(range(1, n + 1))))
+        k = piece_k_dimension(piece)
+        parts.append(sl.project(g, list(range(k, n + k))) if k else g)
     if not parts:
         return sl.Bool(False, n)
     return sl.Or.of(*parts)

@@ -17,10 +17,8 @@ characterization by interior-carrying projections is kept as
 
 from .atoms import (
     EQ,
-    FALSE,
     LE,
     LT,
-    TRUE,
     And,
     Atom,
     BasicSet,
@@ -53,7 +51,7 @@ from .parser import parse_formula
 from .topology import closure, is_polyhedral
 
 __all__ = [
-    "EQ", "FALSE", "LE", "LT", "TRUE",
+    "EQ", "LE", "LT",
     "And", "Atom", "BasicSet", "Bool", "Formula",
     "LinearAtom", "Not", "Or", "atom", "embed", "formula_to_dsl",
     "negate_atom", "normalize_dnf",

@@ -127,10 +127,6 @@ class LinearAtom(tuple):
         return f"{' '.join(parts)} {rel} {Fraction(rhs, g)}"
 
 
-TRUE = Bool(True)
-FALSE = Bool(False)
-
-
 def normal_rows(coeffs: tuple, rel: str, rhs) -> list[tuple]:
     """The rows ``(coeffs, rel, rhs)``, rel in {<, <=, =}, whose disjunction is the comparison.
 

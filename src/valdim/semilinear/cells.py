@@ -28,8 +28,11 @@ scaled once by ``L // div``, so its value at the sample is one integer
 over ``L * den`` and the bounds are ordered by sorting integers.  The
 strata samples are integers over ``2 * L * den``, the prefix numerators
 scaled to match, and an atom without x_n holds where ``sum(c * num) REL
-rhs * den``.  :meth:`GammaCell.sample` and :meth:`GammaCell.contains`
-evaluate the same way, and ``sample`` reads its result as ``Fraction``s.
+rhs * den``.  A cell read on its own does not use that kernel:
+:meth:`GammaCell.sample` and :meth:`GammaCell.contains` evaluate its
+bounds in ``Fraction``s with :meth:`AffineBound.value`, the arithmetic of
+:meth:`LinearAtom.holds`, so they are a second route to the samples the
+lifting carries.
 
 Cells are built only when a caller asks for them.  :func:`dimension`
 works on the DNF, reading each disjunct's signature off one
@@ -56,6 +59,7 @@ from .atoms import (
     Formula,
     LinearAtom,
     atom,
+    between,
     normalize_dnf,
 )
 from .elimination import basic_dimension, is_empty, project_basic
@@ -103,14 +107,6 @@ class AffineBound(tuple):
         return (tuple(c // g for c in coeffs), Fraction(const, g), div // g)
 
 
-def _at(coeffs: Sequence[int], const: int, nums: Sequence[int], den: int) -> int:
-    """``coeffs . x + const`` at the point ``x = nums / den``, times ``den``."""
-    acc = const * den
-    for c, x in zip(coeffs, nums):
-        acc += c * x
-    return acc
-
-
 #: A band end: an AffineBound, or None for an open end.
 Bound = AffineBound | None
 #: Per-coordinate data: an AffineBound for a graph coordinate, or a
@@ -136,40 +132,25 @@ class GammaCell(tuple):
         return sum(self.signature)
 
     def sample(self) -> tuple[Fraction, ...]:
-        """A point of the cell, built coordinate by coordinate.
-
-        It is carried in integers as the lifting carries it (each stratum
-        sample over twice the lcm of its bound divisors times the base
-        denominator) and read as ``Fraction``s at the end.
-        """
-        nums: tuple[int, ...] = ()
-        den = 1
+        """A point of the cell: a graph's value, or :func:`between` a band's end values."""
+        point: tuple[Fraction, ...] = ()
         for i, spec in zip(self.signature, self.bounds):
-            ends = (spec,) if i == 0 else tuple(e for e in spec if e is not None)
-            scale, rows = _scaled_rows(ends)
-            # the cell's stratum among its own ends: on the graph, above the
-            # lower end, or below the upper end (or anywhere) when none is below
-            p = 1 if i == 0 else (0 if spec[0] is None else 2)
-            values = [_at(coeffs, const, nums, den) for coeffs, const in rows]
-            x = _stratum_sample(values, p, scale * den)
-            nums = tuple(2 * scale * v for v in nums) + (x,)
-            den *= 2 * scale
-        return tuple(Fraction(v, den) for v in nums)
+            x = spec.value(point) if i == 0 else between(*(e and e.value(point) for e in spec))
+            point += (x,)
+        return point
 
     def contains(self, point: Sequence[Fraction]) -> bool:
-        den = lcm(*(v.denominator for v in point))
-        nums = [v.numerator * (den // v.denominator) for v in point]
         for k, (i, spec) in enumerate(zip(self.signature, self.bounds)):
-            # compare x_k with each bound b at the prefix, both times b.div * den
-            x = nums[k]
+            # each bound reads only the coordinates before x_k
+            x = point[k]
             if i == 0:
-                if x * spec.div != _at(spec.coeffs, spec.const, nums, den):
+                if x != spec.value(point):
                     return False
             else:
                 lo, hi = spec
-                if lo is not None and not _at(lo.coeffs, lo.const, nums, den) < x * lo.div:
+                if lo is not None and not lo.value(point) < x:
                     return False
-                if hi is not None and not x * hi.div < _at(hi.coeffs, hi.const, nums, den):
+                if hi is not None and not x < hi.value(point):
                     return False
         return True
 
@@ -180,13 +161,9 @@ class GammaCell(tuple):
         for k, (i, spec) in enumerate(zip(self.signature, self.bounds)):
             faces = [(EQ, spec)] if i == 0 else [(">", spec[0]), ("<", spec[1])]
             for rel, b in faces:
-                if b is None:
-                    continue
-                coeffs = [0] * n
-                for idx, c in enumerate(b.coeffs):
-                    coeffs[idx] = -c
-                coeffs[k] = b.div
-                atoms.append(atom(coeffs, rel, b.const).atom)
+                if b is not None:
+                    row = (*(-c for c in b.coeffs), b.div) + (0,) * (n - k - 1)
+                    atoms.append(atom(row, rel, b.const).atom)
         return BasicSet(tuple(atoms), n)
 
     def is_consistent(self) -> bool:
@@ -294,7 +271,7 @@ def _order(
     its graph among the strata: value k of m is stratum 2k + 1 of 0 .. 2m,
     and the even strata are the bands between.
     """
-    vals = [_at(coeffs, const, nums, den) for coeffs, const in rows]
+    vals = [const * den + sum(map(mul, coeffs, nums)) for coeffs, const in rows]
     values: list[int] = []
     reps: list[AffineBound] = []
     slots = [0] * len(blist)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .atoms import Formula, embed
-from .cells import AffineBound, cell_decompose
+from .cells import cell_decompose
 
 #: (lo, lo_closed, hi, hi_closed); None stands for the missing endpoint of
 #: a half-line or the full line.
@@ -67,7 +67,7 @@ def one_var_canonical(f: Formula) -> IntervalType:
             v = spec.value(())
             lo, lc, hi, hc = v, True, v, True
         else:
-            lo, hi = (b.value(()) if isinstance(b, AffineBound) else None for b in spec)
+            lo, hi = (b and b.value(()) for b in spec)
             lc = hc = False
         if runs and runs[-1][2] == lo and (runs[-1][3] or lc):
             runs[-1][2:] = hi, hc

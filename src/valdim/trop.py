@@ -20,6 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import semilinear as sl
+from .boolean import Grammar
 from .errors import ParseError, SemanticError
 from .lowerset import NEG_INF
 from .semilinear.elimination import negate_row, rows_infeasible
@@ -115,30 +116,17 @@ def point_on_trop(p: TropPoly, x: Sequence[Fraction]) -> bool:
     return len(values) > 1 and values[0] == values[1]
 
 
-def _pair_face(p: TropPoly, i: int, j: int) -> sl.BasicSet | None:
+def _pair_face(p: TropPoly, i: int, j: int) -> sl.BasicSet:
     """Tie locus of terms i and j where both attain the global minimum.
 
-    None when the locus is syntactically void (equal-weight comparison of
-    identical linear parts can only arise between distinct exponents, so
-    a constant-false row decides it).
+    The exponents are distinct, so every row has a nonzero coefficient.
     """
-    n = p.arity
     (ei, wi), (ej, wj) = p.terms[i], p.terms[j]
-    atoms = []
-    eq = sl.atom(tuple(a - b for a, b in zip(ei, ej)), "=", wj - wi)
-    if isinstance(eq, sl.Atom):
-        atoms.append(eq.atom)
-    elif not eq.value:
-        return None
+    atoms = [sl.LinearAtom(tuple(a - b for a, b in zip(ei, ej)), sl.EQ, wj - wi)]
     for k, (ek, wk) in enumerate(p.terms):
-        if k == i:
-            continue
-        le = sl.atom(tuple(a - b for a, b in zip(ei, ek)), "<=", wk - wi)
-        if isinstance(le, sl.Atom):
-            atoms.append(le.atom)
-        elif not le.value:
-            return None
-    return sl.BasicSet(tuple(atoms), n)
+        if k != i:
+            atoms.append(sl.LinearAtom(tuple(a - b for a, b in zip(ei, ek)), sl.LE, wk - wi))
+    return sl.BasicSet(tuple(atoms), p.arity)
 
 
 def _subset(a: sl.BasicSet, b: sl.BasicSet) -> bool:
@@ -160,7 +148,7 @@ def trop_hypersurface(p: TropPoly) -> PolyhedralComplex:
     seen = set()
     for i, j in combinations(range(len(p.terms)), 2):
         b = _pair_face(p, i, j)
-        if b is None or b.atoms in seen or sl.is_empty(b):
+        if b.atoms in seen or sl.is_empty(b):
             continue
         seen.add(b.atoms)
         candidates.append(b)
@@ -172,12 +160,7 @@ def trop_hypersurface(p: TropPoly) -> PolyhedralComplex:
         if any(_subset(b, k) and _subset(k, b) for k in keep):
             continue  # duplicate set under a different presentation
         keep.append(b)
-    faces = []
-    for b in keep:
-        f = Polyhedron.of(b)
-        if f is not None:
-            faces.append(f)
-    return PolyhedralComplex(tuple(faces))
+    return PolyhedralComplex(tuple(Polyhedron.of(b) for b in keep))
 
 
 def pure_dimension_check(c: PolyhedralComplex, d: int) -> bool:
@@ -209,13 +192,31 @@ def trop_image_monomial(domain: sl.Formula, mp: MonomialMap) -> sl.Formula:
     return sl.project(combined, list(range(n, n + k)))
 
 
+def _weight(text: str) -> Fraction:
+    """``['-'] INT ['/' INT]``, or else the valuation of a Puiseux literal."""
+    g = Grammar(text, None)
+    sign = -1 if g.toks.accept("-") else 1
+    t = g.toks.peek()
+    if t is not None and t[0] == "num":
+        w = g.rational()
+        if g.toks.peek() is None:
+            return Fraction(sign * w)
+    from .mixedcell.parser import parse_puiseux
+
+    coeff = parse_puiseux(text)
+    if coeff.is_zero():
+        raise ParseError(f"zero coefficient {text!r} has no weight")
+    return coeff.valuation()
+
+
 def trop_poly_from_text(text: str) -> TropPoly:
     """Parse the weight@(exponents) sum syntax, e.g. ``0@(1,0) + 1/2@(0,1)``.
 
-    A weight may also be a Puiseux literal (``t^2@(0,1)``, ``2*t@(1,0)``),
-    in which case its valuation is taken; plus signs inside such a
-    coefficient are written as ``@`` terms separately, so the literal form
-    covers monomial coefficients.
+    A weight is a rational ``['-'] INT ['/' INT]``, read by the shared
+    tokenizer of the DSLs, or else a Puiseux literal (``t^2@(0,1)``,
+    ``2*t@(1,0)``), in which case its valuation is taken; plus signs
+    inside such a coefficient are written as ``@`` terms separately, so
+    the literal form covers monomial coefficients.
     """
     terms = []
     for chunk in text.split("+"):
@@ -225,18 +226,7 @@ def trop_poly_from_text(text: str) -> TropPoly:
         if "@" not in chunk:
             raise ParseError(f"term {chunk!r} lacks the weight@(exponents) form")
         wtext, etext = chunk.split("@", 1)
-        wtext = wtext.strip()
-        try:
-            w = Fraction(wtext)
-        except ValueError:
-            from .mixedcell.parser import parse_puiseux
-
-            coeff = parse_puiseux(wtext)
-            if coeff.is_zero():
-                raise ParseError(f"zero coefficient {wtext!r} has no weight")
-            w = coeff.valuation()
-        except ZeroDivisionError as exc:
-            raise ParseError(f"bad weight {wtext!r}") from exc
+        w = _weight(wtext.strip())
         etext = etext.strip()
         if not (etext.startswith("(") and etext.endswith(")")):
             raise ParseError(f"exponents in {chunk!r} must be parenthesized")

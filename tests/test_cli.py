@@ -7,6 +7,7 @@ import shlex
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -560,6 +561,26 @@ class TestTrop:
         code, _, err = run(capsys, "trop", "hypersurface", "0@(1,0,0,0)")
         assert code == 3
 
+    @pytest.mark.parametrize("weight", ["1e10000000", "1e3000000", "0.5", "1.5e1", "1_0"])
+    def test_float_style_weight_exit_2_at_once(self, capsys, weight):
+        """Weights are rationals ``['-'] INT ['/' INT]``: no decimal, exponent or underscore."""
+        start = time.perf_counter()
+        code, out, err = run(capsys, "trop", "hypersurface", f"{weight}@(1,0) + 0@(0,1) + 0@(0,0)")
+        assert time.perf_counter() - start < 1
+        assert code == 2 and not out
+        assert err.count("\n") == 1 and err.startswith("parse error: ")
+
+    @pytest.mark.parametrize("spaced, plain", [("1 / 2", "1/2"), ("- 1/2", "-1/2")])
+    def test_weights_read_as_in_the_dsls(self, capsys, spaced, plain):
+        from valdim import trop
+
+        assert trop.trop_poly_from_text(f"{spaced}@(0,0)").terms == (((0, 0), Fraction(plain)),)
+        outs = [
+            run(capsys, "trop", "hypersurface", "--", f"{w}@(1,0) + 0@(0,1) + 0@(0,0)")
+            for w in (spaced, plain)
+        ]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+
 
 class TestInternalError:
     """An exception the CLI does not expect exits 4 with one line, not a traceback."""
@@ -606,6 +627,7 @@ class TestImports:
             (("lowerset", "shift", "[[2,1]]"), "lowerset", ("semilinear", "mixedcell", "trop")),
             (("gamma", "dim", "x1 < x2"), "semilinear", ("mixedcell", "trop")),
             (("trop", "hypersurface", "0@(1,0)+0@(0,1)+0@(0,0)"), "trop", ("mixedcell",)),
+            (("trop", "hypersurface", "--", "-1/2@(1,0)+3@(0,1)+0@(0,0)"), "trop", ("mixedcell",)),
         ],
     )
     def test_command_skips_other_engines(self, argv, engine, absent):

@@ -66,7 +66,7 @@ FAMILIES = {
         for op in ("dim", "cells", "project")
     ],
     "trop": [
-        (("trop", op), TROP_TEXTS, "@(),+-/t^0123 ")
+        (("trop", op), TROP_TEXTS, "@(),+-/t^0123e._ ")
         for op in ("hypersurface", "check-pure")
     ] + [(("trop", "image", "--map", "1,1"), GAMMA_TEXTS[:3], "x120<=&|()- ")],
     "lowerset": [

@@ -859,6 +859,22 @@ class TestIntegerKernel:
             assert s == cell.sample() == fraction_sample(cell)
 
     @pytest.mark.parametrize("seed", range(40))
+    def test_a_cell_reads_itself_without_the_lifting_kernel(self, seed, monkeypatch):
+        atoms, n = self.seeded_atoms(seed)
+        strata = [cell for cell, _, _ in arrangement(atoms, n, sl.Bool(True, n))]
+
+        def refuse(*args):
+            raise AssertionError("a cell read called the lifting kernel")
+
+        for name in ("_scaled_rows", "_order", "_stratum_sample"):
+            monkeypatch.setattr(cells, name, refuse)
+        points = [fraction_sample(c) for c in strata]
+        for cell in strata:
+            assert cell.sample() == fraction_sample(cell)
+            for p in points:
+                assert cell.contains(p) == fraction_contains(cell, p)
+
+    @pytest.mark.parametrize("seed", range(40))
     def test_contains_agrees_on_and_around_each_cell(self, seed):
         atoms, n = self.seeded_atoms(seed)
         rng = random.Random(seed)

@@ -20,6 +20,7 @@ documented in docs/dsl.md:
     sum      :=  ['-'] term (('+'|'-') term)*
     term     :=  RAT ['*' NAME]  |  NAME
     RAT      :=  INT ['/' INT]
+    INT      :=  [0-9]+                   ASCII digits only
 
 A coefficient before a NAME must be an integer.  Each DSL is a subclass
 of ``Grammar`` that says what its NAMEs are and may add atoms of its own.
@@ -216,7 +217,7 @@ def map_atoms(f: Formula, fn: Callable[[Any], Formula], arity: int) -> Formula:
 # Whitespace matches no group, so a scan skips it; any other character
 # no token starts with is ``bad``.
 _TOKEN = re.compile(
-    r"(?P<rel><=|>=|!=|==|<|>|=)|(?P<num>\d+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
+    r"(?P<rel><=|>=|!=|==|<|>|=)|(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
     r"|(?P<punct>[()&|!*/^+-])|(?P<bad>\S)"
 )
 
@@ -459,6 +460,21 @@ class Grammar:
         if d[0] != "num" or integer(d) == 0:
             raise ParseError("expected a nonzero integer denominator", d[2])
         return Fraction(integer(t), integer(d))
+
+
+_SIGNED_INT = re.compile(r"\s*-?[0-9]+\s*")
+
+
+def signed_int(text: str) -> int:
+    """``text`` as ``['-'] INT`` between blanks; ValueError for any other form.
+
+    Numbers outside the DSLs (trop exponents, ``--keep`` and ``--map``
+    entries) read by this rule; ``int`` alone would also take ``+``,
+    ``_`` separators and any Unicode digit.
+    """
+    if _SIGNED_INT.fullmatch(text) is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
 
 
 def integer(t: tuple[str, str, int]) -> int:

@@ -102,8 +102,10 @@ def _run_lowerset(args) -> int:
 
 
 def _parse_keep(text: str, n: int) -> list[int]:
+    from .boolean import signed_int
+
     try:
-        keep = sorted({int(k) - 1 for k in text.split(",") if k.strip()})
+        keep = sorted({signed_int(k) - 1 for k in text.split(",") if k.strip()})
     except ValueError as exc:
         raise ParseError(f"bad --keep list {text!r}") from exc
     if any(k < 0 or k >= n for k in keep):
@@ -184,10 +186,11 @@ def _run_mixed(args) -> int:
 
 def _parse_matrix(text: str):
     from . import trop
+    from .boolean import signed_int
 
     try:
         rows = tuple(
-            tuple(int(e) for e in row.split(",")) for row in text.split(";")
+            tuple(signed_int(e) for e in row.split(",")) for row in text.split(";")
         )
     except ValueError as exc:
         raise ParseError(f"bad matrix {text!r}; rows like '1,0;1,1'") from exc

@@ -42,11 +42,11 @@ Point = tuple[Fraction, ...]
 RatLike = Union[Fraction, int, str]
 
 
-def exact(q: RatLike) -> Fraction:
-    """The right side ``q`` as a Fraction; a float is not exact data."""
+def exact(q: RatLike) -> int | Fraction:
+    """The right side ``q``: an int as it is, else a Fraction; a float is not exact data."""
     if isinstance(q, float):
         raise TypeError(f"right side must be an int, a Fraction or a str, got float {q!r}")
-    return Fraction(q)
+    return q if type(q) is int else Fraction(q)
 
 
 def between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -262,24 +262,21 @@ def _dnf_lists(f: Formula, positive: bool = True) -> list[tuple[LinearAtom, ...]
     raise TypeError(f"not a formula: {f!r}")
 
 
-def normalize_dnf(f: Formula) -> list[BasicSet]:
-    """Disjunctive normal form of ``f`` as a list of basic sets.
+def dnf(f: Formula) -> list[BasicSet]:
+    """The distinct disjuncts of the DNF of ``f``, empty ones included.
 
-    The union of the returned sets equals the set defined by ``f``.
-    Empty disjuncts are pruned (emptiness decided by full elimination) and
-    the output order is lexicographic on atom encodings, for determinism.
+    The union of the returned sets equals the set defined by ``f``; the
+    order is lexicographic on atom encodings, for determinism.
     """
+    distinct: dict[tuple, BasicSet] = {}
+    for atoms_ in _dnf_lists(f):
+        b = BasicSet(atoms_, f.arity)
+        distinct.setdefault(b.atoms, b)
+    return sorted(distinct.values(), key=lambda b: tuple(a.key() for a in b.atoms))
+
+
+def normalize_dnf(f: Formula) -> list[BasicSet]:
+    """:func:`dnf` with the empty disjuncts pruned, emptiness decided by full elimination."""
     from .elimination import is_empty
 
-    n = f.arity
-    seen = set()
-    out: list[BasicSet] = []
-    for atoms_ in _dnf_lists(f):
-        b = BasicSet(atoms_, n)
-        if b.atoms in seen:
-            continue
-        seen.add(b.atoms)
-        if not is_empty(b):
-            out.append(b)
-    out.sort(key=lambda b: tuple(a.key() for a in b.atoms))
-    return out
+    return [b for b in dnf(f) if not is_empty(b)]

@@ -10,7 +10,8 @@ assigning variables in order against the per-stage bound lists.  One
 routine, :func:`_eliminate`, runs every elimination; a basic set keeps
 the stages of its emptiness test, and one back-substitution over them
 gives both :func:`sample_point` and the signature whose sum is
-:func:`basic_dimension`.
+:func:`basic_dimension`.  A projection reads its rows and its emptiness
+verdict off one pass per disjunct (:func:`project_basic`).
 
 Every row is ``(coeffs, rel, rhs)`` in integers.  A
 :class:`~valdim.semilinear.atoms.LinearAtom` is such a row, primitive, so
@@ -252,15 +253,18 @@ def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:
     """Project a basic set onto the coordinates in ``keep`` (sorted).
 
     Returns a basic set over ``len(keep)`` variables, or None when ``b``
-    is empty.
+    is empty.  One elimination answers both: the dropped coordinates go
+    first, in ascending order, and the stage after them is the
+    projection; the kept ones then go last first, so the pass ends in
+    None exactly when ``b`` is empty, a contradiction among the kept
+    coordinates included.
     """
     keep = sorted(keep)
-    if is_empty(b):
-        # contradictions purely among kept coordinates would otherwise
-        # survive the elimination untouched
+    drop = [j for j in range(b.arity) if j not in keep]
+    stages = _eliminate(list(b.atoms), drop + keep[::-1])
+    if stages is None:
         return None
-    # FM never finds a contradiction in a nonempty system
-    rows = _eliminate(list(b.atoms), [j for j in range(b.arity) if j not in keep])[-1]
+    rows = stages[len(drop)]
     atoms_ = [LinearAtom(tuple(coeffs[j] for j in keep), rel, rhs) for coeffs, rel, rhs in rows]
     return BasicSet(tuple(atoms_), len(keep))
 
@@ -270,15 +274,17 @@ def project(f: Formula, keep: Sequence[int]) -> Formula:
 
     Variable indices are 0-based positions in the ambient space; the
     result is a formula over ``len(keep)`` variables in the same relative
-    order.  Works disjunct by disjunct on the DNF.
+    order.  Works disjunct by disjunct on the DNF, empty disjuncts
+    included: the elimination that projects a disjunct is the one that
+    finds it empty.
     """
-    from .atoms import Bool, normalize_dnf
+    from .atoms import Bool, dnf
 
     keep = sorted(keep)
     if any(j < 0 or j >= f.arity for j in keep):
         raise ValueError(f"projection indices {keep} out of range for arity {f.arity}")
     parts = []
-    for b in normalize_dnf(f):
+    for b in dnf(f):
         p = project_basic(b, keep)
         if p is None:
             continue
@@ -307,15 +313,16 @@ def sample_point(b: BasicSet) -> tuple[Fraction, ...] | None:
 
     The point of :func:`_back_substitute`: values are assigned from the
     first index up, each one pinned by an equality or the sample
-    :func:`between` picks in the remaining feasible interval.
+    :func:`between` picks in the remaining feasible interval.  Every
+    atom is checked on the integer numerators over their common
+    denominator, which is positive.
     """
     found = _back_substitute(b)
     if found is None:
         return None
     nums, den, _ = found
-    point = tuple(Fraction(v, den) for v in nums)
-    if not b.holds(point):
+    if not all(COMPARE[rel](sum(map(mul, coeffs, nums)), rhs * den) for coeffs, rel, rhs in b.atoms):
         # FM guarantees feasibility of the greedy assignment; reaching here
         # means an internal invariant broke.
-        raise AssertionError(f"back-substitution produced a non-member {point}")
-    return point
+        raise AssertionError(f"back-substitution produced a non-member {nums} / {den}")
+    return tuple(Fraction(v, den) for v in nums)

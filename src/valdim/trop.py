@@ -20,7 +20,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import semilinear as sl
-from .boolean import Grammar
+from .boolean import Grammar, signed_int
 from .errors import ParseError, SemanticError
 from .lowerset import NEG_INF
 from .semilinear.elimination import negate_row, rows_infeasible
@@ -216,25 +216,39 @@ def trop_poly_from_text(text: str) -> TropPoly:
     tokenizer of the DSLs, or else a Puiseux literal (``t^2@(0,1)``,
     ``2*t@(1,0)``), in which case its valuation is taken; plus signs
     inside such a coefficient are written as ``@`` terms separately, so
-    the literal form covers monomial coefficients.
+    the literal form covers monomial coefficients.  An exponent is
+    ``['-'] INT``.  Errors in a weight or an exponent are reported at
+    their offset in ``text``.
     """
     terms = []
+    start = 0  # offset of the chunk in text
     for chunk in text.split("+"):
+        at = start + len(chunk) - len(chunk.lstrip())  # offset of the stripped chunk
+        start += len(chunk) + 1
         chunk = chunk.strip()
         if not chunk:
             raise ParseError("empty term in tropical polynomial")
         if "@" not in chunk:
             raise ParseError(f"term {chunk!r} lacks the weight@(exponents) form")
         wtext, etext = chunk.split("@", 1)
-        w = _weight(wtext.strip())
+        try:
+            w = _weight(wtext.strip())
+        except ParseError as exc:  # placed in text, at the weight if it has no position
+            raise ParseError(exc.message, (exc.position or 0) + at) from None
+        at += len(wtext) + 1 + len(etext) - len(etext.lstrip())
         etext = etext.strip()
         if not (etext.startswith("(") and etext.endswith(")")):
             raise ParseError(f"exponents in {chunk!r} must be parenthesized")
-        try:
-            exp = tuple(int(e.strip()) for e in etext[1:-1].split(","))
-        except ValueError as exc:
-            raise ParseError(f"bad exponent vector {etext!r}") from exc
-        terms.append((exp, w))
+        exp = []
+        for e in etext[1:-1].split(","):
+            at += 1  # past '(' or ','
+            try:
+                exp.append(signed_int(e))
+            except ValueError:
+                at += len(e) - len(e.lstrip())
+                raise ParseError(f"bad exponent vector {etext!r}", at) from None
+            at += len(e)
+        terms.append((tuple(exp), w))
     return TropPoly(tuple(terms))
 
 

@@ -582,6 +582,62 @@ class TestTrop:
         assert outs[0] == outs[1] and outs[0][0] == 0
 
 
+class TestIntegers:
+    """Every integer the CLI reads is ``['-'] INT`` with INT in ASCII digits: in
+    both DSLs, in trop exponents and in ``--keep`` and ``--map`` entries.  A trop
+    weight or exponent error is placed at its offset in the whole input."""
+
+    @pytest.mark.parametrize(
+        "argv, position",
+        [(("gamma", "dim", "x1 < \u0661"), 5), (("mixed", "dim", "v(x - t^\u0662) + g1 < 0"), 8)],
+    )
+    def test_unicode_digits_in_the_dsls_exit_2(self, capsys, argv, position):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: unexpected character {argv[-1][position]!r} (at position {position})\n"
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("0@(1,0) + 0.5@(0,1)", "unexpected character '.'", 11),
+            ("0@(1,0) + t^x@(0,1)", "expected a number, found 'x'", 12),
+            ("0@(1,0) +  1/0@(0,1)", "expected a nonzero integer denominator", 13),
+            ("0@(1,0) + 0@(0,1) + 0*t@(1,1)", "zero coefficient '0*t' has no weight", 20),
+            ("1@(0,x)", "bad exponent vector '(0,x)'", 5),
+            ("0@(1_0,0)", "bad exponent vector '(1_0,0)'", 3),
+            ("0@(\u0661,0)", "bad exponent vector '(\u0661,0)'", 3),
+            ("0@(1,0) + 0@(- 1, 0)", "bad exponent vector '(- 1, 0)'", 13),
+            ("0@(1,0) + 0@ ( 1, )", "bad exponent vector '( 1, )'", 18),
+        ],
+    )
+    def test_trop_errors_at_their_offset(self, capsys, text, message, position):
+        code, out, err = run(capsys, "trop", "hypersurface", "--", text)
+        assert (code, out) == (2, "")
+        assert err == f"parse error: {message} (at position {position})\n"
+
+    def test_trop_exponents_read_as_int(self, capsys):
+        spaced = run(capsys, "trop", "hypersurface", "0@( 1 ,0) + 0@(0, 01) + 0@(-0,0)")
+        assert spaced == run(capsys, "trop", "hypersurface", "0@(1,0) + 0@(0,1) + 0@(0,0)")
+        assert spaced[0] == 0
+        code, out, err = run(capsys, "trop", "hypersurface", "0@(1,0) + 1@(0,-1)")
+        assert (code, out) == (3, "") and err == "error: negative exponent in (0, -1)\n"
+
+    @pytest.mark.parametrize("entry", ["\u0661", "1_0", "+1", "1.0", "x1", "1 2"])
+    def test_bad_keep_and_map_entries_exit_2(self, capsys, entry):
+        code, out, err = run(capsys, "gamma", "project", "x1 < x2", "--keep", entry)
+        assert (code, out, err) == (2, "", f"parse error: bad --keep list {entry!r}\n")
+        text = f"{entry},1"
+        code, out, err = run(capsys, "trop", "image", "x1 >= 0 & x2 >= 0", f"--map={text}")
+        assert (code, out) == (2, "")
+        assert err == f"parse error: bad matrix {text!r}; rows like '1,0;1,1'\n"
+
+    def test_keep_and_map_entries_between_blanks(self, capsys):
+        assert run(capsys, "gamma", "project", "x1 < x2", "--keep", " 1 ,,") == (0, "true\n", "")
+        assert run(capsys, "trop", "image", "x1 >= 0 & x2 >= 0", "--map= 1, 01") == run(
+            capsys, "trop", "image", "x1 >= 0 & x2 >= 0", "--map=1,1"
+        )
+
+
 class TestInternalError:
     """An exception the CLI does not expect exits 4 with one line, not a traceback."""
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction as F
@@ -9,7 +10,7 @@ from hypothesis import strategies as st
 from valdim import semilinear as sl
 from valdim.errors import ParseError, SemanticError
 from valdim.lowerset import NEG_INF
-from valdim.semilinear import cells, elimination
+from valdim.semilinear import atoms, cells, elimination
 from valdim.semilinear.cells import arrangement
 
 
@@ -95,6 +96,12 @@ class TestExactAtoms:
         assert (a.coeffs, a.rhs) == ((2,), 1)
         assert str(a) == "x1 < 1/2"
 
+    def test_an_integer_right_side_stays_an_integer(self):
+        assert type(atoms.exact(3)) is int and atoms.exact(-3) == -3
+        assert atoms.exact("3/6") == F(1, 2) and type(atoms.exact(F(4))) is F
+        with pytest.raises(TypeError):
+            atoms.exact(3.0)
+
 
 class TestNormalizeDnf:
     def test_single_atom(self):
@@ -112,6 +119,12 @@ class TestNormalizeDnf:
     def test_empty_disjuncts_pruned(self):
         f = sl.parse_formula("(x1 < 0 & x1 > 0) | x1 = 5")
         assert len(sl.normalize_dnf(f)) == 1
+
+    def test_dnf_keeps_empty_disjuncts_once(self):
+        f = sl.parse_formula("(x1 < 0 & x1 > 0) | x1 = 5 | (x1 > 0 & x1 < 0)")
+        disjuncts = atoms.dnf(f)
+        assert [sl.is_empty(b) for b in disjuncts] == [True, False]
+        assert sl.normalize_dnf(f) == disjuncts[1:]
 
 
 class TestEmptiness:
@@ -168,6 +181,18 @@ class TestEmptiness:
         point = sl.sample_point(b)
         assert point is None if empty else b.holds(point)
 
+    @pytest.mark.parametrize(
+        "nums, den, member", [([1], 2, True), ([1], 1, False), ([3], 2, False), ([0], 7, False)]
+    )
+    def test_sample_point_checks_its_point(self, monkeypatch, nums, den, member):
+        b = sl.normalize_dnf(sl.parse_formula("0 < x1 & x1 < 1"))[0]
+        monkeypatch.setattr(elimination, "_back_substitute", lambda b: (nums, den, (1,)))
+        if member:
+            assert sl.sample_point(b) == (F(nums[0], den),)
+        else:
+            with pytest.raises(AssertionError):
+                sl.sample_point(b)
+
     @pytest.mark.parametrize("seed", range(4))
     def test_descending_verdict_agrees_with_ascending(self, seed):
         from valdim import verify
@@ -218,6 +243,56 @@ class TestProject:
     def test_zero_denominator_rejected(self):
         with pytest.raises(ParseError):
             sl.parse_formula("x1 < 1/0")
+
+    @staticmethod
+    def two_pass_projection(f, keep):
+        """The projection as two eliminations per disjunct: the emptiness pass of
+        ``normalize_dnf``, then the dropped coordinates eliminated in ascending order."""
+        n, d = f.arity, len(keep)
+        drop = [j for j in range(n) if j not in keep]
+        parts = []
+        for b in sl.normalize_dnf(f):
+            rows = elimination._eliminate(list(b.atoms), drop)[-1]
+            projected = [sl.LinearAtom(tuple(c[j] for j in keep), rel, q) for c, rel, q in rows]
+            parts.append(sl.BasicSet(tuple(projected), d).to_formula())
+        return sl.Or.of(*parts) if parts else sl.Bool(False, d)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_one_pass_equals_the_two_pass_route(self, seed):
+        from valdim import verify
+
+        for n, f in verify.formula_instances(seed, 500):
+            for d in range(n + 1):
+                for keep in itertools.combinations(range(n), d):
+                    got, expected = sl.project(f, keep), self.two_pass_projection(f, keep)
+                    assert got == expected and repr(got) == repr(expected)
+                    assert sl.formula_to_dsl(got) == sl.formula_to_dsl(expected)
+
+    def test_one_elimination_per_disjunct(self, monkeypatch):
+        from valdim import verify
+
+        cases = verify.formula_instances(0, 200)
+        with_empty = sum(any(sl.is_empty(b) for b in atoms.dnf(f)) for _, f in cases)
+        assert with_empty > 10  # the family does hold empty disjuncts
+
+        calls = []
+        real = elimination._eliminate
+        monkeypatch.setattr(
+            elimination, "_eliminate", lambda rows, order: calls.append(order) or real(rows, order)
+        )
+
+        def no_is_empty(b):
+            raise AssertionError("project decides emptiness in its own elimination")
+
+        monkeypatch.setattr(elimination, "is_empty", no_is_empty)
+        for n, f in cases:
+            disjuncts = len(atoms.dnf(f))
+            for d in range(n + 1):
+                for keep in itertools.combinations(range(n), d):
+                    calls.clear()
+                    sl.project(f, keep)
+                    assert len(calls) == disjuncts
+                    assert all(sorted(order) == list(range(n)) for order in calls)
 
 
 class TestOneVarCanonical:

@@ -240,6 +240,28 @@ class Tokens:
     def peek(self) -> tuple[str, str, int] | None:
         return self.items[self.i] if self.i < len(self.items) else None
 
+    def at(self, i: int) -> tuple[str, str, int]:
+        """Token ``i``; past the last one, a parse error at the end of the text."""
+        if i < len(self.items):
+            return self.items[i]
+        raise ParseError("unexpected end of input", len(self.text))
+
+    def rational(self, i: int) -> tuple[int | Fraction, int]:
+        """``INT ['/' INT]`` at token ``i``, and the index after it.
+
+        An int, or a Fraction when a denominator is written.  Reads the
+        tokens by index, so a reader that walks ``items`` itself shares it.
+        """
+        t = self.at(i)
+        if t[0] != "num":
+            raise ParseError(f"expected a number, found {t[1]!r}", t[2])
+        if i + 1 >= len(self.items) or self.items[i + 1][1] != "/":
+            return integer(t), i + 1
+        d = self.at(i + 2)
+        if d[0] != "num" or integer(d) == 0:
+            raise ParseError("expected a nonzero integer denominator", d[2])
+        return Fraction(integer(t), integer(d)), i + 3
+
     def next(self) -> tuple[str, str, int]:
         t = self.peek()
         if t is None:
@@ -450,16 +472,9 @@ class Grammar:
         return idx - 1
 
     def rational(self) -> int | Fraction:
-        """``INT ['/' INT]``: an int, or a Fraction when a denominator is written."""
-        t = self.toks.next()
-        if t[0] != "num":
-            raise ParseError(f"expected a number, found {t[1]!r}", t[2])
-        if not self.toks.accept("/"):
-            return integer(t)
-        d = self.toks.next()
-        if d[0] != "num" or integer(d) == 0:
-            raise ParseError("expected a nonzero integer denominator", d[2])
-        return Fraction(integer(t), integer(d))
+        """``INT ['/' INT]`` at the cursor, read by :meth:`Tokens.rational`."""
+        value, self.toks.i = self.toks.rational(self.toks.i)
+        return value
 
 
 _SIGNED_INT = re.compile(r"\s*-?[0-9]+\s*")

@@ -289,6 +289,16 @@ class _Parser(argparse.ArgumentParser):
         raise ParseError(f"{self.prog}: {message}")
 
 
+def _int_option(text: str) -> int:
+    """An integer option, read by the INT rule of the DSLs: ``['-'] INT`` in ASCII digits."""
+    from .boolean import signed_int
+
+    try:
+        return signed_int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = _Parser(
         prog="valdim",
@@ -305,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_g = sub.add_parser("gamma", help="linear formulas over the ordered group")
     p_g.add_argument("op", choices=["dim", "cells", "project", "closure", "type1d"])
     p_g.add_argument("formula", help="DSL text, or - for stdin")
-    p_g.add_argument("-n", "--nvars", type=int, default=None)
+    p_g.add_argument("-n", "--nvars", type=_int_option, default=None)
     p_g.add_argument("--keep", default=None, help="1-based variables to project onto")
     p_g.add_argument("--format", choices=["text", "json"], default="text")
     p_g.set_defaults(func=_run_gamma)
@@ -313,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_m = sub.add_parser("mixed", help="one valued coordinate with group coordinates")
     p_m.add_argument("op", choices=["dim", "cells", "project"])
     p_m.add_argument("formula", help="mixed DSL text, or - for stdin")
-    p_m.add_argument("-n", "--nvars", type=int, default=None)
+    p_m.add_argument("-n", "--nvars", type=_int_option, default=None)
     p_m.add_argument("--format", choices=["text", "json"], default="text")
     p_m.set_defaults(func=_run_mixed)
 
@@ -321,16 +331,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_t.add_argument("op", choices=["hypersurface", "image", "check-pure"])
     p_t.add_argument("input", help="weight@(exponents) sum or domain formula")
     p_t.add_argument("--map", default=None, help="integer matrix rows, e.g. '1,0;1,1'")
-    p_t.add_argument("-n", "--nvars", type=int, default=None)
-    p_t.add_argument("-d", "--dim", type=int, default=1)
+    p_t.add_argument("-n", "--nvars", type=_int_option, default=None)
+    p_t.add_argument("-d", "--dim", type=_int_option, default=1)
     p_t.add_argument("--format", choices=["text", "json"], default="text")
     p_t.set_defaults(func=_run_trop)
 
     p_v = sub.add_parser("verify", help="run the randomized oracle suites")
     p_v.add_argument("op", choices=["axioms", "figures", "paper-suite"])
-    p_v.add_argument("--seed", type=int, default=0)
-    p_v.add_argument("--cases", type=int, default=500)
-    p_v.add_argument("--trop-cases", type=int, default=50)
+    p_v.add_argument("--seed", type=_int_option, default=0)
+    p_v.add_argument("--cases", type=_int_option, default=500)
+    p_v.add_argument("--trop-cases", type=_int_option, default=50)
     p_v.set_defaults(func=_run_verify)
 
     return ap

@@ -36,6 +36,7 @@ from ..boolean import Atom, Formula, map_atoms
 from ..errors import SemanticError
 from ..lowerset import LowerSet, lower_closure
 from ..semilinear.atoms import COMPARE
+from ..semilinear.elimination import _eliminate
 from .formula import MixedAtom, polys
 from .pieces import MonomialValuation, SwissPiece, monomial_decompose, piece_k_dimension
 from .puiseux import INFINITY, PuiseuxElement
@@ -77,9 +78,16 @@ class MixedCell:
         return self.piece.sample(*point[:k]), point[k:]
 
     def gamma_projection(self) -> sl.Formula:
-        """Exact projection of the cell, never empty, to the gamma coordinates."""
+        """Exact projection of the cell to the gamma coordinates.
+
+        A cell is never empty, so its ``kdim`` radius coordinates are all
+        the elimination needs to remove: no step re-proves nonemptiness.
+        """
         b = self.fiber.to_basicset()
-        return sl.project_basic(b, range(self.kdim, b.arity)).to_formula()
+        k = self.kdim
+        rows = _eliminate(list(b.atoms), range(k))[-1]
+        atoms = tuple(sl.LinearAtom(coeffs[k:], rel, rhs) for coeffs, rel, rhs in rows)
+        return sl.BasicSet(atoms, b.arity - k).to_formula()
 
 
 def _atom_on_piece(a: MixedAtom, mv: MonomialValuation | None, n: int, k: int) -> sl.Formula:

@@ -69,7 +69,8 @@ class MixedAtom:
     def holds(self, x: PuiseuxElement, gamma: Sequence[Fraction]) -> bool:
         """Truth at (x, gamma), the left side summed as ``num / den`` with ``den > 0``.
 
-        ``gamma`` holds ints or Fractions.  ``verify.mixed_atom_holds``
+        ``gamma`` holds ints or Fractions, and a finite valuation is an int
+        when it is integral.  ``verify.mixed_atom_holds``
         decides the same atom in Fractions.
         """
         num, den = 0, 1
@@ -85,9 +86,12 @@ class MixedAtom:
             v = self.poly.valuation_at(x)
             if v is INFINITY:
                 return self.at_infinity()
-            d = v.denominator
-            num = num * d + self.weight * v.numerator * den
-            den *= d
+            if type(v) is int:
+                num += self.weight * v * den
+            else:
+                d = v.denominator
+                num = num * d + self.weight * v.numerator * den
+                den *= d
         rhs = self.rhs
         if rhs is INFINITY:
             return COMPARE[self.rel](num, INFINITY)

@@ -6,11 +6,12 @@ valuation terms and ``inf``:
 
     NAME     :=  GVAR  |  'v' '(' poly ')'  |  'inf'
     GVAR     :=  g1, g2, ...
-    poly     :=  'x' [('+'|'-') puiseux]      bare degree-1 form
+    poly     :=  'x' tail                      bare degree-1 form
               |  [['-'] RAT '*'] factor ('*' factor)*
               |  ['-'] RAT                     constant, valuation 0
-    factor   :=  '(' 'x' [('+'|'-') puiseux] ')' ['^' INT]
-    puiseux  :=  pterm (('+'|'-') pterm)*
+    factor   :=  '(' 'x' tail ')' ['^' INT]
+    tail     :=  (('+'|'-') pterm)*            x minus the root
+    puiseux  :=  ['-'] pterm (('+'|'-') pterm)*    a standalone literal
     pterm    :=  RAT ['*' 't' ['^' EXP]]  |  't' ['^' EXP]
     EXP      :=  ['-'] INT ['/' INT]
 
@@ -18,13 +19,16 @@ valuation terms and ``inf``:
 with roots t and 0 (double).  ``v(x - 1) = inf`` is the zero test x = 1.
 Each comparison may mention at most one polynomial; same-polynomial
 valuation terms fold their weights.  ``inf`` must stand alone on its side.
+
+One reader, :func:`read_puiseux`, reads every Puiseux sum, ``tail`` and
+``puiseux`` alike: it walks the shared tokens from the cursor once and
+builds the terms directly, for a root inside a formula and for a
+standalone literal of :func:`parse_puiseux`, which needs no parser.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..boolean import Formula, Grammar, Side, difference, integer
+from ..boolean import Formula, Grammar, Side, Tokens, difference, integer
 from ..errors import ParseError, SemanticError
 from .formula import matom
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
@@ -85,10 +89,9 @@ class _MixedParser(Grammar):
         if t is not None and t[0] == "name" and t[1] == "x":
             # bare degree-1 form: v(x - a)
             self.toks.next()
-            root = -self.linear_tail()
-            return FactoredPoly(Fraction(1), ((root, 1),))
+            return FactoredPoly(1, ((-read_puiseux(self.toks), 1),))
         sign = -1 if self.toks.accept("-") else 1
-        lead = Fraction(sign)
+        lead = sign
         if sign < 0 or (t is not None and t[0] == "num"):
             lead = sign * self.rational()
             if not self.toks.accept("*"):
@@ -101,29 +104,12 @@ class _MixedParser(Grammar):
                 break
         return FactoredPoly(lead, tuple(roots.items()))
 
-    def linear_tail(self, lead: bool = False) -> PuiseuxElement:
-        """Signed pterms, as after 'x'; with ``lead`` the first term needs
-        no sign (``['-'] pterm (('+'|'-') pterm)*``, a whole literal)."""
-        terms = []
-        sign = -1 if lead and self.toks.accept("-") else 1
-        while True:
-            if lead:
-                lead = False
-            elif self.toks.accept("+"):
-                sign = 1
-            elif self.toks.accept("-"):
-                sign = -1
-            else:
-                return PuiseuxElement.of(*terms)
-            e, c = self.pterm()
-            terms.append((e, c) if sign > 0 else (e, -c))
-
     def factor(self) -> tuple[PuiseuxElement, int]:
         self.toks.expect("(")
         t = self.toks.next()
         if t[0] != "name" or t[1] != "x":
             raise ParseError("polynomial factors are written in x", t[2])
-        shift = self.linear_tail()
+        shift = read_puiseux(self.toks)
         self.toks.expect(")")
         mult = 1
         if self.toks.accept("^"):
@@ -133,28 +119,6 @@ class _MixedParser(Grammar):
             mult = integer(m)
         return -shift, mult
 
-    def pterm(self) -> tuple[int | Fraction, int | Fraction]:
-        """One (exponent, coefficient) term; the coefficient may be 0."""
-        t = self.toks.peek()
-        if t is not None and t[0] == "num":
-            coeff = self.rational()
-            if self.toks.accept("*"):
-                name = self.toks.next()
-                if name[0] != "name" or name[1] != "t":
-                    raise ParseError("expected 't' after '*'", name[2])
-                return self.texp(), coeff
-            return Fraction(0), coeff
-        t = self.toks.next()
-        if t[0] == "name" and t[1] == "t":
-            return self.texp(), Fraction(1)
-        raise ParseError(f"expected a coefficient or 't', found {t[1]!r}", t[2])
-
-    def texp(self) -> int | Fraction:
-        if not self.toks.accept("^"):
-            return Fraction(1)
-        sign = -1 if self.toks.accept("-") else 1
-        return sign * self.rational()
-
 
 def parse_mixed_formula(text: str, n_gamma: int | None = None) -> Formula:
     """Parse mixed DSL text; group arity is inferred unless declared."""
@@ -163,7 +127,59 @@ def parse_mixed_formula(text: str, n_gamma: int | None = None) -> Formula:
 
 def parse_puiseux(text: str) -> PuiseuxElement:
     """Parse a standalone Puiseux literal like ``1/2*t^-1 + 3 - t^2/3``."""
-    parser = _MixedParser(text, 0)
-    e = parser.linear_tail(lead=True)
-    parser.toks.end()
+    toks = Tokens(text)
+    e = read_puiseux(toks, lead=True)
+    toks.end()
     return e
+
+
+def read_puiseux(toks: Tokens, lead: bool = False) -> PuiseuxElement:
+    """The Puiseux sum at the cursor of ``toks``, read in one pass over its tokens.
+
+    With ``lead`` this is ``puiseux`` of the grammar, whose first term may
+    go without a sign or take a '-'; without it, the signed terms after
+    'x', ``(('+'|'-') pterm)*``, which may be none.  The terms go to
+    ``PuiseuxElement.of``, which keeps each value by the int rule of
+    :mod:`.puiseux`.  The cursor is left after the sum.
+    """
+    items = toks.items
+    n = len(items)
+    i = toks.i
+    terms = []
+    sign = 1
+    if lead and i < n and items[i][1] == "-":
+        sign = -1
+        i += 1
+    while True:
+        if lead:
+            lead = False
+        elif i < n and items[i][1] in ("+", "-"):
+            sign = 1 if items[i][1] == "+" else -1
+            i += 1
+        else:
+            break
+        # pterm := RAT ['*' 't' ['^' EXP]]  |  't' ['^' EXP]
+        t = toks.at(i)
+        if t[0] == "num":
+            c, i = toks.rational(i)
+            if i >= n or items[i][1] != "*":
+                terms.append((0, c if sign > 0 else -c))
+                continue
+            t = toks.at(i + 1)
+            if t[0] != "name" or t[1] != "t":
+                raise ParseError("expected 't' after '*'", t[2])
+            i += 2
+        elif t[0] == "name" and t[1] == "t":
+            c = 1
+            i += 1
+        else:
+            raise ParseError(f"expected a coefficient or 't', found {t[1]!r}", t[2])
+        e = 1
+        if i < n and items[i][1] == "^":
+            negative = i + 1 < n and items[i + 1][1] == "-"
+            e, i = toks.rational(i + 1 + negative)
+            if negative:
+                e = -e
+        terms.append((e, c if sign > 0 else -c))
+    toks.i = i
+    return PuiseuxElement.of(*terms)

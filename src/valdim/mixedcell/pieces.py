@@ -92,10 +92,10 @@ class SwissPiece:
             return self.center
         if self.kind == "sphere":
             r = self.radius
-            bad = {Fraction(0)}
+            bad = {0}
             for a in self.avoid:
                 bad.add(-(self.center - a).coefficient(r))
-            u = Fraction(1)
+            u = 1
             while u in bad:
                 u += 1
             return self.center + PuiseuxElement.of((r, u))
@@ -106,7 +106,7 @@ class SwissPiece:
                 self.hi is not None and rho >= self.hi
             ):
                 raise ValueError(f"radius {rho} outside the annulus interval")
-        return self.center + PuiseuxElement.of((rho, Fraction(1)))
+        return self.center + PuiseuxElement.of((rho, 1))
 
 
 def piece_k_dimension(p: SwissPiece) -> int:
@@ -161,7 +161,9 @@ def monomial_decompose(
         at_radius: list[list[PuiseuxElement]] = []
         for j in sorted((j for j in range(n) if j != i), key=row.__getitem__):
             if not radii or row[j] != radii[-1]:
-                radii.append(row[j])
+                # a Fraction, as the radius data of the pieces and the
+                # samplers that divide it expect
+                radii.append(Fraction(row[j]))
                 at_radius.append([])
             rank[j] = len(radii) - 1
             at_radius[-1].append(clist[j])

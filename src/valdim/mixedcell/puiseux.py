@@ -7,12 +7,17 @@ the symbolic top element ``INFINITY``.  All root distances and polynomial
 valuations computed from this data are exact.
 
 Every element keeps its terms canonical: ``(exponent, coefficient)``
-pairs of ``Fraction``s, exponents strictly increasing, no zero
-coefficient.  The public constructors (``PuiseuxElement(...)``, ``of``,
-``constant``) check and coerce their input, and accept only ``int`` and
-``Fraction`` values.  The operators build their results from canonical
-terms, so they go through ``_canonical``, which stores the terms as
-given.
+pairs, exponents strictly increasing, no zero coefficient, and each
+value an ``int`` when it is integral and a ``Fraction`` with denominator
+> 1 otherwise (the lead of a ``FactoredPoly`` and a finite
+``valuation_at`` follow the same rule).  So the common case of integral
+data compares and adds as machine integers, and since an integral
+``Fraction`` equals, hashes and prints as its ``int``, the rule changes
+no key, order or text.  The public constructors (``PuiseuxElement(...)``,
+``of``, ``constant``) check and coerce their input, and accept only
+``int`` and ``Fraction`` values.  The operators build their results from
+canonical terms, so they go through ``_canonical``, which stores the
+terms as given.
 """
 
 from __future__ import annotations
@@ -55,23 +60,31 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-Val = Union[Fraction, _Infinity]
+Q = Union[int, Fraction]
+Val = Union[int, Fraction, _Infinity]
 
 
-def _rational(q, what: str) -> Fraction:
-    """``q`` as a Fraction; only ints (not bools) and Fractions are exact data."""
-    if isinstance(q, Fraction):
+def _rational(q, what: str) -> Q:
+    """``q`` by the int rule; only ints (not bools) and Fractions are exact data."""
+    if type(q) is int:
         return q
+    if isinstance(q, Fraction):
+        return _q(q)
     if isinstance(q, int) and not isinstance(q, bool):
-        return Fraction(q)
+        return int(q)
     raise TypeError(f"{what} must be an int or a Fraction, got {type(q).__name__} {q!r}")
+
+
+def _q(q: Q) -> Q:
+    """A sum or difference of exact values, by the int rule."""
+    return q if type(q) is int or q.denominator != 1 else q.numerator
 
 
 @dataclass(frozen=True)
 class PuiseuxElement:
     """Finite list of (exponent, coefficient) terms, exponents increasing."""
 
-    terms: tuple[tuple[Fraction, Fraction], ...] = ()
+    terms: tuple[tuple[Q, Q], ...] = ()
 
     def __post_init__(self):
         cleaned = []
@@ -103,7 +116,7 @@ class PuiseuxElement:
         out = []
         for e, c in pairs:
             if out and out[-1][0] == e:
-                out[-1] = (e, out[-1][1] + c)
+                out[-1] = (e, _q(out[-1][1] + c))
             else:
                 out.append((e, c))
         return PuiseuxElement._canonical(tuple(t for t in out if t[1]))
@@ -139,7 +152,7 @@ class PuiseuxElement:
             if ea == eb:
                 c = ca - cb if sub else ca + cb
                 if c:
-                    out.append((ea, c))
+                    out.append((ea, _q(c)))
                 i += 1
                 j += 1
             elif ea < eb:
@@ -161,12 +174,11 @@ class PuiseuxElement:
     def __neg__(self) -> "PuiseuxElement":
         return PuiseuxElement._canonical(tuple((e, -c) for e, c in self.terms))
 
-    def coefficient(self, e) -> Fraction:
-        e = Fraction(e)
+    def coefficient(self, e) -> Q:
         for exp, c in self.terms:
             if exp == e:
                 return c
-        return Fraction(0)
+        return 0
 
     def key(self) -> tuple:
         """Term-lexicographic sort key; the canonical total order on elements."""
@@ -178,7 +190,7 @@ class PuiseuxElement:
         return " + ".join(_term(e, c) for e, c in self.terms).replace("+ -", "- ")
 
 
-def _term(e: Fraction, c: Fraction) -> str:
+def _term(e: Q, c: Q) -> str:
     """The term c * t^e, with a coefficient 1 left out before t."""
     if e == 0:
         return str(c)
@@ -199,7 +211,7 @@ class FactoredPoly:
     identically INFINITY), so ``lead`` must be a nonzero rational.
     """
 
-    lead: Fraction
+    lead: Q
     roots: tuple[tuple[PuiseuxElement, int], ...] = ()
 
     def __post_init__(self):
@@ -224,16 +236,19 @@ class FactoredPoly:
         object.__setattr__(self, "roots", tuple(fixed))
 
     def valuation_at(self, x: PuiseuxElement) -> Val:
-        """v(f(x)) = sum of m * v(x - r), summed as one integer fraction."""
+        """v(f(x)) = sum of m * v(x - r), summed as one integer fraction num / den."""
         num, den = 0, 1
         for r, m in self.roots:
             v = x.distance(r)
             if v is INFINITY:
                 return INFINITY
-            d = v.denominator
-            num = num * d + m * v.numerator * den
-            den *= d
-        return Fraction(num, den)
+            if type(v) is int:
+                num += m * v * den
+            else:
+                d = v.denominator
+                num = num * d + m * v.numerator * den
+                den *= d
+        return num if den == 1 else _q(Fraction(num, den))
 
     def translate(self, a: PuiseuxElement) -> "FactoredPoly":
         """The polynomial x -> f(x + a); roots shift by -a."""

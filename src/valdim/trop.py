@@ -14,6 +14,7 @@ throughout (large norm = small valuation).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
@@ -209,6 +210,10 @@ def _weight(text: str) -> Fraction:
     return coeff.valuation()
 
 
+#: A '+' that no ')' closes before the next '(': one outside the parentheses.
+_TERM_PLUS = re.compile(r"\+(?![^(]*\))")
+
+
 def trop_poly_from_text(text: str) -> TropPoly:
     """Parse the weight@(exponents) sum syntax, e.g. ``0@(1,0) + 1/2@(0,1)``.
 
@@ -217,19 +222,22 @@ def trop_poly_from_text(text: str) -> TropPoly:
     ``2*t@(1,0)``), in which case its valuation is taken; plus signs
     inside such a coefficient are written as ``@`` terms separately, so
     the literal form covers monomial coefficients.  An exponent is
-    ``['-'] INT``.  Errors in a weight or an exponent are reported at
-    their offset in ``text``.
+    ``['-'] INT``.  Terms are split on the ``+`` signs outside
+    parentheses.  Every error is reported at its offset in ``text``: one
+    in a weight or an exponent at that weight or exponent, one in the form
+    of a term at the term.
     """
     terms = []
     start = 0  # offset of the chunk in text
-    for chunk in text.split("+"):
+    for chunk in _TERM_PLUS.split(text):
         at = start + len(chunk) - len(chunk.lstrip())  # offset of the stripped chunk
         start += len(chunk) + 1
         chunk = chunk.strip()
         if not chunk:
-            raise ParseError("empty term in tropical polynomial")
+            raise ParseError("empty term in tropical polynomial", at)
         if "@" not in chunk:
-            raise ParseError(f"term {chunk!r} lacks the weight@(exponents) form")
+            raise ParseError(f"term {chunk!r} lacks the weight@(exponents) form", at)
+        term_at = at
         wtext, etext = chunk.split("@", 1)
         try:
             w = _weight(wtext.strip())
@@ -238,7 +246,7 @@ def trop_poly_from_text(text: str) -> TropPoly:
         at += len(wtext) + 1 + len(etext) - len(etext.lstrip())
         etext = etext.strip()
         if not (etext.startswith("(") and etext.endswith(")")):
-            raise ParseError(f"exponents in {chunk!r} must be parenthesized")
+            raise ParseError(f"exponents in {chunk!r} must be parenthesized", term_at)
         exp = []
         for e in etext[1:-1].split(","):
             at += 1  # past '(' or ','

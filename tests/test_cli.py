@@ -584,8 +584,8 @@ class TestTrop:
 
 class TestIntegers:
     """Every integer the CLI reads is ``['-'] INT`` with INT in ASCII digits: in
-    both DSLs, in trop exponents and in ``--keep`` and ``--map`` entries.  A trop
-    weight or exponent error is placed at its offset in the whole input."""
+    both DSLs, in trop exponents, in ``--keep`` and ``--map`` entries and in the
+    integer options.  A trop error is placed at its offset in the whole input."""
 
     @pytest.mark.parametrize(
         "argv, position",
@@ -608,6 +608,15 @@ class TestIntegers:
             ("0@(\u0661,0)", "bad exponent vector '(\u0661,0)'", 3),
             ("0@(1,0) + 0@(- 1, 0)", "bad exponent vector '(- 1, 0)'", 13),
             ("0@(1,0) + 0@ ( 1, )", "bad exponent vector '( 1, )'", 18),
+            # terms split on '+' outside parentheses; a malformed term is
+            # placed at the term
+            ("0@(1,0) + 0@(+1, 0)", "bad exponent vector '(+1, 0)'", 13),
+            ("0@(1,0) + ", "empty term in tropical polynomial", 10),
+            ("+ 0@(1,0)", "empty term in tropical polynomial", 0),
+            ("0@(1,0) + + 0@(0,1)", "empty term in tropical polynomial", 10),
+            ("0@(1,0) +  1(0,1)", "term '1(0,1)' lacks the weight@(exponents) form", 11),
+            ("0@(1,0) + 0@ 0,1", "exponents in '0@ 0,1' must be parenthesized", 10),
+            ("0@(1,0) +  2@(0,1", "exponents in '2@(0,1' must be parenthesized", 11),
         ],
     )
     def test_trop_errors_at_their_offset(self, capsys, text, message, position):
@@ -621,6 +630,30 @@ class TestIntegers:
         assert spaced[0] == 0
         code, out, err = run(capsys, "trop", "hypersurface", "0@(1,0) + 1@(0,-1)")
         assert (code, out) == (3, "") and err == "error: negative exponent in (0, -1)\n"
+
+    @pytest.mark.parametrize("value", ["\u0661", "1_0", "+1", "1.0", "x", "\uff12"])
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (("gamma", "dim", "x1 < 1", "-n"), "-n/--nvars"),
+            (("mixed", "dim", "g1 < 1", "--nvars"), "-n/--nvars"),
+            (("trop", "check-pure", "0@(1,0) + 0@(0,1)", "-d"), "-d/--dim"),
+            (("verify", "axioms", "--seed"), "--seed"),
+            (("verify", "axioms", "--cases"), "--cases"),
+            (("verify", "axioms", "--trop-cases"), "--trop-cases"),
+        ],
+    )
+    def test_integer_options_follow_the_int_rule(self, capsys, argv, option, value):
+        code, out, err = run(capsys, *argv, value)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"parse error: valdim {argv[0]}: argument {option}: invalid int value: {value!r}\n"
+        )
+
+    def test_integer_options_read_signs_and_blanks_as_int(self, capsys):
+        assert run(capsys, "gamma", "dim", "x1 < 1", "-n", " 02 ") == (0, "2\n", "")
+        code, out, err = run(capsys, "gamma", "dim", "x1 < 1", "-n", "-1")
+        assert (code, out, err) == (3, "", "error: negative variable count -1\n")
 
     @pytest.mark.parametrize("entry", ["\u0661", "1_0", "+1", "1.0", "x1", "1 2"])
     def test_bad_keep_and_map_entries_exit_2(self, capsys, entry):

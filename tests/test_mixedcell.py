@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -192,10 +193,15 @@ def ref_valuation(terms):
     return terms[0][0] if terms else INFINITY
 
 
+def by_int_rule(q):
+    """An int when integral, else a Fraction with denominator > 1."""
+    return type(q) is int or (type(q) is F and q.denominator > 1)
+
+
 def is_canonical(x):
     exps = [e for e, _ in x.terms]
     return exps == sorted(set(exps)) and all(
-        type(e) is F and type(c) is F and c != 0 for e, c in x.terms
+        by_int_rule(e) and by_int_rule(c) and c != 0 for e, c in x.terms
     )
 
 
@@ -558,6 +564,40 @@ class TestIntegerHolds:
         assert min(seen.values()) >= 50, seen
 
 
+class TestIntRule:
+    def test_no_float_and_every_term_by_the_int_rule(self):
+        """Over 300 random mixed formulas: the roots and their translates, the
+        piece centers, avoid lists and samples, and the cell samples keep
+        their terms by the int rule; valuations do too, and the piece radii
+        and the gamma of a cell sample are exact."""
+        rng = random.Random(22)
+        exact = (int, F)
+        for _ in range(300):
+            n = rng.choice([1, 1, 2])
+            ps = [verify.random_factored_poly(rng, rng.randint(1, 4))
+                  for _ in range(rng.randint(1, 2))]
+            f = verify.random_mixed_formula(rng, n, ps)
+            shift = verify.random_puiseux(rng)
+            xs = [r for p in ps for r, _ in p.roots + p.translate(shift).roots]
+            pieces = monomial_decompose(ps)
+            xs += verify._sample_points_for(rng, pieces, 12)
+            for piece, vals in pieces:
+                assert all(q is None or type(q) in exact
+                           for q in (piece.lo, piece.hi, piece.radius))
+                assert all(type(mv.const) in exact for mv in vals)
+                xs += [piece.center, *piece.avoid, piece.sample()]
+            for c in mixed_cell_decompose(f):
+                x, gamma = c.sample()
+                assert all(type(g) in exact for g in gamma)
+                xs.append(x)
+            for p in ps:
+                assert by_int_rule(p.lead)
+                for x in xs:
+                    v = p.valuation_at(x)
+                    assert v is INFINITY or by_int_rule(v)
+            assert all(is_canonical(x) for x in xs)
+
+
 class TestPieceKDimension:
     def test_point_list(self):
         pieces = monomial_decompose([FactoredPoly(1, ((ZERO, 1), (T, 1)))])
@@ -603,6 +643,92 @@ class TestMixedParser:
         f = parse_mixed_formula("2*v(x) - v(x) < 1", 0)
         [atom] = f.atoms()
         assert atom.weight == 1
+
+    LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("", "unexpected end of input", 0),
+            ("-", "unexpected end of input", 1),
+            ("1 +", "unexpected end of input", 3),
+            ("1 - ", "unexpected end of input", 4),
+            ("1/", "unexpected end of input", 2),
+            ("2*", "unexpected end of input", 2),
+            ("t^", "unexpected end of input", 2),
+            ("t^-", "unexpected end of input", 3),
+            ("3*t^", "unexpected end of input", 4),
+            ("1/0", "expected a nonzero integer denominator", 2),
+            ("1/t", "expected a nonzero integer denominator", 2),
+            ("t^1/0", "expected a nonzero integer denominator", 4),
+            ("t^-1/-2", "expected a nonzero integer denominator", 5),
+            ("2*x", "expected 't' after '*'", 2),
+            ("t^x", "expected a number, found 'x'", 2),
+            ("x", "expected a coefficient or 't', found 'x'", 0),
+            ("1 + + t", "expected a coefficient or 't', found '+'", 4),
+            ("--1", "expected a coefficient or 't', found '-'", 1),
+            ("- -t", "expected a coefficient or 't', found '-'", 2),
+            ("(1)", "expected a coefficient or 't', found '('", 0),
+            ("1 2", "trailing input '2'", 2),
+            ("t t", "trailing input 't'", 2),
+            ("1*t^2*t", "trailing input '*'", 5),
+            ("1/2/3", "trailing input '/'", 3),
+            ("t^2^3", "trailing input '^'", 3),
+            ("1*t^1/2 t", "trailing input 't'", 8),
+            ("1 $", "unexpected character '$'", 2),
+            ("1.5", "unexpected character '.'", 1),
+            ("t^٢", "unexpected character '٢'", 2),
+        ],
+    )
+    def test_literal_errors_keep_their_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_puiseux(text)
+        assert (info.value.message, info.value.position) == (message, position)
+
+    @pytest.mark.skipif(LIMIT is None, reason="no limit on integer string conversion")
+    @pytest.mark.parametrize("prefix", ["", "t^", "1 - 2*t^1/"])
+    def test_literal_digit_limit_is_a_parse_error(self, prefix):
+        with pytest.raises(ParseError) as info:
+            parse_puiseux(prefix + "1" * (self.LIMIT + 1))
+        assert info.value.message == (
+            f"number of {self.LIMIT + 1} digits is above the limit of {self.LIMIT} digits"
+        )
+        assert info.value.position == len(prefix)
+
+    @pytest.mark.parametrize(
+        "text, message, position",
+        [
+            ("v(x + ) < 1", "expected a coefficient or 't', found ')'", 6),
+            ("v(x - t^) < 1", "expected a number, found ')'", 8),
+            ("v(x - 2*g1) < 1", "expected 't' after '*'", 8),
+            ("v(x -", "unexpected end of input", 5),
+            ("v(x - 1/0) < 1", "expected a nonzero integer denominator", 8),
+            ("v((x + 1 +)) < 1", "expected a coefficient or 't', found ')'", 10),
+            ("v(x*t) < 1", "expected ')', found '*'", 3),
+            ("v((x - t^1/2/3)) < 1", "expected ')', found '/'", 12),
+            ("v(2*(x - t)*(x + -t)) < 1", "expected a coefficient or 't', found '-'", 17),
+            ("v(x - t^-x) < 1", "expected a number, found 'x'", 9),
+            ("v((x - t)^t) < 1", "expected an integer exponent", 10),
+            ("v((y - t)) < 1", "polynomial factors are written in x", 3),
+        ],
+    )
+    def test_root_errors_keep_their_message_and_position(self, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse_mixed_formula(text, 0)
+        assert (info.value.message, info.value.position) == (message, position)
+
+    @pytest.mark.parametrize(
+        "text, terms",
+        [
+            ("0", ()),
+            ("4/2", ((0, 2),)),
+            ("-t^-1/2 + 2/4", ((F(-1, 2), -1), (0, F(1, 2)))),
+            ("t^2/2 - 3*t^4/2 + t - t", ((1, 1), (2, -3))),
+            ("1 + t^0 - 0*t", ((0, 2),)),
+        ],
+    )
+    def test_literals_read_to_their_terms(self, text, terms):
+        assert parse_puiseux(text).terms == terms
 
 
 class TestMixedCells:
@@ -996,6 +1122,31 @@ class TestProjectionBounds:
             limit = d + 1 if c.kdim == 1 else d
             pd = sl.dimension(c.gamma_projection())
             assert pd <= limit
+
+    def test_gamma_projection_eliminates_only_the_radius(self, monkeypatch):
+        """One elimination step per radius coordinate, and the projection the
+        full emptiness-checking pass of ``project_basic`` gives."""
+        from valdim.semilinear import elimination
+
+        rng = random.Random(5)
+        cells = []
+        for _ in range(40):
+            n = rng.choice([1, 2])
+            ps = [verify.random_factored_poly(rng, 3) for _ in range(rng.randint(1, 2))]
+            cells += mixed_cell_decompose(verify.random_mixed_formula(rng, n, ps))
+        assert {c.kdim for c in cells} == {0, 1}
+        steps = []
+        real = elimination._eliminate_var
+        monkeypatch.setattr(
+            elimination, "_eliminate_var", lambda rows, j: steps.append(j) or real(rows, j)
+        )
+        for c in cells:
+            steps.clear()
+            got = c.gamma_projection()
+            assert steps == list(range(c.kdim))
+            b = c.fiber.to_basicset()
+            want = sl.project_basic(b, range(c.kdim, b.arity)).to_formula()
+            assert repr(got) == repr(want)
 
     def test_shift_bound(self):
         from valdim.lowerset import shift_closure

@@ -24,6 +24,12 @@ documented in docs/dsl.md:
 
 A coefficient before a NAME must be an integer.  Each DSL is a subclass
 of ``Grammar`` that says what its NAMEs are and may add atoms of its own.
+
+The tokens are strings, read by one ``findall`` and walked by index; a
+token's kind is read off its first character.  A token's position in
+the text is found only for an error, by scanning the text again.  One
+search for a character no token starts with runs first, so an
+unexpected character is reported before any grammar error.
 """
 
 from __future__ import annotations
@@ -32,6 +38,7 @@ import re
 import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from typing import Any, Callable, ClassVar, Sequence
 
 from .errors import ParseError, SemanticError
@@ -42,6 +49,7 @@ MAX_NESTING = 256
 #: Most variables a formula of either DSL may have: a larger written index
 #: is a parse error, a larger declared count a semantic one.
 MAX_VARIABLES = 10_000
+_INDEX_DIGITS = len(str(MAX_VARIABLES))
 
 
 class Formula:
@@ -214,88 +222,101 @@ def map_atoms(f: Formula, fn: Callable[[Any], Formula], arity: int) -> Formula:
     raise TypeError(f"not a formula: {f!r}")
 
 
-# Whitespace matches no group, so a scan skips it; any other character
-# no token starts with is ``bad``.
-_TOKEN = re.compile(
-    r"(?P<rel><=|>=|!=|==|<|>|=)|(?P<num>[0-9]+)|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<punct>[()&|!*/^+-])|(?P<bad>\S)"
-)
+#: One token: a relation, an INT, a NAME or a punctuation mark.  The pattern
+#: has no groups, so ``findall`` returns the token strings, and a scan skips
+#: the whitespace between them.
+_TOKEN = re.compile(r"<=|>=|!=|==|[<>=]|[0-9]+|[A-Za-z_][A-Za-z_0-9]*|[()&|!*/^+-]")
+#: A character that is neither whitespace nor one a token starts with.
+_BAD = re.compile(r"[^\s0-9A-Za-z_<>=!()&|*/^+-]")
+#: The first characters of INT and of NAME tokens: a token's kind is read
+#: off its first character, and the relations are the tokens in ``RELATIONS``.
+DIGITS = "0123456789"
+NAME_START = "ABCDEFGHIJKLMNOPQRSTUVWXYZ_abcdefghijklmnopqrstuvwxyz"
+RELATIONS = frozenset(("<", "<=", "=", "==", ">=", ">", "!="))
 
 
 class Tokens:
-    """Token stream over one DSL text.
+    """The tokens of one DSL text, as strings in ``items``, read by index.
 
-    Also counts the open Boolean groups, so both DSLs share one cap.
+    A reader walks ``items`` from an index and returns the index after
+    what it read.  The position of a token in the text is found only when
+    an error needs it.  Also counts the open Boolean groups, so both DSLs
+    share one cap.
     """
 
+    __slots__ = ("text", "items", "depth")
+
     def __init__(self, text: str):
+        bad = _BAD.search(text)
+        if bad is not None:
+            raise ParseError(f"unexpected character {bad.group()!r}", bad.start())
         self.text = text
-        self.items = [(m.lastgroup, m.group(), m.start()) for m in _TOKEN.finditer(text)]
-        for kind, value, pos in self.items:
-            if kind == "bad":
-                raise ParseError(f"unexpected character {value!r}", pos)
-        self.i = 0
+        self.items: list[str] = _TOKEN.findall(text)
         self.depth = 0
 
-    def peek(self) -> tuple[str, str, int] | None:
-        return self.items[self.i] if self.i < len(self.items) else None
+    def error(self, message: str, i: int) -> ParseError:
+        """A parse error at token ``i``, or at the end of the text past the last token."""
+        if i >= len(self.items):
+            return ParseError(message, len(self.text))
+        return ParseError(message, next(islice(_TOKEN.finditer(self.text), i, None)).start())
 
-    def at(self, i: int) -> tuple[str, str, int]:
+    def at(self, i: int) -> str:
         """Token ``i``; past the last one, a parse error at the end of the text."""
         if i < len(self.items):
             return self.items[i]
         raise ParseError("unexpected end of input", len(self.text))
 
+    def past(self, i: int, value: str) -> int:
+        """The index after token ``i``, which must be ``value``."""
+        items = self.items
+        if i < len(items) and items[i] == value:
+            return i + 1
+        found = f", found {items[i]!r}" if i < len(items) else ""
+        raise self.error(f"expected {value!r}{found}", i)
+
+    def end(self, i: int):
+        """Raise unless every token has been read: ``i`` is past the last one."""
+        if i < len(self.items):
+            raise self.error(f"trailing input {self.items[i]!r}", i)
+
+    def open_group(self, i: int) -> int:
+        """Open the group at token ``i``, and return the index after it.
+
+        The caller closes the group with ``depth -= 1``.
+        """
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self.error(f"formula nested deeper than {MAX_NESTING} levels", i)
+        return i + 1
+
+    def integer(self, i: int) -> int:
+        """The value of the INT token ``i``.
+
+        A literal longer than the interpreter converts (``int`` refuses it
+        with a ValueError) is a parse error at its token.
+        """
+        try:
+            return int(self.items[i])
+        except ValueError:
+            raise self.error(
+                f"number of {len(self.items[i])} digits is above the limit of "
+                f"{sys.get_int_max_str_digits()} digits", i
+            ) from None
+
     def rational(self, i: int) -> tuple[int | Fraction, int]:
         """``INT ['/' INT]`` at token ``i``, and the index after it.
 
-        An int, or a Fraction when a denominator is written.  Reads the
-        tokens by index, so a reader that walks ``items`` itself shares it.
+        An int, or a Fraction when a denominator is written.
         """
-        t = self.at(i)
-        if t[0] != "num":
-            raise ParseError(f"expected a number, found {t[1]!r}", t[2])
-        if i + 1 >= len(self.items) or self.items[i + 1][1] != "/":
-            return integer(t), i + 1
-        d = self.at(i + 2)
-        if d[0] != "num" or integer(d) == 0:
-            raise ParseError("expected a nonzero integer denominator", d[2])
-        return Fraction(integer(t), integer(d)), i + 3
-
-    def next(self) -> tuple[str, str, int]:
-        t = self.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.text))
-        self.i += 1
-        return t
-
-    def accept(self, value: str) -> bool:
-        t = self.peek()
-        if t is not None and t[1] == value:
-            self.i += 1
-            return True
-        return False
-
-    def expect(self, value: str):
-        t = self.peek()
-        if t is None:
-            raise ParseError(f"expected {value!r}", len(self.text))
-        if t[1] != value:
-            raise ParseError(f"expected {value!r}, found {t[1]!r}", t[2])
-        self.i += 1
-
-    def end(self):
-        """Raise unless every token has been read."""
-        t = self.peek()
-        if t is not None:
-            raise ParseError(f"trailing input {t[1]!r}", t[2])
-
-    def open_group(self):
-        """Consume a group's opening token; the caller closes it with ``depth -= 1``."""
-        t = self.next()
-        self.depth += 1
-        if self.depth > MAX_NESTING:
-            raise ParseError(f"formula nested deeper than {MAX_NESTING} levels", t[2])
+        items = self.items
+        t = items[i] if i < len(items) else self.at(i)
+        if t[0] not in DIGITS:
+            raise self.error(f"expected a number, found {t!r}", i)
+        if i + 1 == len(items) or items[i + 1] != "/":
+            return self.integer(i), i + 1
+        if self.at(i + 2)[0] not in DIGITS or (d := self.integer(i + 2)) == 0:
+            raise self.error("expected a nonzero integer denominator", i + 2)
+        return Fraction(self.integer(i), d), i + 3
 
 
 class Side:
@@ -316,15 +337,15 @@ class Side:
 class Pending:
     """A comparison ``lhs REL rhs``, built into an atom once the arity is known.
 
-    ``pos`` is the position of the relation, where errors found while
+    ``at`` is the index of the relation's token, where errors found while
     building are reported.
     """
 
     arity = 0
-    __slots__ = ("lhs", "rel", "rhs", "pos")
+    __slots__ = ("lhs", "rel", "rhs", "at")
 
-    def __init__(self, lhs: Side, rel: str, rhs: Side, pos: int):
-        self.lhs, self.rel, self.rhs, self.pos = lhs, rel, rhs, pos
+    def __init__(self, lhs: Side, rel: str, rhs: Side, at: int):
+        self.lhs, self.rel, self.rhs, self.at = lhs, rel, rhs, at
 
 
 def difference(lhs: Side, rhs: Side, n: int) -> tuple[list[int], int | Fraction]:
@@ -341,12 +362,13 @@ class Grammar:
     """Recursive-descent parser for one DSL text: the Boolean grammar above
     and the comparisons of linear sums both DSLs share.
 
-    A subclass names its variables ``prefix`` + index (1-based), may parse
-    other atoms by overriding ``atom`` and other names by overriding
-    ``name``, and builds each ``Pending`` comparison into a formula in
-    ``build``.  Atoms are built once the whole text is read, because the
-    arity is known only then: the declared one, or else the largest
-    variable index mentioned.
+    Each rule reads from a token index and returns what it read with the
+    index after it.  A subclass names its variables ``prefix`` + index
+    (1-based), may parse other atoms by overriding ``atom`` and other
+    names by overriding ``name``, and builds each ``Pending`` comparison
+    into a formula in ``build``.  Atoms are built once the whole text is
+    read, because the arity is known only then: the declared one, or else
+    the largest variable index mentioned.
     """
 
     prefix: ClassVar[str]
@@ -364,8 +386,8 @@ class Grammar:
 
     def parse(self) -> Formula:
         """The whole text as one formula."""
-        f = self.disj()
-        self.toks.end()
+        f, i = self.disj(0)
+        self.toks.end(i)
         n = self.declared if self.declared is not None else self.max_var
         return map_atoms(f, lambda p: self.build(p, n), n)
 
@@ -373,96 +395,119 @@ class Grammar:
         """The formula of a leaf the parser returned, in ``n`` variables."""
         raise NotImplementedError
 
-    def disj(self) -> Formula:
-        parts = [self.conj()]
-        while self.toks.accept("|"):
-            parts.append(self.conj())
-        return Or.of(*parts) if len(parts) > 1 else parts[0]
+    def disj(self, i: int) -> tuple[Formula, int]:
+        items = self.toks.items
+        parts = []
+        while True:
+            f, i = self.conj(i)
+            parts.append(f)
+            if i == len(items) or items[i] != "|":
+                return (Or.of(*parts) if len(parts) > 1 else f), i
+            i += 1
 
-    def conj(self) -> Formula:
-        parts = [self.unary()]
-        while self.toks.accept("&"):
-            parts.append(self.unary())
-        return And.of(*parts) if len(parts) > 1 else parts[0]
+    def conj(self, i: int) -> tuple[Formula, int]:
+        items = self.toks.items
+        parts = []
+        while True:
+            f, i = self.unary(i)
+            parts.append(f)
+            if i == len(items) or items[i] != "&":
+                return (And.of(*parts) if len(parts) > 1 else f), i
+            i += 1
 
-    def unary(self) -> Formula:
-        t = self.toks.peek()
-        if t is None:
-            raise ParseError("unexpected end of input", len(self.toks.text))
-        if t[0] == "name" and t[1] in ("true", "false"):
-            self.toks.next()
-            return Bool(t[1] == "true")
-        if t[1] not in ("!", "("):
-            return self.atom()
-        self.toks.open_group()
-        if t[1] == "!":
-            node = Not.of(self.unary())
+    def unary(self, i: int) -> tuple[Formula, int]:
+        toks = self.toks
+        t = toks.at(i)
+        if t == "true" or t == "false":
+            return Bool(t == "true"), i + 1
+        if t != "!" and t != "(":
+            return self.atom(i)
+        i = toks.open_group(i)
+        if t == "!":
+            node, i = self.unary(i)
+            node = Not.of(node)
         else:
-            node = self.disj()
-            self.toks.expect(")")
-        self.toks.depth -= 1
-        return node
+            node, i = self.disj(i)
+            i = toks.past(i, ")")
+        toks.depth -= 1
+        return node, i
 
-    def atom(self) -> Formula:
-        return self.comparison()
+    def atom(self, i: int) -> tuple[Formula, int]:
+        return self.comparison(i)
 
-    def comparison(self) -> Formula:
+    def comparison(self, i: int) -> tuple[Formula, int]:
         """``sum REL sum`` as a ``Pending`` leaf; ``==`` reads as ``=``."""
-        lhs = self.sum()
-        t = self.toks.next()
-        if t[0] != "rel":
-            raise ParseError(f"expected a relation, found {t[1]!r}", t[2])
-        rhs = self.sum()
-        return Atom(Pending(lhs, "=" if t[1] == "==" else t[1], rhs, t[2]))
+        lhs, i = self.sum(i)
+        t = self.toks.at(i)
+        if t not in RELATIONS:
+            raise self.toks.error(f"expected a relation, found {t!r}", i)
+        rhs, j = self.sum(i + 1)
+        return Atom(Pending(lhs, "=" if t == "==" else t, rhs, i)), j
 
-    def sum(self) -> Side:
+    def sum(self, i: int) -> tuple[Side, int]:
         """``['-'] term (('+'|'-') term)*`` with ``term := RAT ['*' NAME] | NAME``."""
         toks = self.toks
+        items = toks.items
+        n = len(items)
         side = self.side()
-        sign = -1 if toks.accept("-") else 1
+        sign = 1
+        if i < n and items[i] == "-":
+            sign = -1
+            i += 1
         while True:
-            t = toks.peek()
-            if t is not None and t[0] == "num":
-                value = self.rational()
-                if toks.accept("*"):
-                    v = toks.next()
-                    if v[0] != "name":
-                        raise ParseError("expected a variable after '*'", v[2])
+            t = items[i] if i < n else toks.at(i)
+            if t[0] in DIGITS:
+                value, j = toks.rational(i)
+                if j < n and items[j] == "*":
+                    if (items[j + 1] if j + 1 < n else toks.at(j + 1))[0] not in NAME_START:
+                        raise toks.error("expected a variable after '*'", j + 1)
                     if value.denominator != 1:
-                        raise ParseError(f"non-integer coefficient {value} on {v[1]!r}", t[2])
-                    self.name(side, v, sign * int(value), False)
+                        raise toks.error(
+                            f"non-integer coefficient {value} on {items[j + 1]!r}", i
+                        )
+                    i = self.name(side, j + 1, sign * int(value), False)
                 else:
                     side.const += value if sign > 0 else -value
+                    i = j
+            elif t[0] in NAME_START:
+                i = self.name(side, i, sign, True)
             else:
-                t = toks.next()
-                if t[0] != "name":
-                    raise ParseError(f"expected a term, found {t[1]!r}", t[2])
-                self.name(side, t, sign, True)
+                raise toks.error(f"expected a term, found {t!r}", i)
             side.terms += 1
-            if toks.accept("+"):
+            if i == n:
+                return side, i
+            t = items[i]
+            if t == "+":
                 sign = 1
-            elif toks.accept("-"):
+            elif t == "-":
                 sign = -1
             else:
-                return side
+                return side, i
+            i += 1
 
-    def name(self, side: Side, t: tuple[str, str, int], c: int, bare: bool):
-        """Add the term ``c * NAME`` to ``side``; ``bare`` if written without a number."""
-        i = self.variable(t)
-        side.coeffs[i] = side.coeffs.get(i, 0) + c
+    def name(self, side: Side, i: int, c: int, bare: bool) -> int:
+        """Add the term ``c * NAME``, NAME token ``i``, to ``side``, and return
+        the index after it; ``bare`` if written without a number."""
+        v = self.variable(i)
+        side.coeffs[v] = side.coeffs.get(v, 0) + c
+        return i + 1
 
-    def variable(self, t: tuple[str, str, int]) -> int:
-        """The 0-based index of the variable named by token ``t``."""
-        name, pos = t[1], t[2]
-        if name[0] != self.prefix or not name[1:].isdigit():
-            raise ParseError(f"unknown variable {name!r}", pos)
+    def variable(self, i: int) -> int:
+        """The 0-based index of the variable named by token ``i``."""
+        name = self.toks.items[i]
+        digits = name[1:]
+        if name[0] != self.prefix or not digits.isdigit():
+            raise self.toks.error(f"unknown variable {name!r}", i)
         # a long digit string is past the limit before int() would refuse it
-        digits = name[1:].lstrip("0")
-        idx = int(digits or "0") if len(digits) <= len(str(MAX_VARIABLES)) else MAX_VARIABLES + 1
+        if len(digits) > _INDEX_DIGITS:
+            digits = digits.lstrip("0") or "0"
+        idx = int(digits) if len(digits) <= _INDEX_DIGITS else MAX_VARIABLES + 1
         if idx > MAX_VARIABLES:
-            raise ParseError(f"variable index {name!r} is above the limit of {MAX_VARIABLES}", pos)
+            raise self.toks.error(
+                f"variable index {name!r} is above the limit of {MAX_VARIABLES}", i
+            )
         if idx < 1:
-            raise ParseError(f"variable indices start at {self.prefix}1, got {name!r}", pos)
+            raise self.toks.error(f"variable indices start at {self.prefix}1, got {name!r}", i)
         if self.declared is not None and idx > self.declared:
             raise SemanticError(
                 f"unknown variable {name!r}: formula has {self.declared} variables"
@@ -470,11 +515,6 @@ class Grammar:
         if idx > self.max_var:
             self.max_var = idx
         return idx - 1
-
-    def rational(self) -> int | Fraction:
-        """``INT ['/' INT]`` at the cursor, read by :meth:`Tokens.rational`."""
-        value, self.toks.i = self.toks.rational(self.toks.i)
-        return value
 
 
 _SIGNED_INT = re.compile(r"\s*-?[0-9]+\s*")
@@ -491,17 +531,3 @@ def signed_int(text: str) -> int:
         raise ValueError(f"not an integer: {text!r}")
     return int(text)
 
-
-def integer(t: tuple[str, str, int]) -> int:
-    """The value of the number token ``t``.
-
-    A literal longer than the interpreter converts (``int`` refuses it
-    with a ValueError) is a parse error at its token.
-    """
-    try:
-        return int(t[1])
-    except ValueError:
-        raise ParseError(
-            f"number of {len(t[1])} digits is above the limit of "
-            f"{sys.get_int_max_str_digits()} digits", t[2]
-        ) from None

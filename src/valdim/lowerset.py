@@ -201,20 +201,26 @@ def shift_closure(a: LowerSet) -> LowerSet:
     of width w is generated by ``p - |k| e_1 + (0, k)`` for k in N^(w-1)
     with |k| <= p_1, C(p_1 + w - 1, w - 1) points; a closure of more than
     ``MAX_POINTS`` generators is refused with a ValueError before any is
-    built.
+    built.  The generators of one point are an antichain, made here in
+    sorted order, so a closure of one maximum is built as it stands.
     """
     w = a.width
     if w is None:
         return a
     if sum(comb(p[0] + w - 1, w - 1) for p in a.maxima) > MAX_POINTS:
         raise ValueError(f"a shift closure of more than {MAX_POINTS} points is not built")
-    gens = []
-    for d1, *rest in a.maxima:
-        for k in product(range(d1 + 1), repeat=w - 1):
-            moved = sum(k)
-            if moved <= d1:
-                gens.append((d1 - moved, *(r + c for r, c in zip(rest, k))))
-    return LowerSet(tuple(gens))
+    gens: list[DimPoint] = []
+    for p in a.maxima:
+        d1, r2 = p[0], p[1]
+        # s = |k| descending, so the first coordinate ascends
+        if w == 2:
+            gens += [(d1 - s, r2 + s) for s in range(d1, -1, -1)]
+        else:
+            r3 = p[2]
+            gens += [(d1 - s, r2 + k, r3 + s - k) for s in range(d1, -1, -1) for k in range(s + 1)]
+    out = object.__new__(LowerSet)
+    object.__setattr__(out, "maxima", tuple(gens) if len(a.maxima) == 1 else _antichain(gens))
+    return out
 
 
 def shift_closure3(a: LowerSet) -> LowerSet:

@@ -21,15 +21,15 @@ Each comparison may mention at most one polynomial; same-polynomial
 valuation terms fold their weights.  ``inf`` must stand alone on its side.
 
 One reader, :func:`read_puiseux`, reads every Puiseux sum, ``tail`` and
-``puiseux`` alike: it walks the shared tokens from the cursor once and
+``puiseux`` alike: it walks the shared tokens from an index once and
 builds the terms directly, for a root inside a formula and for a
 standalone literal of :func:`parse_puiseux`, which needs no parser.
 """
 
 from __future__ import annotations
 
-from ..boolean import Formula, Grammar, Side, Tokens, difference, integer
-from ..errors import ParseError, SemanticError
+from ..boolean import DIGITS, Formula, Grammar, Side, Tokens, difference
+from ..errors import SemanticError
 from .formula import matom
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
@@ -52,27 +52,28 @@ class _MixedParser(Grammar):
     prefix = "g"
     side = _Side
 
-    def name(self, side: _Side, t, c: int, bare: bool):
-        if t[1] == "v":
-            self.toks.expect("(")
-            f = self.poly()
-            self.toks.expect(")")
+    def name(self, side: _Side, i: int, c: int, bare: bool) -> int:
+        toks = self.toks
+        t = toks.items[i]
+        if t == "v":
+            f, i = self.poly(toks.past(i + 1, "("))
             side.polys[f] = side.polys.get(f, 0) + c
-        elif t[1] == "inf" and bare:
+            return toks.past(i, ")")
+        if t == "inf" and bare:
             if c < 0:
-                raise ParseError("negated 'inf' is not a value", t[2])
+                raise toks.error("negated 'inf' is not a value", i)
             side.inf = True
-        else:
-            super().name(side, t, c, bare)
+            return i + 1
+        return super().name(side, i, c, bare)
 
     def build(self, p, n: int) -> Formula:
         lhs, rel, rhs = p.lhs, p.rel, p.rhs
         for side in (lhs, rhs):
             if side.inf and side.terms > 1:
-                raise ParseError("'inf' must stand alone on its side", p.pos)
+                raise self.toks.error("'inf' must stand alone on its side", p.at)
         if lhs.inf:
             if rhs.inf:
-                raise ParseError("'inf' on both sides of a comparison", p.pos)
+                raise self.toks.error("'inf' on both sides of a comparison", p.at)
             lhs, rel, rhs = rhs, _MIRROR[rel], lhs
         polys = dict(lhs.polys)
         for f, w in rhs.polys.items():
@@ -84,40 +85,47 @@ class _MixedParser(Grammar):
         gcoeffs, q = difference(lhs, rhs, n)
         return matom(weight, poly, gcoeffs, rel, INFINITY if rhs.inf else q)
 
-    def poly(self) -> FactoredPoly:
-        t = self.toks.peek()
-        if t is not None and t[0] == "name" and t[1] == "x":
+    def poly(self, i: int) -> tuple[FactoredPoly, int]:
+        toks = self.toks
+        items = toks.items
+        n = len(items)
+        if i < n and items[i] == "x":
             # bare degree-1 form: v(x - a)
-            self.toks.next()
-            return FactoredPoly(1, ((-read_puiseux(self.toks), 1),))
-        sign = -1 if self.toks.accept("-") else 1
-        lead = sign
-        if sign < 0 or (t is not None and t[0] == "num"):
-            lead = sign * self.rational()
-            if not self.toks.accept("*"):
-                return FactoredPoly(lead, ())
+            root, i = read_puiseux(toks, i + 1)
+            return FactoredPoly(1, ((-root, 1),)), i
+        lead = 1
+        if i < n and items[i] == "-":
+            lead = -1
+            i += 1
+        if lead < 0 or (i < n and items[i][0] in DIGITS):
+            c, i = toks.rational(i)
+            lead *= c
+            if i == n or items[i] != "*":
+                return FactoredPoly(lead, ()), i
+            i += 1
         roots: dict[PuiseuxElement, int] = {}
         while True:
-            root, mult = self.factor()
+            root, mult, i = self.factor(i)
             roots[root] = roots.get(root, 0) + mult
-            if not self.toks.accept("*"):
-                break
-        return FactoredPoly(lead, tuple(roots.items()))
+            if i == n or items[i] != "*":
+                return FactoredPoly(lead, tuple(roots.items())), i
+            i += 1
 
-    def factor(self) -> tuple[PuiseuxElement, int]:
-        self.toks.expect("(")
-        t = self.toks.next()
-        if t[0] != "name" or t[1] != "x":
-            raise ParseError("polynomial factors are written in x", t[2])
-        shift = read_puiseux(self.toks)
-        self.toks.expect(")")
+    def factor(self, i: int) -> tuple[PuiseuxElement, int, int]:
+        """``factor`` at token ``i``: its root, its multiplicity and the index after it."""
+        toks = self.toks
+        i = toks.past(i, "(")
+        if toks.at(i) != "x":
+            raise toks.error("polynomial factors are written in x", i)
+        shift, i = read_puiseux(toks, i + 1)
+        i = toks.past(i, ")")
         mult = 1
-        if self.toks.accept("^"):
-            m = self.toks.next()
-            if m[0] != "num":
-                raise ParseError("expected an integer exponent", m[2])
-            mult = integer(m)
-        return -shift, mult
+        if i < len(toks.items) and toks.items[i] == "^":
+            if toks.at(i + 1)[0] not in DIGITS:
+                raise toks.error("expected an integer exponent", i + 1)
+            mult = toks.integer(i + 1)
+            i += 2
+        return -shift, mult, i
 
 
 def parse_mixed_formula(text: str, n_gamma: int | None = None) -> Formula:
@@ -128,58 +136,57 @@ def parse_mixed_formula(text: str, n_gamma: int | None = None) -> Formula:
 def parse_puiseux(text: str) -> PuiseuxElement:
     """Parse a standalone Puiseux literal like ``1/2*t^-1 + 3 - t^2/3``."""
     toks = Tokens(text)
-    e = read_puiseux(toks, lead=True)
-    toks.end()
+    e, i = read_puiseux(toks, 0, lead=True)
+    toks.end(i)
     return e
 
 
-def read_puiseux(toks: Tokens, lead: bool = False) -> PuiseuxElement:
-    """The Puiseux sum at the cursor of ``toks``, read in one pass over its tokens.
+def read_puiseux(toks: Tokens, i: int, lead: bool = False) -> tuple[PuiseuxElement, int]:
+    """The Puiseux sum at token ``i``, read in one pass over its tokens, and
+    the index after it.
 
     With ``lead`` this is ``puiseux`` of the grammar, whose first term may
     go without a sign or take a '-'; without it, the signed terms after
     'x', ``(('+'|'-') pterm)*``, which may be none.  The terms go to
     ``PuiseuxElement.of``, which keeps each value by the int rule of
-    :mod:`.puiseux`.  The cursor is left after the sum.
+    :mod:`.puiseux`.
     """
     items = toks.items
     n = len(items)
-    i = toks.i
     terms = []
     sign = 1
-    if lead and i < n and items[i][1] == "-":
+    if lead and i < n and items[i] == "-":
         sign = -1
         i += 1
     while True:
         if lead:
             lead = False
-        elif i < n and items[i][1] in ("+", "-"):
-            sign = 1 if items[i][1] == "+" else -1
+        elif i < n and (items[i] == "+" or items[i] == "-"):
+            sign = 1 if items[i] == "+" else -1
             i += 1
         else:
             break
         # pterm := RAT ['*' 't' ['^' EXP]]  |  't' ['^' EXP]
-        t = toks.at(i)
-        if t[0] == "num":
+        t = items[i] if i < n else toks.at(i)
+        if t[0] in DIGITS:
             c, i = toks.rational(i)
-            if i >= n or items[i][1] != "*":
+            if i == n or items[i] != "*":
                 terms.append((0, c if sign > 0 else -c))
                 continue
             t = toks.at(i + 1)
-            if t[0] != "name" or t[1] != "t":
-                raise ParseError("expected 't' after '*'", t[2])
+            if t != "t":
+                raise toks.error("expected 't' after '*'", i + 1)
             i += 2
-        elif t[0] == "name" and t[1] == "t":
+        elif t == "t":
             c = 1
             i += 1
         else:
-            raise ParseError(f"expected a coefficient or 't', found {t[1]!r}", t[2])
+            raise toks.error(f"expected a coefficient or 't', found {t!r}", i)
         e = 1
-        if i < n and items[i][1] == "^":
-            negative = i + 1 < n and items[i + 1][1] == "-"
+        if i < n and items[i] == "^":
+            negative = i + 1 < n and items[i + 1] == "-"
             e, i = toks.rational(i + 1 + negative)
             if negative:
                 e = -e
         terms.append((e, c if sign > 0 else -c))
-    toks.i = i
-    return PuiseuxElement.of(*terms)
+    return PuiseuxElement.of(*terms), i

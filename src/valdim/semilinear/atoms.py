@@ -46,7 +46,7 @@ def exact(q: RatLike) -> int | Fraction:
     """The right side ``q``: an int as it is, else a Fraction; a float is not exact data."""
     if isinstance(q, float):
         raise TypeError(f"right side must be an int, a Fraction or a str, got float {q!r}")
-    return q if type(q) is int else Fraction(q)
+    return q if type(q) is int or type(q) is Fraction else Fraction(q)
 
 
 def between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
@@ -82,23 +82,7 @@ class LinearAtom(tuple):
     def __new__(cls, coeffs: Sequence[int], rel: str, rhs: RatLike):
         if rel not in RELS:
             raise ValueError(f"bad relation {rel!r}")
-        if type(rhs) is int:
-            coeffs = tuple(map(index, coeffs))
-        else:
-            q = exact(rhs)
-            rhs, d = q.numerator, q.denominator
-            coeffs = tuple(index(c) * d for c in coeffs)
-        g = gcd(*coeffs)
-        if g == 0:
-            raise ValueError("all-zero atom; use atom() which folds constants")
-        g = gcd(g, rhs)
-        if g > 1:
-            coeffs = tuple(c // g for c in coeffs)
-            rhs //= g
-        if rel == EQ and next(c for c in coeffs if c) < 0:
-            coeffs = tuple(-c for c in coeffs)
-            rhs = -rhs
-        return tuple.__new__(cls, (coeffs, rel, rhs))
+        return _primitive(tuple(map(index, coeffs)), rel, exact(rhs))
 
     @property
     def arity(self) -> int:
@@ -127,6 +111,26 @@ class LinearAtom(tuple):
         return f"{' '.join(parts)} {rel} {Fraction(rhs, g)}"
 
 
+def _primitive(coeffs: tuple[int, ...], rel: str, rhs: int | Fraction) -> LinearAtom:
+    """The :class:`LinearAtom` of a checked row: int coefficients, a relation
+    of ``RELS`` and an exact right side."""
+    if type(rhs) is not int:
+        d = rhs.denominator
+        rhs = rhs.numerator
+        coeffs = tuple(c * d for c in coeffs)
+    g = gcd(*coeffs)
+    if g == 0:
+        raise ValueError("all-zero atom; use atom() which folds constants")
+    g = gcd(g, rhs)
+    if g > 1:
+        coeffs = tuple(c // g for c in coeffs)
+        rhs //= g
+    if rel == EQ and next(c for c in coeffs if c) < 0:
+        coeffs = tuple(-c for c in coeffs)
+        rhs = -rhs
+    return tuple.__new__(LinearAtom, (coeffs, rel, rhs))
+
+
 def normal_rows(coeffs: tuple, rel: str, rhs) -> list[tuple]:
     """The rows ``(coeffs, rel, rhs)``, rel in {<, <=, =}, whose disjunction is the comparison.
 
@@ -147,10 +151,10 @@ def normal_rows(coeffs: tuple, rel: str, rhs) -> list[tuple]:
     raise ValueError(f"bad relation {rel!r}")
 
 
-def _fold(coeffs: tuple[int, ...], rel: str, rhs: Fraction) -> Formula:
-    """One normal row as a formula: an atom, or a constant when no variable is left."""
+def _fold(coeffs: tuple[int, ...], rel: str, rhs: int | Fraction) -> Formula:
+    """One checked normal row as a formula: an atom, or a constant when no variable is left."""
     if any(coeffs):
-        return Atom(LinearAtom(coeffs, rel, rhs))
+        return Atom(_primitive(coeffs, rel, rhs))
     return Bool(COMPARE[rel](0, rhs), len(coeffs))
 
 

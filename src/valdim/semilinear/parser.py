@@ -16,8 +16,7 @@ enclosing formula).
 
 from __future__ import annotations
 
-from ..boolean import Atom, Formula, Grammar, difference, map_atoms
-from ..errors import ParseError
+from ..boolean import NAME_START, Atom, Formula, Grammar, difference, map_atoms
 from .atoms import atom
 from .elimination import exists
 
@@ -25,19 +24,18 @@ from .elimination import exists
 class _Parser(Grammar):
     prefix = "x"
 
-    def atom(self) -> Formula:
-        if self.toks.peek()[1] != "exists":
-            return self.comparison()
-        self.toks.open_group()
-        name = self.toks.next()
-        if name[0] != "name":
-            raise ParseError("expected a variable after 'exists'", name[2])
-        idx = self.variable(name)
-        self.toks.expect("(")
-        node = _Exists(self.disj(), idx)
-        self.toks.expect(")")
-        self.toks.depth -= 1
-        return Atom(node)
+    def atom(self, i: int) -> tuple[Formula, int]:
+        toks = self.toks
+        if toks.items[i] != "exists":
+            return self.comparison(i)
+        i = toks.open_group(i)
+        if toks.at(i)[0] not in NAME_START:
+            raise toks.error("expected a variable after 'exists'", i)
+        var = self.variable(i)
+        body, i = self.disj(toks.past(i + 1, "("))
+        i = toks.past(i, ")")
+        toks.depth -= 1
+        return Atom(_Exists(body, var)), i
 
     def build(self, p, n: int) -> Formula:
         if isinstance(p, _Exists):

@@ -21,7 +21,7 @@ from itertools import combinations
 from typing import Sequence
 
 from . import semilinear as sl
-from .boolean import Grammar, signed_int
+from .boolean import DIGITS, Tokens, signed_int
 from .errors import ParseError, SemanticError
 from .lowerset import NEG_INF
 from .semilinear.elimination import negate_row, rows_infeasible
@@ -195,13 +195,13 @@ def trop_image_monomial(domain: sl.Formula, mp: MonomialMap) -> sl.Formula:
 
 def _weight(text: str) -> Fraction:
     """``['-'] INT ['/' INT]``, or else the valuation of a Puiseux literal."""
-    g = Grammar(text, None)
-    sign = -1 if g.toks.accept("-") else 1
-    t = g.toks.peek()
-    if t is not None and t[0] == "num":
-        w = g.rational()
-        if g.toks.peek() is None:
-            return Fraction(sign * w)
+    toks = Tokens(text)
+    items = toks.items
+    i = 1 if items[:1] == ["-"] else 0
+    if i < len(items) and items[i][0] in DIGITS:
+        w, j = toks.rational(i)
+        if j == len(items):
+            return Fraction(-w if i else w)
     from .mixedcell.parser import parse_puiseux
 
     coeff = parse_puiseux(text)

@@ -1,5 +1,6 @@
 """The Boolean core both DSLs share: nodes, grammar and ``map_atoms``."""
 
+import hashlib
 import random
 import re
 from fractions import Fraction as F
@@ -7,7 +8,9 @@ from itertools import combinations
 
 import pytest
 
-from valdim import boolean, verify
+import test_cli
+import test_fuzz
+from valdim import boolean, trop, verify
 from valdim import mixedcell as mc
 from valdim import semilinear as sl
 from valdim.errors import ParseError, SemanticError
@@ -145,6 +148,100 @@ class TestGrammar:
                     p = sl.project(f, list(keep))
                     back = sl.parse_formula(sl.formula_to_dsl(p), k)
                     assert back.arity == k and same_set(back, p)
+
+
+#: Characters a token may start with; whitespace separates tokens, and any
+#: other character is refused wherever it stands.
+TOKEN_CHARS = set("0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_<>=!()&|*/^+-")
+
+
+class TestBadCharacters:
+    @pytest.mark.parametrize("block", range(0, 0x3000, 0x400))
+    def test_each_code_point_below_u3000(self, block):
+        for cp in range(block, block + 0x400):
+            self.check(chr(cp))
+
+    def test_a_seeded_sample_above_u3000(self):
+        rng = random.Random("bad characters")
+        for _ in range(3000):
+            self.check(chr(rng.randrange(0x3000, 0x110000)))
+
+    @staticmethod
+    def check(ch):
+        """``x1 < 1 ch`` fails at ``ch`` exactly when ``ch`` is neither a blank nor
+        a token character."""
+        try:
+            sl.parse_formula(f"x1 < 1 {ch}")
+        except ParseError as e:
+            refused = e.message == f"unexpected character {ch!r}"
+            assert not refused or e.position == 7, (ch, str(e))
+        else:
+            refused = False
+        assert refused == (not ch.isspace() and ch not in TOKEN_CHARS), repr(ch)
+
+
+def parse_digest_texts():
+    """The texts of :class:`TestParseDigests`: DSL renderings of seeded
+    formulas and their projections, the fuzz corpus, the mixed digest
+    formulas, seeded Puiseux literals and seeded tropical polynomials, each
+    also under three seeded edits."""
+    texts = []
+    for n, f in verify.formula_instances(0, 300):
+        texts.append(sl.formula_to_dsl(f))
+        texts.append(sl.formula_to_dsl(sl.project(f, list(range(n - 1)))))
+    texts += test_fuzz.GAMMA_TEXTS + test_fuzz.MIXED_TEXTS + test_fuzz.TROP_TEXTS
+    texts += [text for _, text, _ in test_cli.TestMixedOutputDigests.CASES]
+    rng = random.Random("puiseux literals")
+    texts += [str(verify.random_puiseux(rng, 4)) for _ in range(100)]
+    for _ in range(50):
+        poly = verify.random_trop_poly(rng, rng.choice([2, 3]))
+        texts.append("+".join(f"{w}@{e}" for e, w in poly.terms).replace(" ", ""))
+    rng = random.Random("parse digests")
+    families = test_fuzz.FAMILIES.values()
+    alphabet = sorted({c for cmds in families for *_, chars in cmds for c in chars})
+    return texts + [test_fuzz.edit(rng, t, alphabet) for t in texts for _ in range(3)]
+
+
+def outcome(read, text):
+    """``repr`` of what ``read`` makes of ``text``, or the class, message and
+    position of its error."""
+    try:
+        return repr(read(text))
+    except ValueError as e:
+        return repr((type(e).__name__, str(e), getattr(e, "position", None)))
+
+
+class TestParseDigests:
+    """What each DSL reader returns or raises on a fixed corpus, fixed byte for byte.
+
+    One sha256 per reader covers the ``repr`` of every result and the
+    class, message and position of every error, so a change to the
+    tokenizer or the grammar cannot alter either unseen.
+    """
+
+    READERS = {
+        "parse_formula": sl.parse_formula,
+        "parse_mixed_formula": mc.parse_mixed_formula,
+        "parse_puiseux": mc.parse_puiseux,
+        "trop_poly_from_text": trop.trop_poly_from_text,
+    }
+    DIGESTS = {
+        "parse_formula": "2f0946b48f1c8dfe",
+        "parse_mixed_formula": "a478e029354e9ab6",
+        "parse_puiseux": "2371a792110f9a52",
+        "trop_poly_from_text": "d8931df6c2721928",
+    }
+
+    @pytest.fixture(scope="class")
+    def texts(self):
+        return parse_digest_texts()
+
+    @pytest.mark.parametrize("reader", sorted(READERS))
+    def test_outcomes_unchanged(self, texts, reader):
+        h = hashlib.sha256()
+        for text in texts:
+            h.update(outcome(self.READERS[reader], text).encode() + b"\n")
+        assert h.hexdigest()[:16] == self.DIGESTS[reader]
 
 
 class TestMapAtoms:

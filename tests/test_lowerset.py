@@ -210,6 +210,24 @@ class TestShiftBound:
             )
             assert shift_closure(a) == shift_fixpoint(a)
 
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_the_product_route(self, seed):
+        """The generators filtered from all of ``range(p_1 + 1) ** (w - 1)``
+        give the same maxima, in the same order."""
+        rng = random.Random(f"product route {seed}")
+        for _ in range(25):
+            w = rng.choice((2, 3))
+            a = lower_closure(
+                [tuple(rng.randint(0, 12) for _ in range(w)) for _ in range(rng.randint(1, 6))]
+            )
+            gens = [
+                (d1 - sum(k), *(r + c for r, c in zip(rest, k)))
+                for d1, *rest in a.maxima
+                for k in product(range(d1 + 1), repeat=w - 1)
+                if sum(k) <= d1
+            ]
+            assert shift_closure(a).maxima == lower_closure(gens).maxima
+
     def test_refused_past_the_limit(self, monkeypatch):
         monkeypatch.setattr(lowerset, "MAX_POINTS", 10)
         # p generates C(p_1 + w - 1, w - 1) points, summed over the maxima

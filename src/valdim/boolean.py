@@ -29,7 +29,11 @@ The tokens are strings, read by one ``findall`` and walked by index; a
 token's kind is read off its first character.  A token's position in
 the text is found only for an error, by scanning the text again.  One
 search for a character no token starts with runs first, so an
-unexpected character is reported before any grammar error.
+unexpected character is reported before any grammar error.  The arity
+is read off the tokens next, before the descent: the declared one, or
+else the largest valid variable index.  So every atom and node is built
+where the grammar reads it, and an error in a comparison is raised there,
+in text order.
 """
 
 from __future__ import annotations
@@ -334,30 +338,6 @@ class Side:
         self.terms = 0
 
 
-class Pending:
-    """A comparison ``lhs REL rhs``, built into an atom once the arity is known.
-
-    ``at`` is the index of the relation's token, where errors found while
-    building are reported.
-    """
-
-    arity = 0
-    __slots__ = ("lhs", "rel", "rhs", "at")
-
-    def __init__(self, lhs: Side, rel: str, rhs: Side, at: int):
-        self.lhs, self.rel, self.rhs, self.at = lhs, rel, rhs, at
-
-
-def difference(lhs: Side, rhs: Side, n: int) -> tuple[list[int], int | Fraction]:
-    """``lhs REL rhs`` as ``coeffs . x REL const`` over ``n`` variables."""
-    coeffs = [0] * n
-    for i, c in lhs.coeffs.items():
-        coeffs[i] += c
-    for i, c in rhs.coeffs.items():
-        coeffs[i] -= c
-    return coeffs, rhs.const - lhs.const
-
-
 class Grammar:
     """Recursive-descent parser for one DSL text: the Boolean grammar above
     and the comparisons of linear sums both DSLs share.
@@ -365,10 +345,11 @@ class Grammar:
     Each rule reads from a token index and returns what it read with the
     index after it.  A subclass names its variables ``prefix`` + index
     (1-based), may parse other atoms by overriding ``atom`` and other
-    names by overriding ``name``, and builds each ``Pending`` comparison
-    into a formula in ``build``.  Atoms are built once the whole text is
-    read, because the arity is known only then: the declared one, or else
-    the largest variable index mentioned.
+    names by overriding ``name``, and builds each comparison into a
+    formula in ``build``.  The arity is read off the tokens before the
+    descent starts: the declared one, or else the largest valid index
+    among the variable names.  So every atom and node is built once,
+    where it is read.
     """
 
     prefix: ClassVar[str]
@@ -381,19 +362,30 @@ class Grammar:
         if arity is not None and arity > MAX_VARIABLES:
             raise SemanticError(f"variable count {arity} is above the limit of {MAX_VARIABLES}")
         self.toks = Tokens(text)
-        self.declared = arity
-        self.max_var = 0
+        if arity is None:
+            indices = [self.index(t) for t in self.toks.items if t[0] == self.prefix]
+            arity = max((k for k in indices if k and k <= MAX_VARIABLES), default=0)
+        self.arity = arity
 
     def parse(self) -> Formula:
         """The whole text as one formula."""
         f, i = self.disj(0)
         self.toks.end(i)
-        n = self.declared if self.declared is not None else self.max_var
-        return map_atoms(f, lambda p: self.build(p, n), n)
+        return f
 
-    def build(self, pending: Any, n: int) -> Formula:
-        """The formula of a leaf the parser returned, in ``n`` variables."""
+    def build(self, lhs: Side, rel: str, rhs: Side, at: int) -> Formula:
+        """The formula of ``lhs REL rhs`` in ``self.arity`` variables; ``at`` is
+        the index of the relation's token, where its errors are reported."""
         raise NotImplementedError
+
+    def difference(self, lhs: Side, rhs: Side) -> tuple[list[int], int | Fraction]:
+        """``lhs REL rhs`` as ``coeffs . x REL const`` over ``self.arity`` variables."""
+        coeffs = [0] * self.arity
+        for i, c in lhs.coeffs.items():
+            coeffs[i] += c
+        for i, c in rhs.coeffs.items():
+            coeffs[i] -= c
+        return coeffs, rhs.const - lhs.const
 
     def disj(self, i: int) -> tuple[Formula, int]:
         items = self.toks.items
@@ -419,7 +411,7 @@ class Grammar:
         toks = self.toks
         t = toks.at(i)
         if t == "true" or t == "false":
-            return Bool(t == "true"), i + 1
+            return Bool(t == "true", self.arity), i + 1
         if t != "!" and t != "(":
             return self.atom(i)
         i = toks.open_group(i)
@@ -436,13 +428,13 @@ class Grammar:
         return self.comparison(i)
 
     def comparison(self, i: int) -> tuple[Formula, int]:
-        """``sum REL sum`` as a ``Pending`` leaf; ``==`` reads as ``=``."""
+        """``sum REL sum``, built by ``build``; ``==`` reads as ``=``."""
         lhs, i = self.sum(i)
         t = self.toks.at(i)
         if t not in RELATIONS:
             raise self.toks.error(f"expected a relation, found {t!r}", i)
         rhs, j = self.sum(i + 1)
-        return Atom(Pending(lhs, "=" if t == "==" else t, rhs, i)), j
+        return self.build(lhs, "=" if t == "==" else t, rhs, i), j
 
     def sum(self, i: int) -> tuple[Side, int]:
         """``['-'] term (('+'|'-') term)*`` with ``term := RAT ['*' NAME] | NAME``."""
@@ -492,28 +484,34 @@ class Grammar:
         side.coeffs[v] = side.coeffs.get(v, 0) + c
         return i + 1
 
+    def index(self, name: str) -> int | None:
+        """The index ``name`` writes, or None unless it is ``prefix`` + INT.
+
+        Leading zeros are dropped, and an index of more digits than
+        ``MAX_VARIABLES`` reads as ``MAX_VARIABLES + 1``, before ``int``
+        would refuse it.
+        """
+        digits = name[1:]
+        if name[0] != self.prefix or not digits.isdigit():
+            return None
+        if len(digits) > _INDEX_DIGITS:
+            digits = digits.lstrip("0") or "0"
+        return int(digits) if len(digits) <= _INDEX_DIGITS else MAX_VARIABLES + 1
+
     def variable(self, i: int) -> int:
         """The 0-based index of the variable named by token ``i``."""
         name = self.toks.items[i]
-        digits = name[1:]
-        if name[0] != self.prefix or not digits.isdigit():
+        idx = self.index(name)
+        if idx is None:
             raise self.toks.error(f"unknown variable {name!r}", i)
-        # a long digit string is past the limit before int() would refuse it
-        if len(digits) > _INDEX_DIGITS:
-            digits = digits.lstrip("0") or "0"
-        idx = int(digits) if len(digits) <= _INDEX_DIGITS else MAX_VARIABLES + 1
         if idx > MAX_VARIABLES:
             raise self.toks.error(
                 f"variable index {name!r} is above the limit of {MAX_VARIABLES}", i
             )
         if idx < 1:
             raise self.toks.error(f"variable indices start at {self.prefix}1, got {name!r}", i)
-        if self.declared is not None and idx > self.declared:
-            raise SemanticError(
-                f"unknown variable {name!r}: formula has {self.declared} variables"
-            )
-        if idx > self.max_var:
-            self.max_var = idx
+        if idx > self.arity:  # only a declared arity is below an index
+            raise SemanticError(f"unknown variable {name!r}: formula has {self.arity} variables")
         return idx - 1
 
 

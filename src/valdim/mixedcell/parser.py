@@ -28,7 +28,7 @@ standalone literal of :func:`parse_puiseux`, which needs no parser.
 
 from __future__ import annotations
 
-from ..boolean import DIGITS, Formula, Grammar, Side, Tokens, difference
+from ..boolean import DIGITS, Formula, Grammar, Side, Tokens
 from ..errors import SemanticError
 from .formula import matom
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
@@ -66,14 +66,13 @@ class _MixedParser(Grammar):
             return i + 1
         return super().name(side, i, c, bare)
 
-    def build(self, p, n: int) -> Formula:
-        lhs, rel, rhs = p.lhs, p.rel, p.rhs
+    def build(self, lhs: _Side, rel: str, rhs: _Side, at: int) -> Formula:
         for side in (lhs, rhs):
             if side.inf and side.terms > 1:
-                raise self.toks.error("'inf' must stand alone on its side", p.at)
+                raise self.toks.error("'inf' must stand alone on its side", at)
         if lhs.inf:
             if rhs.inf:
-                raise self.toks.error("'inf' on both sides of a comparison", p.at)
+                raise self.toks.error("'inf' on both sides of a comparison", at)
             lhs, rel, rhs = rhs, _MIRROR[rel], lhs
         polys = dict(lhs.polys)
         for f, w in rhs.polys.items():
@@ -82,7 +81,7 @@ class _MixedParser(Grammar):
         if len(weighted) > 1:
             raise SemanticError("at most one valuation term per comparison")
         poly, weight = weighted[0] if weighted else (None, 0)
-        gcoeffs, q = difference(lhs, rhs, n)
+        gcoeffs, q = self.difference(lhs, rhs)
         return matom(weight, poly, gcoeffs, rel, INFINITY if rhs.inf else q)
 
     def poly(self, i: int) -> tuple[FactoredPoly, int]:

@@ -9,14 +9,14 @@ variables (UTF-8 text, documented with examples in docs/dsl.md):
     NAME     :=  x1, x2, ...  (1-based indices)
 
 Coefficients on variables must be integers; bare constants may be
-rational.  ``exists xi (...)`` quantifies variable i away (the result is
-a cylinder over the remaining coordinates, so it composes inside any
-enclosing formula).
+rational.  ``exists xi (...)`` quantifies variable i away where it is
+read (the result is a cylinder over the remaining coordinates, so it
+composes inside any enclosing formula).
 """
 
 from __future__ import annotations
 
-from ..boolean import NAME_START, Atom, Formula, Grammar, difference, map_atoms
+from ..boolean import NAME_START, Formula, Grammar
 from .atoms import atom
 from .elimination import exists
 
@@ -35,22 +35,11 @@ class _Parser(Grammar):
         body, i = self.disj(toks.past(i + 1, "("))
         i = toks.past(i, ")")
         toks.depth -= 1
-        return Atom(_Exists(body, var)), i
+        return exists(body, var), i
 
-    def build(self, p, n: int) -> Formula:
-        if isinstance(p, _Exists):
-            return exists(map_atoms(p.part, lambda q: self.build(q, n), n), p.var)
-        coeffs, q = difference(p.lhs, p.rhs, n)
-        return atom(coeffs, p.rel, q)
-
-
-class _Exists:
-    """``exists`` over a parsed body, quantified once the final arity is known."""
-
-    arity = 0
-
-    def __init__(self, part: Formula, var: int):
-        self.part, self.var = part, var
+    def build(self, lhs, rel: str, rhs, at: int) -> Formula:
+        coeffs, q = self.difference(lhs, rhs)
+        return atom(coeffs, rel, q)
 
 
 def parse_formula(text: str, arity: int | None = None) -> Formula:

@@ -225,7 +225,8 @@ def trop_poly_from_text(text: str) -> TropPoly:
     ``['-'] INT``.  Terms are split on the ``+`` signs outside
     parentheses.  Every error is reported at its offset in ``text``: one
     in a weight or an exponent at that weight or exponent, one in the form
-    of a term at the term.
+    of a term, or an exponent vector whose length differs from the first
+    term's, at the term.
     """
     terms = []
     start = 0  # offset of the chunk in text
@@ -256,6 +257,9 @@ def trop_poly_from_text(text: str) -> TropPoly:
                 at += len(e) - len(e.lstrip())
                 raise ParseError(f"bad exponent vector {etext!r}", at) from None
             at += len(e)
+        if terms and len(exp) != len(terms[0][0]):
+            raise ParseError(f"term {chunk!r} has an exponent vector of length {len(exp)}, "
+                             f"the first term one of length {len(terms[0][0])}", term_at)
         terms.append((tuple(exp), w))
     return TropPoly(tuple(terms))
 

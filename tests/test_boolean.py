@@ -140,6 +140,56 @@ class TestGrammar:
         assert parse("!(true & false)", arity) == boolean.Bool(True, arity)
         assert parse("true") == boolean.Bool(True, 0)
 
+    @pytest.mark.parametrize(
+        "parse, text, n, arity",
+        [
+            (sl.parse_formula, "x000002 < 1", None, 2),
+            (mc.parse_mixed_formula, "g000003 < 1", None, 3),
+            (sl.parse_formula, "x0003 < 1", 4, 4),
+            # the largest index only inside 'exists', or only in the last comparison
+            (sl.parse_formula, "exists x3 (x3 < x1)", None, 3),
+            (sl.parse_formula, "x1 < 1 & x2 < 1 | x5 > 0", None, 5),
+            (mc.parse_mixed_formula, "g1 < 1 & v(x) > g4", None, 4),
+            (mc.parse_mixed_formula, "v(x - 1) = inf | g2 < 0", None, 2),
+            (mc.parse_mixed_formula, "v(x) > 0", None, 0),
+            # constants, with and without a declared arity
+            (sl.parse_formula, "true", None, 0),
+            (sl.parse_formula, "false", 3, 3),
+            (mc.parse_mixed_formula, "!(true & false)", None, 0),
+            (mc.parse_mixed_formula, "false | true", 1, 1),
+            # nested 'exists', and 'exists' over a constant body
+            (sl.parse_formula, "exists x1 (exists x4 (x4 < x1) & x2 < 0)", None, 4),
+            (sl.parse_formula, "exists x2 (true)", None, 2),
+            (sl.parse_formula, "exists x2 (false)", 3, 3),
+            (sl.parse_formula, "exists x3 (0 < 1) & x1 > 0", None, 3),
+        ],
+    )
+    def test_arity_is_read_off_the_variables(self, parse, text, n, arity):
+        f = parse(text, n)
+        assert f.arity == arity
+        assert f == parse(text, arity)
+        assert all(a.arity == arity for a in f.atoms())
+
+    @pytest.mark.parametrize(
+        "parse, text, message, position",
+        [
+            (sl.parse_formula, "x0 < 1", "variable indices start at x1, got 'x0'", 0),
+            (sl.parse_formula, "x1 < x00000", "variable indices start at x1, got 'x00000'", 5),
+            (sl.parse_formula, "exists x0 (x1 < 0)", "variable indices start at x1, got 'x0'", 7),
+            (mc.parse_mixed_formula, "v(x) < g0", "variable indices start at g1, got 'g0'", 7),
+            (sl.parse_formula, "x1 < x10001",
+             f"variable index 'x10001' is above the limit of {boolean.MAX_VARIABLES}", 5),
+            (sl.parse_formula, "x1 < 1 & x1234567 > 0",
+             f"variable index 'x1234567' is above the limit of {boolean.MAX_VARIABLES}", 9),
+            (mc.parse_mixed_formula, "g2 < g0010001",
+             f"variable index 'g0010001' is above the limit of {boolean.MAX_VARIABLES}", 5),
+        ],
+    )
+    def test_index_errors_keep_their_message_and_position(self, parse, text, message, position):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert str(info.value) == f"{message} (at position {position})"
+
     def test_dsl_round_trip_defines_the_same_set(self):
         for n, f in verify.formula_instances(0, 200):
             assert same_set(sl.parse_formula(sl.formula_to_dsl(f), n), f)
@@ -229,7 +279,7 @@ class TestParseDigests:
         "parse_formula": "2f0946b48f1c8dfe",
         "parse_mixed_formula": "a478e029354e9ab6",
         "parse_puiseux": "2371a792110f9a52",
-        "trop_poly_from_text": "d8931df6c2721928",
+        "trop_poly_from_text": "64a376fb6451d044",
     }
 
     @pytest.fixture(scope="class")

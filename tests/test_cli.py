@@ -239,6 +239,20 @@ class TestMixed:
         code, out, err = run(capsys, "mixed", "dim", text)
         assert code == 2 and not out and "'inf' must stand alone" in err
 
+    @pytest.mark.parametrize(
+        "text, code, err",
+        [
+            ("v(x)+v(x-1)+g1 < 0 & )", 3, "error: at most one valuation term per comparison"),
+            ("inf + g1 < 0 & )", 2,
+             "parse error: 'inf' must stand alone on its side (at position 9)"),
+            ("v(x) < inf & inf > inf & )", 2,
+             "parse error: 'inf' on both sides of a comparison (at position 17)"),
+        ],
+    )
+    def test_comparison_errors_come_before_later_syntax_errors(self, capsys, text, code, err):
+        """A comparison is built where it is read, so its own errors come in text order."""
+        assert run(capsys, "mixed", "dim", "--", text) == (code, "", err + "\n")
+
     def test_zero_poly_rejected(self, capsys):
         code, _, err = run(capsys, "mixed", "dim", "v(0*(x)) = 1")
         assert code in (2, 3) and err
@@ -617,6 +631,8 @@ class TestIntegers:
             ("0@(1,0) +  1(0,1)", "term '1(0,1)' lacks the weight@(exponents) form", 11),
             ("0@(1,0) + 0@ 0,1", "exponents in '0@ 0,1' must be parenthesized", 10),
             ("0@(1,0) +  2@(0,1", "exponents in '2@(0,1' must be parenthesized", 11),
+            ("0@(0,1)+2@(03)+-1@(3,3)",
+             "term '2@(03)' has an exponent vector of length 1, the first term one of length 2", 8),
         ],
     )
     def test_trop_errors_at_their_offset(self, capsys, text, message, position):

@@ -2,14 +2,14 @@
 
 The engine reduces every mixed formula to group-sort reasoning: the
 valued line is partitioned by :func:`monomial_decompose` so each
-valuation term becomes affine in the radius coordinate rho = v(x - c);
-on each piece the formula turns into a linear formula over k radius
-coordinates and then gamma_1, ..., gamma_n, k the piece's dimension:
-(rho, gamma) on a sphere or an annulus, rho acting as the base-linked
-coordinate, and gamma alone at a point.  Every reader slices at k.
-Zero loci of the tracked polynomials are resolved into explicit point
-pieces first, so the infinite valuation never reaches the group-sort
-engine.
+valuation term, and so each atom's sum of terms, becomes affine in the
+radius coordinate rho = v(x - c); on each piece the formula turns into
+a linear formula over k radius coordinates and then gamma_1, ...,
+gamma_n, k the piece's dimension: (rho, gamma) on a sphere or an
+annulus, rho acting as the base-linked coordinate, and gamma alone at a
+point.  Every reader slices at k.  Zero loci of the tracked polynomials
+are point pieces, where :func:`decide_infinite` decides every atom with
+an infinite side: no infinite valuation reaches the group-sort engine.
 
 A mixed cell is a piece of the line together with a group-sort cell in
 that layout; its dimension is the pair (piece dimension, sum of the
@@ -35,9 +35,8 @@ from .. import semilinear as sl
 from ..boolean import Atom, Formula, map_atoms
 from ..errors import SemanticError
 from ..lowerset import LowerSet, lower_closure
-from ..semilinear.atoms import COMPARE
 from ..semilinear.elimination import _eliminate
-from .formula import MixedAtom, polys
+from .formula import MixedAtom, decide_infinite, polys
 from .pieces import MonomialValuation, SwissPiece, monomial_decompose, piece_k_dimension
 from .puiseux import INFINITY, PuiseuxElement
 
@@ -90,25 +89,28 @@ class MixedCell:
         return sl.BasicSet(atoms, b.arity - k).to_formula()
 
 
-def _atom_on_piece(a: MixedAtom, mv: MonomialValuation | None, n: int, k: int) -> sl.Formula:
+def _atom_on_piece(
+    a: MixedAtom, vals: Sequence[MonomialValuation], at: list[tuple[int, int]], n: int, k: int
+) -> sl.Formula:
     """Translate one mixed atom into a linear formula over (rho,)*k + gamma on one piece.
 
-    ``mv`` is the valuation of the atom's polynomial on the piece (None
-    for a pure group atom) and ``k`` the piece's dimension.  The term
-    ``weight * mv`` is ``weight * slope`` times rho plus ``weight *
-    const``; a pure group atom has neither.  Only at a point (k = 0) with
-    a positive slope is the valuation infinite, and the atom is then
-    decided by :meth:`MixedAtom.at_infinity`.
+    ``vals`` are the valuations of the tracked polynomials on the piece,
+    ``at`` the atom's (weight, position in ``vals``) pairs, and ``k`` the
+    piece's dimension.  The terms sum to ``sum(w * slope)`` times rho plus
+    ``sum(w * const)``; at a point (k = 0) a positive slope is infinite.
     """
-    if k == 0 and a.weight and mv.slope:
-        return sl.Bool(a.at_infinity(), n)
-    # From here the left side is finite.
-    if a.rhs is INFINITY:
-        return sl.Bool(COMPARE[a.rel](0, INFINITY), n + k)
-    if not a.weight:
-        return sl.atom((0,) * k + a.gcoeffs, a.rel, a.rhs)
-    coeffs = (a.weight * mv.slope,) * k + a.gcoeffs
-    return sl.atom(coeffs, a.rel, a.rhs - a.weight * mv.const)
+    left, right = False, a.rhs is INFINITY
+    slope, rhs = 0, a.rhs
+    for w, i in at:
+        mv = vals[i]
+        if not k and mv.slope:  # an infinite term
+            left, right = left or w > 0, right or w < 0
+        elif not right:  # rhs is still finite
+            slope += w * mv.slope
+            rhs -= w * mv.const
+    if left or right:
+        return sl.Bool(decide_infinite(a.rel, left, right), n + k)
+    return sl.atom((slope,) * k + a.gcoeffs, a.rel, rhs)
 
 
 def _rho_constraints(piece: SwissPiece, n: int) -> list[sl.Formula]:
@@ -141,8 +143,8 @@ def piece_formulas(
         return kept
     n = f.arity
     tracked = polys(f)
-    position = {a: tracked.index(a.poly) for a in f.atoms() if a.weight}
-    # images of the weight-0 atoms, keyed by the piece dimension
+    weighted = {a: [(w, tracked.index(p)) for p, w in a.terms] for a in f.atoms() if a.terms}
+    # images of the pure group atoms, keyed by the piece dimension
     group: tuple[dict, dict] = ({}, {})
     out = []
     for piece, vals in monomial_decompose(tracked):
@@ -150,10 +152,10 @@ def piece_formulas(
         images = group[k]
 
         def on_piece(a: MixedAtom) -> sl.Formula:
-            if a.weight:
-                return _atom_on_piece(a, vals[position[a]], n, k)
+            if a.terms:
+                return _atom_on_piece(a, vals, weighted[a], n, k)
             if a not in images:
-                images[a] = _atom_on_piece(a, None, n, k)
+                images[a] = _atom_on_piece(a, (), [], n, k)
             return images[a]
 
         g = map_atoms(f, on_piece, n + k)
@@ -288,7 +290,8 @@ def apply_bijection(f: Formula, b: AffineBijection) -> Formula:
 
     The image holds at (y, delta) iff ``f`` holds at the preimage
     (y + shift, U^-1 (delta - offsets)).  So every polynomial is
-    translated by the shift, group coefficients c become c U^-1, and a
+    translated by the shift (and the atom's constructor sorts the
+    translated terms again), group coefficients c become c U^-1, and a
     finite right side gains (c U^-1) . offsets.
     """
     n = f.arity
@@ -303,7 +306,7 @@ def apply_bijection(f: Formula, b: AffineBijection) -> Formula:
         rhs = a.rhs
         if rhs is not INFINITY:
             rhs += sum(c * d for c, d in zip(coeffs, b.offsets))
-        poly = None if a.poly is None else a.poly.translate(b.shift)
-        return Atom(MixedAtom(a.weight, poly, coeffs, a.rel, rhs))
+        terms = [(p.translate(b.shift), w) for p, w in a.terms]
+        return Atom(MixedAtom(terms, coeffs, a.rel, rhs))
 
     return map_atoms(f, image, n)

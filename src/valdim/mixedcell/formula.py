@@ -1,17 +1,13 @@
 """Formulas over one valued coordinate x and n ordered-group coordinates.
 
-Atoms compare ``weight * v(f(x)) + a . gamma`` against an exact rational
-(or against the top element, which expresses the zero-test f(x) = 0).
-Truth is read in Q extended by -inf and +inf, with the relations of
-:mod:`valdim.semilinear.atoms`: INFINITY orders itself against every
-rational, so ``COMPARE`` decides an atom whenever the valuation term is
-finite.  At a root of f the term is +inf for a positive weight and -inf
-for a negative one, and :meth:`MixedAtom.at_infinity` decides the atom
-there.
-
-The zero element of the valued coordinate never reaches the group-sort
-engine: point loci are split off explicitly during decomposition, and
-only there do infinite valuations occur.
+Atoms compare a sum of valuation terms ``w * v(P(x))`` plus ``a . gamma``
+against an exact rational, or against the top element INFINITY (``v(f(x))
+= inf`` is the zero test f(x) = 0), with the relations of
+:mod:`valdim.semilinear.atoms`.  At a root of P a term is infinite.  The
+positive-weight terms stand on the left, the negative-weight terms and an
+INFINITY right side on the right, and :func:`decide_infinite` decides
+every atom with an infinite side.  The engine meets infinite valuations
+only on the point pieces of its decomposition.
 
 Mixed formulas are the shared Boolean nodes of :mod:`valdim.boolean`
 over ``MixedAtom`` leaves; their arity is the number of group
@@ -33,17 +29,25 @@ from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 _AGAINST_INFINITY = {"<=": True, ">": False, ">=": EQ, "=": EQ, "==": EQ, "!=": LT, "<": LT}
 
 
+def decide_infinite(rel: str, left: bool, right: bool) -> bool:
+    """Truth of an atom whose ``left`` side, ``right`` side or both are infinite.
+
+    An infinite side absorbs whatever is added to it, so the atom reads
+    ``inf REL inf`` (true for <= and =) or one infinite side against 0.
+    """
+    return COMPARE[rel](INFINITY if left else 0, INFINITY if right else 0)
+
+
 @dataclass(frozen=True)
 class MixedAtom:
-    """weight * v(poly(x)) + gcoeffs . gamma  REL  rhs.
+    """sum of weight * v(poly(x)) over ``terms``, plus gcoeffs . gamma, REL rhs.
 
-    ``poly`` is None exactly when ``weight`` is 0 (a pure group-sort
-    atom).  ``rel`` is one of <, <=, =; ``rhs`` is a Fraction or
-    INFINITY.
+    ``terms`` holds (poly, weight) pairs with nonzero weights, one per
+    polynomial and sorted by its key, and none for a pure group-sort atom.
+    ``rel`` is one of <, <=, =; ``rhs`` is a Fraction or INFINITY.
     """
 
-    weight: int
-    poly: FactoredPoly | None
+    terms: tuple[tuple[FactoredPoly, int], ...]
     gcoeffs: tuple[int, ...]
     rel: str
     rhs: Union[Fraction, object]
@@ -51,13 +55,17 @@ class MixedAtom:
     def __post_init__(self):
         if self.rel not in RELS:
             raise ValueError(f"bad relation {self.rel!r}")
-        if (self.weight == 0) != (self.poly is None):
-            raise ValueError("poly must be present iff weight is nonzero")
+        terms = tuple(self.terms)
+        if len(terms) > 1:
+            terms = tuple(sorted(terms, key=lambda t: t[0].key()))
+        for i, (p, w) in enumerate(terms):
+            if not index(w) or i and p == terms[i - 1][0]:
+                raise ValueError("valuation terms need nonzero weights and distinct polynomials")
+        object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "gcoeffs", tuple(map(index, self.gcoeffs)))
         if self.rhs is not INFINITY:
             object.__setattr__(self, "rhs", exact(self.rhs))
-        fields = (self.weight, self.poly, self.gcoeffs, self.rel, self.rhs)
-        object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "_hash", hash((terms, self.gcoeffs, self.rel, self.rhs)))
 
     def __hash__(self):
         return self._hash
@@ -67,11 +75,11 @@ class MixedAtom:
         return len(self.gcoeffs)
 
     def holds(self, x: PuiseuxElement, gamma: Sequence[Fraction]) -> bool:
-        """Truth at (x, gamma), the left side summed as ``num / den`` with ``den > 0``.
+        """Truth at (x, gamma), the finite part summed as ``num / den`` with ``den > 0``.
 
         ``gamma`` holds ints or Fractions, and a finite valuation is an int
-        when it is integral.  ``verify.mixed_atom_holds``
-        decides the same atom in Fractions.
+        when it is integral.  ``verify.mixed_atom_holds`` decides the same
+        atom in Fractions.
         """
         num, den = 0, 1
         for c, g in zip(self.gcoeffs, gamma):
@@ -82,54 +90,39 @@ class MixedAtom:
                 else:
                     num = num * d + c * g.numerator * den
                     den *= d
-        if self.weight:
-            v = self.poly.valuation_at(x)
+        rhs = self.rhs
+        left, right = False, rhs is INFINITY
+        for poly, w in self.terms:
+            v = poly.valuation_at(x)
             if v is INFINITY:
-                return self.at_infinity()
-            if type(v) is int:
-                num += self.weight * v * den
+                left, right = left or w > 0, right or w < 0
+            elif type(v) is int:
+                num += w * v * den
             else:
                 d = v.denominator
-                num = num * d + self.weight * v.numerator * den
+                num = num * d + w * v.numerator * den
                 den *= d
-        rhs = self.rhs
-        if rhs is INFINITY:
-            return COMPARE[self.rel](num, INFINITY)
+        if left or right:
+            return decide_infinite(self.rel, left, right)
         return COMPARE[self.rel](num * rhs.denominator, rhs.numerator * den)
-
-    def at_infinity(self) -> bool:
-        """Truth where the valuation term is infinite: +inf, or -inf for a negative weight.
-
-        -inf is below every value, INFINITY included, so the atom then
-        holds unless it is an equality.
-        """
-        if self.weight > 0:
-            return COMPARE[self.rel](INFINITY, self.rhs)
-        return self.rel != EQ
 
 
 def polys(f: Formula) -> list[FactoredPoly]:
     """The distinct polynomials of the atoms of ``f``, in key order."""
-    seen: dict[tuple, FactoredPoly] = {}
-    for a in f.atoms():
-        if a.poly is not None:
-            seen[a.poly.key()] = a.poly
+    seen = {p.key(): p for a in f.atoms() for p, _ in a.terms}
     return sorted(seen.values(), key=FactoredPoly.key)
 
 
 def matom(
-    weight: int,
-    poly: FactoredPoly | None,
-    gcoeffs: Sequence[int],
-    rel: str,
-    rhs,
+    terms: Sequence[tuple[FactoredPoly, int]], gcoeffs: Sequence[int], rel: str, rhs
 ) -> Formula:
     """Atomic mixed formula with the relation normalized into {<, <=, =}.
 
-    Against INFINITY the relation reads off ``_AGAINST_INFINITY``: t <= inf
-    is vacuous, t > inf impossible, t >= inf the equality and t != inf the
+    ``terms`` are the (poly, weight) pairs of :class:`MixedAtom`.  Against
+    INFINITY the relation reads off ``_AGAINST_INFINITY``: t <= inf is
+    vacuous, t > inf impossible, t >= inf the equality and t != inf the
     strict bound.  A finite right side goes through ``normal_rows``, the
-    weight standing first among the coefficients.
+    weights standing first among the coefficients.
     """
     gcoeffs = tuple(map(index, gcoeffs))
     n = len(gcoeffs)
@@ -139,13 +132,14 @@ def matom(
         rel = _AGAINST_INFINITY[rel]
         if isinstance(rel, bool):
             return Bool(rel, n)
-        if weight == 0:
+        if not terms:
             return Bool(COMPARE[rel](0, INFINITY), n)
-        return Atom(MixedAtom(weight, poly, gcoeffs, rel, INFINITY))
+        return Atom(MixedAtom(terms, gcoeffs, rel, INFINITY))
+    ps = [p for p, _ in terms]
     parts = []
-    for (w, *g), r, q in normal_rows((weight, *gcoeffs), rel, exact(rhs)):
-        if w == 0 and not any(g):
-            parts.append(Bool(COMPARE[r](0, q), n))
+    for row, r, q in normal_rows(tuple([w for _, w in terms]) + gcoeffs, rel, exact(rhs)):
+        if any(row):
+            parts.append(Atom(MixedAtom(tuple(zip(ps, row)), row[len(ps):], r, q)))
         else:
-            parts.append(Atom(MixedAtom(w, poly if w else None, tuple(g), r, q)))
+            parts.append(Bool(COMPARE[r](0, q), n))
     return parts[0] if len(parts) == 1 else Or.of(*parts)

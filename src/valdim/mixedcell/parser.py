@@ -17,8 +17,10 @@ valuation terms and ``inf``:
 
 ``v((x - t)*(x)^2) + 2*g1 <= 3/2`` constrains the valuation of the cubic
 with roots t and 0 (double).  ``v(x - 1) = inf`` is the zero test x = 1.
-Each comparison may mention at most one polynomial; same-polynomial
-valuation terms fold their weights.  ``inf`` must stand alone on its side.
+A comparison may mention several polynomials: the valuation terms of
+one polynomial fold their weights, and the folded terms go to
+:func:`matom` as they are.  ``inf`` takes no coefficient and must stand
+alone on its side.
 
 One reader, :func:`read_puiseux`, reads every Puiseux sum, ``tail`` and
 ``puiseux`` alike: it walks the shared tokens from an index once and
@@ -29,7 +31,6 @@ standalone literal of :func:`parse_puiseux`, which needs no parser.
 from __future__ import annotations
 
 from ..boolean import DIGITS, Formula, Grammar, Side, Tokens
-from ..errors import SemanticError
 from .formula import matom
 from .puiseux import INFINITY, FactoredPoly, PuiseuxElement
 
@@ -59,7 +60,9 @@ class _MixedParser(Grammar):
             f, i = self.poly(toks.past(i + 1, "("))
             side.polys[f] = side.polys.get(f, 0) + c
             return toks.past(i, ")")
-        if t == "inf" and bare:
+        if t == "inf":
+            if not bare:
+                raise toks.error("'inf' takes no coefficient", i)
             if c < 0:
                 raise toks.error("negated 'inf' is not a value", i)
             side.inf = True
@@ -77,12 +80,9 @@ class _MixedParser(Grammar):
         polys = dict(lhs.polys)
         for f, w in rhs.polys.items():
             polys[f] = polys.get(f, 0) - w
-        weighted = [(f, w) for f, w in polys.items() if w]
-        if len(weighted) > 1:
-            raise SemanticError("at most one valuation term per comparison")
-        poly, weight = weighted[0] if weighted else (None, 0)
         gcoeffs, q = self.difference(lhs, rhs)
-        return matom(weight, poly, gcoeffs, rel, INFINITY if rhs.inf else q)
+        terms = [(f, w) for f, w in polys.items() if w]
+        return matom(terms, gcoeffs, rel, INFINITY if rhs.inf else q)
 
     def poly(self, i: int) -> tuple[FactoredPoly, int]:
         toks = self.toks

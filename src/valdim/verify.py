@@ -640,21 +640,25 @@ def random_factored_poly(rng: random.Random, max_roots: int) -> FactoredPoly:
 def random_mixed_formula(
     rng: random.Random, n: int, polys: list[FactoredPoly]
 ) -> sl.Formula:
+    distinct = list({p.key(): p for p in polys}.values())
     parts = []
     for _ in range(rng.randint(2, 4)):
         kind = rng.random()
         rel = rng.choice(["<", "<=", "=", ">=", ">"])
         gcoeffs = tuple(rng.randint(-2, 2) for _ in range(n))
-        if kind < 0.6 and polys:
-            w = rng.choice([1, 1, 2, -1])
-            rhs = random_rational(rng, -3, 3)
-            parts.append(matom(w, rng.choice(polys), gcoeffs, rel, rhs))
-        elif kind < 0.7 and polys:
-            parts.append(matom(1, rng.choice(polys), (0,) * n, "=", INFINITY))
+        terms = [(rng.choice(polys), rng.choice([1, 1, 2, -1]))] if polys else []
+        if len(distinct) > 1 and rng.random() < 0.3:
+            # 2-3 terms of either sign on distinct polynomials
+            picked = rng.sample(distinct, rng.randint(2, min(3, len(distinct))))
+            terms = [(p, rng.choice([1, 2, -1, -2])) for p in picked]
+        if kind < 0.6 and terms:
+            parts.append(matom(terms, gcoeffs, rel, random_rational(rng, -3, 3)))
+        elif kind < 0.7 and terms:
+            parts.append(matom(terms, (0,) * n, "=", INFINITY))
         else:
             if not any(gcoeffs):
                 gcoeffs = (1,) + (0,) * (n - 1)
-            parts.append(matom(0, None, gcoeffs, rel, random_rational(rng, -3, 3)))
+            parts.append(matom((), gcoeffs, rel, random_rational(rng, -3, 3)))
     f = parts[0]
     for p in parts[1:]:
         roll = rng.random()
@@ -689,28 +693,26 @@ def _sample_points_for(
 
 
 def mixed_atom_holds(a: MixedAtom, x: PuiseuxElement, gamma) -> bool:
-    """Independent route for ``MixedAtom.holds``: the left side summed in Fractions.
+    """Independent route for ``MixedAtom.holds``: each side summed in Fractions on its own.
 
-    An infinite valuation term is +inf for a positive weight and -inf for
-    a negative one.  The top element INFINITY lies above every rational
-    and equals +inf.
+    The left side is the group part plus the positive-weight terms, the
+    right side ``rhs`` minus the negative-weight terms.  A side is None,
+    +inf, once it has an infinite term or is INFINITY; +inf lies above
+    every rational and equals itself.
     """
-    lhs = sum((c * Fraction(g) for c, g in zip(a.gcoeffs, gamma)), Fraction(0))
-    top = a.rhs is INFINITY
-    if a.weight:
-        v = a.poly.valuation_at(x)
-        if v is INFINITY:
-            if a.weight < 0:
-                return a.rel != sl.EQ
-            return top and a.rel != sl.LT
-        lhs += a.weight * v
-    if top:
+    left = sum((c * Fraction(g) for c, g in zip(a.gcoeffs, gamma)), Fraction(0))
+    right = None if a.rhs is INFINITY else Fraction(a.rhs)
+    for poly, w in a.terms:
+        v = poly.valuation_at(x)
+        if w > 0 and left is not None:
+            left = None if v is INFINITY else left + w * v
+        elif w < 0 and right is not None:
+            right = None if v is INFINITY else right - w * v
+    if left is None:
+        return right is None and a.rel != sl.LT
+    if right is None:
         return a.rel != sl.EQ
-    if a.rel == sl.LT:
-        return lhs < a.rhs
-    if a.rel == sl.LE:
-        return lhs <= a.rhs
-    return lhs == a.rhs
+    return {sl.LT: left < right, sl.LE: left <= right, sl.EQ: left == right}[a.rel]
 
 
 def mixed_dimension_via_fibers(cells: list[MixedCell]) -> LowerSet:

@@ -43,6 +43,15 @@ MIXED_TEXTS = [
     "v((x - t)^2) >= g1 & v(x + 1/2*t^-1) < 3",
     "!(v(x) = 1) & g2 <= 1/3",
 ]
+#: Comparisons of several valuation terms; a list apart from MIXED_TEXTS,
+#: which the parse digests of tests/test_boolean.py read.
+MIXED_SUM_TEXTS = [
+    "v(x) + v(x - 1) + g1 < 0",
+    "v(x) - v(x - t) >= g1 | v((x - 1)^2) - 2*v(x + t) = 1",
+    "2*v(x) - v((x - 1)*(x)) + g1 - g2 <= 1/2",
+    "v(x) + v(x - 1) = inf & g1 > 0",
+    "!(v(x - t) - v(x) < v(x - 1)) | g2 = 1",
+]
 TROP_TEXTS = [
     "0@(1,0)+0@(0,1)+0@(0,0)",
     "1@(2,0)+0@(1,1)+-1@(0,2)+0@(0,0)",
@@ -63,6 +72,10 @@ FAMILIES = {
     ] + [(("gamma", "project", "--keep", "1"), GAMMA_TEXTS, "x120<=&|()- ")],
     "mixed": [
         (("mixed", op), MIXED_TEXTS, "vgxt120<>=!&|()+-*/^ ")
+        for op in ("dim", "cells", "project")
+    ],
+    "mixed-sums": [
+        (("mixed", op), MIXED_SUM_TEXTS, "vgxt120<>=!&|()+-*/^ ")
         for op in ("dim", "cells", "project")
     ],
     "trop": [

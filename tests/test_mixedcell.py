@@ -106,11 +106,11 @@ class TestPuiseux:
     @pytest.mark.parametrize(
         "build",
         [
-            lambda: matom(0, None, (1.7,), "<", 0),
-            lambda: matom(0, None, (1,), "<", 0.5),
-            lambda: matom(1, FactoredPoly(1, ((T, 1),)), (0,), "<=", 1.5),
-            lambda: MixedAtom(0, None, (1.5,), "<", F(0)),
-            lambda: MixedAtom(0, None, (1,), "<", 0.5),
+            lambda: matom((), (1.7,), "<", 0),
+            lambda: matom((), (1,), "<", 0.5),
+            lambda: matom([(FactoredPoly(1, ((T, 1),)), 1)], (0,), "<=", 1.5),
+            lambda: MixedAtom((), (1.5,), "<", F(0)),
+            lambda: MixedAtom((), (1,), "<", 0.5),
         ],
     )
     def test_atom_constructors_reject_floats(self, build):
@@ -118,22 +118,31 @@ class TestPuiseux:
             build()
 
     def test_atom_constructors_accept_exact_data(self):
-        [a] = matom(0, None, (2,), ">", "1/2").atoms()
+        [a] = matom((), (2,), ">", "1/2").atoms()
         assert (a.gcoeffs, a.rel, a.rhs) == ((-2,), "<", F(-1, 2))
-        a = MixedAtom(0, None, (True, 3), "=", 2)
+        a = MixedAtom((), (True, 3), "=", 2)
         assert (a.gcoeffs, a.rhs) == ((1, 3), F(2))
+
+    def test_atom_terms_are_sorted_and_checked(self):
+        p, q = FactoredPoly(1, ((ZERO, 1),)), FactoredPoly(1, ((T, 1),))
+        a, b = MixedAtom([(q, -1), (p, 2)], (), "<", 0), MixedAtom([(p, 2), (q, -1)], (), "<", 0)
+        assert a == b and hash(a) == hash(b)
+        assert [t[0].key() for t in a.terms] == sorted(t[0].key() for t in a.terms)
+        for terms in ([(p, 0)], [(p, 1), (FactoredPoly(1, ((ZERO, 1),)), 2)]):
+            with pytest.raises(ValueError, match="nonzero weights and distinct polynomials"):
+                MixedAtom(terms, (), "<", 0)
 
     def test_matom_reads_double_equals_against_infinity(self):
         p = FactoredPoly(1, ((T, 1),))
-        assert matom(1, p, (0,), "==", INFINITY) == matom(1, p, (0,), "=", INFINITY)
-        assert matom(1, p, (0,), "==", 2) == matom(1, p, (0,), "=", 2)
+        assert matom([(p, 1)], (0,), "==", INFINITY) == matom([(p, 1)], (0,), "=", INFINITY)
+        assert matom([(p, 1)], (0,), "==", 2) == matom([(p, 1)], (0,), "=", 2)
 
     @pytest.mark.parametrize("rhs", [INFINITY, 1])
     @pytest.mark.parametrize("weight", [0, 1])
     def test_matom_rejects_unknown_relations(self, weight, rhs):
-        p = FactoredPoly(1, ((T, 1),)) if weight else None
+        terms = [(FactoredPoly(1, ((T, 1),)), weight)] if weight else []
         with pytest.raises(ValueError, match="bad relation"):
-            matom(weight, p, (1,), "<>", rhs)
+            matom(terms, (1,), "<>", rhs)
 
     def test_constructors_accept_ints_and_fractions(self):
         assert pe((1, 2), (F(1, 2), F(-1))).terms == ((F(1, 2), F(-1)), (F(1), F(2)))
@@ -157,7 +166,7 @@ class TestPuiseux:
     def test_factored_poly_prints_each_root_term_with_its_sign(self, f, text):
         assert str(f) == text
         [a] = parse_mixed_formula(f"v({text}) < 1", 0).atoms()
-        assert a.poly == f
+        assert a.terms == ((f, 1),)
 
 
 EXPONENTS = [F(-1), F(-1, 2), F(0), F(1, 2), F(1), F(2)]
@@ -256,7 +265,7 @@ class TestPuiseuxArithmetic:
             distinct.setdefault(tuple(sorted(d.items())), (d, m))
         f = FactoredPoly(lead, tuple((element(d), m) for d, m in distinct.values()))
         [a] = parse_mixed_formula(f"v({f}) < 1", 0).atoms()
-        assert a.poly == f
+        assert a.terms == ((f, 1),)
 
     @settings(max_examples=300, deadline=None)
     @given(st.lists(st.tuples(st.sampled_from(EXPONENTS), st.sampled_from(COEFFICIENTS)),
@@ -471,12 +480,12 @@ class TestPieceFormulas:
         p1 = FactoredPoly(1, ((ZERO, 1), (T, 1)))
         p2 = FactoredPoly(1, ((ZERO, 1), (T, 1)))
         assert p1 == p2 and p1 is not p2
-        f = matom(1, p1, (1,), "<", 2) & matom(-1, p2, (0,), "<", 0) | matom(
-            1, p2, (0,), "=", INFINITY
+        f = matom([(p1, 1)], (1,), "<", 2) & matom([(p2, -1)], (0,), "<", 0) | matom(
+            [(p2, 1)], (0,), "=", INFINITY
         )
         assert polys(f) == [p1]
-        shared = matom(1, p1, (1,), "<", 2) & matom(-1, p1, (0,), "<", 0) | matom(
-            1, p1, (0,), "=", INFINITY
+        shared = matom([(p1, 1)], (1,), "<", 2) & matom([(p1, -1)], (0,), "<", 0) | matom(
+            [(p1, 1)], (0,), "=", INFINITY
         )
         assert piece_formulas(f) == piece_formulas(shared)
         gammas = [(F(k, 2),) for k in range(-4, 7)]
@@ -532,22 +541,28 @@ class TestKeptPieces:
 class TestIntegerHolds:
     def test_agrees_with_the_fraction_route(self):
         # MixedAtom built directly, so every weight, relation and right
-        # side occurs, INFINITY included; x is a root of the polynomial
-        # (infinite valuation) about one time in four.
+        # side occurs, INFINITY included, with none to three valuation
+        # terms; x is a root of one of the polynomials (an infinite term,
+        # often on both sides, since many roots are 0) about one time in
+        # four.
         rng = random.Random(18)
-        seen = {"root": 0, "top": 0, "negative": 0, "zero": 0, "int": 0}
+        seen = {"root": 0, "top": 0, "negative": 0, "zero": 0, "int": 0, "multi": 0,
+                "both": 0}
         pairs = 0
         while pairs < 1500:
             n = rng.choice([1, 2, 3])
-            weight = rng.choice([-2, -1, 0, 1, 2])
-            poly = verify.random_factored_poly(rng, 3) if weight else None
+            distinct = {}
+            for _ in range(rng.choice([0, 1, 1, 2, 3])):
+                p = verify.random_factored_poly(rng, 3)
+                distinct[p.key()] = p
+            terms = [(p, rng.choice([-2, -1, 1, 2])) for p in distinct.values()]
             gcoeffs = tuple(rng.choice([0, 0, 1, -1, 2, -3]) for _ in range(n))
             rel = rng.choice([sl.LT, sl.LE, sl.EQ])
             rhs = INFINITY if rng.random() < 0.2 else verify.random_rational(rng, -3, 3)
-            a = MixedAtom(weight, poly, gcoeffs, rel, rhs)
+            a = MixedAtom(terms, gcoeffs, rel, rhs)
             for _ in range(5):
-                if poly is not None and rng.random() < 0.3:
-                    x = rng.choice(poly.roots)[0]
+                if terms and rng.random() < 0.3:
+                    x = rng.choice(rng.choice(terms)[0].roots)[0]
                 else:
                     x = verify.random_puiseux(rng, 3)
                 gamma = tuple(
@@ -556,11 +571,14 @@ class TestIntegerHolds:
                 )
                 assert a.holds(x, gamma) == verify.mixed_atom_holds(a, x, gamma), (a, x, gamma)
                 pairs += 1
-                seen["root"] += weight != 0 and poly.valuation_at(x) is INFINITY
+                infinite = {w > 0 for p, w in terms if p.valuation_at(x) is INFINITY}
+                seen["root"] += bool(infinite)
+                seen["both"] += infinite == {True, False} or (True in infinite and rhs is INFINITY)
                 seen["top"] += rhs is INFINITY
-                seen["negative"] += weight < 0
+                seen["negative"] += any(w < 0 for _, w in terms)
                 seen["zero"] += not any(gcoeffs)
                 seen["int"] += any(type(g) is int for g in gamma)
+                seen["multi"] += len(terms) > 1
         assert min(seen.values()) >= 50, seen
 
 
@@ -614,11 +632,14 @@ class TestMixedParser:
     def test_bare_linear_factor(self):
         f = parse_mixed_formula("v(x - 1 - t) >= 1", 0)
         [atom] = f.atoms()
-        assert atom.poly.roots[0][0] == ONE + T
+        [(poly, _)] = atom.terms
+        assert poly.roots[0][0] == ONE + T
 
     def test_constant_polynomial(self):
         f = parse_mixed_formula("v(3) < 1 & v(-1/2) >= 0", 0)
-        assert {a.poly for a in f.atoms()} == {FactoredPoly(3, ()), FactoredPoly(F(-1, 2), ())}
+        assert {a.terms for a in f.atoms()} == {
+            ((FactoredPoly(3, ()), 1),), ((FactoredPoly(F(-1, 2), ()), -1),)
+        }
         assert f.holds(ZERO, ()) and f.holds(T, ())
         assert not parse_mixed_formula("v(3) > 0", 0).holds(T, ())
 
@@ -626,9 +647,33 @@ class TestMixedParser:
         f = parse_mixed_formula("v(x) = inf", 1)
         assert f.holds(ZERO, (F(0),)) and not f.holds(T, (F(0),))
 
-    def test_two_polys_rejected(self):
-        with pytest.raises(SemanticError):
-            parse_mixed_formula("v(x) < v(x - 1)", 0)
+    SUM = "v(x) + v(x - 1) + g1 < 0"
+    PRODUCT = "v((x)*(x - 1)) + g1 < 0"
+
+    def test_sum_of_valuations_is_the_valuation_of_the_product(self):
+        f, g = parse_mixed_formula(self.SUM, 1), parse_mixed_formula(self.PRODUCT, 1)
+        assert mixed_dimension(f) == mixed_dimension(g) == principal((1, 1))
+        pf, pg = project_to_gamma(f), project_to_gamma(g)
+        assert sl.normalize_dnf(pf & ~pg) == [] and sl.normalize_dnf(pg & ~pf) == []
+
+    def test_sum_and_product_agree_on_members(self):
+        f, g = parse_mixed_formula(self.SUM, 1), parse_mixed_formula(self.PRODUCT, 1)
+        rng = random.Random(26)
+        xs = [ZERO, ONE, T, ONE + T, pe((-1, 1)), pe((0, 1), (2, 3))]
+        xs += [verify.random_puiseux(rng, 3) for _ in range(30)]
+        for x in xs:
+            for k in range(-8, 9):
+                gamma = (F(k, 2),)
+                assert f.holds(x, gamma) == g.holds(x, gamma), (x, gamma)
+        assert not f.holds(ZERO, (F(-5),)) and f.holds(T, (F(-2),))
+
+    @pytest.mark.parametrize("rel, truth", [("<", False), ("<=", True), ("=", True)])
+    def test_infinite_on_both_sides(self, rel, truth):
+        # v(x) and v(2x) are both infinite at 0: inf REL inf.
+        f = parse_mixed_formula(f"v(x) - v(2*(x)) {rel} 0", 0)
+        [a] = f.atoms()
+        assert f.holds(ZERO, ()) == truth == verify.mixed_atom_holds(a, ZERO, ())
+        assert f.holds(T, ()) == (rel != "<")
 
     def test_inf_must_stand_alone(self):
         with pytest.raises(ParseError):
@@ -642,7 +687,7 @@ class TestMixedParser:
     def test_weights_fold(self):
         f = parse_mixed_formula("2*v(x) - v(x) < 1", 0)
         [atom] = f.atoms()
-        assert atom.weight == 1
+        assert atom.terms == ((FactoredPoly(1, ((ZERO, 1),)), 1),)
 
     LIMIT = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
 
@@ -710,6 +755,7 @@ class TestMixedParser:
             ("v(x - t^-x) < 1", "expected a number, found 'x'", 9),
             ("v((x - t)^t) < 1", "expected an integer exponent", 10),
             ("v((y - t)) < 1", "polynomial factors are written in x", 3),
+            ("v(x) = 2*inf", "'inf' takes no coefficient", 9),
         ],
     )
     def test_root_errors_keep_their_message_and_position(self, text, message, position):
@@ -861,7 +907,8 @@ class TestBijections:
             parse_mixed_formula("v(x) = 0", 0), AffineBijection((), (), T)
         )
         [atom] = g.atoms()
-        assert atom.poly.roots[0][0] == -T  # v(x + t) = 0
+        [(poly, _)] = atom.terms
+        assert poly.roots[0][0] == -T  # v(x + t) = 0
 
     def test_gamma_translation(self):
         f = parse_mixed_formula("0 < g1 & g1 < 1", 1)

@@ -3,8 +3,9 @@
 Every comparison ``lhs REL rhs`` with REL one of the seven spellings is
 checked against Python's own operators: linear atoms at rational points,
 their complements, the complements of raw elimination rows, and mixed
-atoms in Q extended by -inf and +inf, both on a root of the polynomial
-and off it.  ``tests/test_mixedcell.py`` checks that ``matom`` rejects an
+atoms of one or two valuation terms, both sides read in Q extended by
++inf, on the roots of the polynomials (one of them shared) and off
+them.  ``tests/test_mixedcell.py`` checks that ``matom`` rejects an
 unknown relation against a finite and an infinite right side.
 """
 
@@ -101,29 +102,44 @@ class TestLinearAtoms:
 T = PuiseuxElement.of((1, 1))
 ONE = PuiseuxElement.constant(1)
 POLY = FactoredPoly(2, ((T, 1), (ONE, 2)))
-#: Points of the valued line: the two roots of POLY, and points off them.
+#: Shares the root 1 with POLY.
+POLY2 = FactoredPoly(F(1, 2), ((PuiseuxElement(), 1), (ONE, 1)))
+#: Points of the valued line: the roots of POLY and POLY2, and points off them.
 XS = (T, ONE, PuiseuxElement(), T + PuiseuxElement.of((2, 1)), PuiseuxElement.of((-1, 3)))
 
 
 def extended_key(value):
-    """Order key on Q extended by -inf and +inf: -inf < every rational < +inf."""
-    if value == "-inf":
-        return (-1, 0)
-    if value is INFINITY:
-        return (1, 0)
-    return (0, value)
+    """Order key on Q extended by +inf: every rational < +inf."""
+    return (1, 0) if value is INFINITY else (0, value)
 
 
-def reference_holds(weight, gcoeffs, rel, rhs, x, gamma):
-    """weight * v(POLY(x)) + gcoeffs . gamma REL rhs, read in Q and +-inf."""
-    lhs = dot(gcoeffs, gamma)
-    if weight:
-        vs = [(m, valuation(x - r)) for r, m in POLY.roots]
-        if any(v is INFINITY for _, v in vs):
-            lhs = INFINITY if weight > 0 else "-inf"
+def plus(a, b):
+    """a + b in Q extended by +inf: +inf absorbs."""
+    return INFINITY if INFINITY in (a, b) else a + b
+
+
+def poly_value(poly, x):
+    """v(poly(x)) in Q and +inf: the lead has valuation 0."""
+    vs = [valuation(x - r) for r, _ in poly.roots]
+    return INFINITY if INFINITY in vs else sum(m * v for (_, m), v in zip(poly.roots, vs))
+
+
+def reference_holds(terms, gcoeffs, rel, rhs, x, gamma):
+    """sum of w * v(P(x)) over ``terms``, plus gcoeffs . gamma, REL rhs.
+
+    Read with both sides in Q and +inf: the group part and the
+    positive-weight terms on the left, ``rhs`` and the negative-weight
+    terms, negated, on the right.
+    """
+    left, right = dot(gcoeffs, gamma), rhs
+    for poly, w in terms:
+        v = poly_value(poly, x)
+        v = v if v is INFINITY else abs(w) * v
+        if w > 0:
+            left = plus(left, v)
         else:
-            lhs += weight * sum(m * v for m, v in vs)
-    return PY[rel](extended_key(lhs), extended_key(rhs))
+            right = plus(right, v)
+    return PY[rel](extended_key(left), extended_key(right))
 
 
 @st.composite
@@ -137,18 +153,23 @@ def mixed_cases(draw):
 class TestMixedAtoms:
     @settings(max_examples=300, deadline=None)
     @given(
-        st.integers(-2, 2), mixed_cases(), st.sampled_from(SPELLINGS),
+        st.integers(-2, 2), st.integers(-2, 2), mixed_cases(), st.sampled_from(SPELLINGS),
         st.one_of(rationals, st.just(INFINITY)), st.sampled_from(XS),
     )
-    def test_matom_holds_in_the_extended_order(self, weight, case, rel, rhs, x):
+    def test_matom_holds_in_the_extended_order(self, weight, weight2, case, rel, rhs, x):
         gcoeffs, gamma = case
-        f = matom(weight, POLY if weight else None, gcoeffs, rel, rhs)
-        assert f.holds(x, gamma) == reference_holds(weight, gcoeffs, rel, rhs, x, gamma)
+        terms = [(p, w) for p, w in ((POLY, weight), (POLY2, weight2)) if w]
+        f = matom(terms, gcoeffs, rel, rhs)
+        assert f.holds(x, gamma) == reference_holds(terms, gcoeffs, rel, rhs, x, gamma)
 
     def test_reference_sees_both_infinities(self):
-        # The roots make the valuation term +inf or -inf, so the table's
+        # The roots make a valuation term infinite on the left or on the
+        # right, and at the shared root 1 on both sides at once, so the
         # verdicts at infinity are exercised by the property above.
-        assert reference_holds(1, (), "<", INFINITY, T, ()) is False
-        assert reference_holds(-1, (), "<", F(0), ONE, ()) is True
-        assert reference_holds(-1, (), "=", INFINITY, ONE, ()) is False
-        assert reference_holds(0, (1,), "!=", INFINITY, T, (F(3),)) is True
+        assert reference_holds([(POLY, 1)], (), "<", INFINITY, T, ()) is False
+        assert reference_holds([(POLY, -1)], (), "<", F(0), ONE, ()) is True
+        assert reference_holds([(POLY, -1)], (), "=", INFINITY, ONE, ()) is False
+        assert reference_holds([], (1,), "!=", INFINITY, T, (F(3),)) is True
+        assert reference_holds([(POLY, 1), (POLY2, -1)], (), "<", F(0), ONE, ()) is False
+        assert reference_holds([(POLY, 1), (POLY2, -1)], (), "<=", F(0), ONE, ()) is True
+        assert reference_holds([(POLY, 1), (POLY2, -1)], (), "=", F(0), ONE, ()) is True

@@ -22,7 +22,9 @@ only by :func:`mixed_cell_decompose`.
 The pieces and their formulas are built once per formula value, on
 first use, and kept on it: :func:`mixed_dimension`,
 :func:`project_to_gamma` and :func:`mixed_cell_decompose` all read the
-same :func:`piece_formulas`.
+same :func:`piece_formulas`.  Each piece formula keeps its DNF disjuncts
+in turn, with their elimination stages, so :func:`project_to_gamma`
+projects the disjuncts :func:`mixed_dimension` has already decided.
 """
 
 from __future__ import annotations

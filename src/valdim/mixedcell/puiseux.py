@@ -17,7 +17,9 @@ no key, order or text.  The public constructors (``PuiseuxElement(...)``,
 ``of``, ``constant``) check and coerce their input, and accept only
 ``int`` and ``Fraction`` values.  The operators build their results from
 canonical terms, so they go through ``_canonical``, which stores the
-terms as given.
+terms as given.  An element and a polynomial compute their hash once and
+keep it, the value the dataclass would compute: a polynomial when it is
+built, an element when it is first hashed.
 """
 
 from __future__ import annotations
@@ -98,6 +100,15 @@ class PuiseuxElement:
             last = e
             cleaned.append((e, c))
         object.__setattr__(self, "terms", tuple(cleaned))
+
+    def __hash__(self):
+        """The hash of the terms, computed on first use and kept: the operators
+        build many elements that are never hashed."""
+        h = self.__dict__.get("_hash")
+        if h is None:
+            h = hash((self.terms,))
+            object.__setattr__(self, "_hash", h)
+        return h
 
     @classmethod
     def _canonical(cls, terms: tuple) -> "PuiseuxElement":
@@ -227,13 +238,18 @@ class FactoredPoly:
                 raise TypeError(f"root multiplicity must be an int, got {m!r}")
             if m < 1:
                 raise ValueError("root multiplicities must be positive")
-            if r.key() in seen:
+            if r in seen:
                 raise ValueError(f"repeated root {r}")
-            seen.add(r.key())
+            seen.add(r)
             fixed.append((r, m))
         fixed.sort(key=lambda rm: rm[0].key())
+        roots = tuple(fixed)
         object.__setattr__(self, "lead", lead)
-        object.__setattr__(self, "roots", tuple(fixed))
+        object.__setattr__(self, "roots", roots)
+        object.__setattr__(self, "_hash", hash((lead, roots)))
+
+    def __hash__(self):
+        return self._hash
 
     def valuation_at(self, x: PuiseuxElement) -> Val:
         """v(f(x)) = sum of m * v(x - r), summed as one integer fraction num / den."""

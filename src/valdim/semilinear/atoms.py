@@ -270,17 +270,29 @@ def dnf(f: Formula) -> list[BasicSet]:
     """The distinct disjuncts of the DNF of ``f``, empty ones included.
 
     The union of the returned sets equals the set defined by ``f``; the
-    order is lexicographic on atom encodings, for determinism.
+    order is lexicographic on atom encodings, for determinism.  The
+    disjuncts are built on the first call and kept on ``f`` outside its
+    fields, so they take no part in its equality, hash or repr; each
+    call returns a fresh list of the same basic sets, which keep their
+    elimination stages.
     """
-    distinct: dict[tuple, BasicSet] = {}
-    for atoms_ in _dnf_lists(f):
-        b = BasicSet(atoms_, f.arity)
-        distinct.setdefault(b.atoms, b)
-    return sorted(distinct.values(), key=lambda b: tuple(a.key() for a in b.atoms))
+    kept = getattr(f, "_dnf", None)
+    if kept is None:
+        distinct: dict[tuple, BasicSet] = {}
+        for atoms_ in _dnf_lists(f):
+            b = BasicSet(atoms_, f.arity)
+            distinct.setdefault(b.atoms, b)
+        kept = tuple(sorted(distinct.values(), key=lambda b: tuple(a.key() for a in b.atoms)))
+        object.__setattr__(f, "_dnf", kept)
+    return list(kept)
 
 
 def normalize_dnf(f: Formula) -> list[BasicSet]:
-    """:func:`dnf` with the empty disjuncts pruned, emptiness decided by full elimination."""
+    """:func:`dnf` with the empty disjuncts pruned, emptiness decided by full elimination.
+
+    Reads the disjuncts kept on ``f`` and the stages kept on each, so
+    only the first call on a formula eliminates.
+    """
     from .elimination import is_empty
 
     return [b for b in dnf(f) if not is_empty(b)]

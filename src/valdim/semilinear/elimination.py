@@ -11,7 +11,11 @@ routine, :func:`_eliminate`, runs every elimination; a basic set keeps
 the stages of its emptiness test, and one back-substitution over them
 gives both :func:`sample_point` and the signature whose sum is
 :func:`basic_dimension`.  A projection reads its rows and its emptiness
-verdict off one pass per disjunct (:func:`project_basic`).
+verdict off one pass per disjunct (:func:`project_basic`); a projection
+in the emptiness order reads the kept stages, and a disjunct already
+found empty is not eliminated again.  Once a pass has removed every
+variable but one, the rows are bounds on that variable alone, and the
+last step is decided in one pass over them (:func:`_decide_var`).
 
 Every row is ``(coeffs, rel, rhs)`` in integers.  A
 :class:`~valdim.semilinear.atoms.LinearAtom` is such a row, primitive, so
@@ -91,7 +95,14 @@ def _eliminate_var(rows: list[Row], j: int) -> list[Row] | None:
     """One FM step: remove every occurrence of variable ``j``.
 
     Returns the reduced system, or None when infeasibility is exposed.
+    Rows that all mention ``j`` alone, as at the last step of a full
+    elimination, are decided by :func:`_decide_var` without pairing.
     """
+    first = rows[0][0] if rows else ()
+    if first and first[j] and first.count(0) == len(first) - 1 and all(
+        row[0][j] and row[0].count(0) == len(first) - 1 for row in rows
+    ):
+        return _decide_var(rows, j)
     for row in rows:
         if row[1] == EQ and row[0][j] != 0:
             rest = [r for r in rows if r is not row]
@@ -123,6 +134,43 @@ def _eliminate_var(rows: list[Row], j: int) -> list[Row] | None:
             seen.add(r)
             out.append(r)
     return out
+
+
+def _decide_var(rows: list[Row], j: int) -> list[Row] | None:
+    """The FM step on rows that mention variable ``j`` alone, in one pass.
+
+    Every row bounds ``j`` by ``rhs / coeffs[j]``: from above for a
+    positive coefficient, from below for a negative one, and from both
+    sides for an equality.  The rows hold together exactly when the
+    largest lower bound lies below the smallest upper one, in the order
+    of :func:`_less`.  Returns ``[]`` then and None otherwise, as pairing
+    every lower row with every upper row would.
+    """
+    lo = hi = None
+    for coeffs, rel, rhs in rows:
+        c = coeffs[j]
+        num, den = (rhs, c) if c > 0 else (-rhs, -c)
+        if rel == EQ or c > 0:
+            b = (num, den, rel != LT)
+            if hi is None or _less(b, hi):
+                hi = b
+        if rel == EQ or c < 0:
+            b = (num, den, rel == LT)
+            if lo is None or _less(lo, b):
+                lo = b
+    return [] if lo is None or hi is None or _less(lo, hi) else None
+
+
+def _less(a: tuple[int, int, bool], b: tuple[int, int, bool]) -> bool:
+    """``a < b`` for bounds ``(num, den, s)``, ``den > 0``: by the value ``num / den``,
+    compared crosswise, and then by ``s``.
+
+    ``s`` is True for a strict lower bound and a weak upper one, so of two
+    bounds on one value the strict one is the tighter, and a lower bound
+    lies below an upper one on the same value only when both are weak.
+    """
+    left, right = a[0] * b[1], b[0] * a[1]
+    return left < right or left == right and a[2] < b[2]
 
 
 def _eliminate(rows: list[Row], order: Iterable[int]) -> list[list[Row]] | None:
@@ -257,12 +305,21 @@ def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:
     first, in ascending order, and the stage after them is the
     projection; the kept ones then go last first, so the pass ends in
     None exactly when ``b`` is empty, a contradiction among the kept
-    coordinates included.
+    coordinates included.  When that order is the emptiness order, last
+    variable first (nothing or only the last coordinate is dropped), the
+    stages :func:`is_empty` keeps on ``b`` are that elimination; a ``b``
+    already known to be empty is answered at once, and one found empty
+    here keeps ``()`` as its stages.
     """
     keep = sorted(keep)
     drop = [j for j in range(b.arity) if j not in keep]
-    stages = _eliminate(list(b.atoms), drop + keep[::-1])
-    if stages is None:
+    if b._stages == () or drop in ([], [b.arity - 1]):
+        stages = _stages(b)
+    else:
+        stages = _eliminate(list(b.atoms), drop + keep[::-1])
+        if stages is None:
+            object.__setattr__(b, "_stages", ())
+    if not stages:
         return None
     rows = stages[len(drop)]
     atoms_ = [LinearAtom(tuple(coeffs[j] for j in keep), rel, rhs) for coeffs, rel, rhs in rows]

@@ -768,7 +768,7 @@ def suite_mixed(seed: int = 0, cases: int = 100, samples_per_case: int = 100) ->
     for case in range(cases):
         r.cases += 1
         n = rng.choice([1, 1, 2])
-        polys = [random_factored_poly(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 2))]
+        polys = [random_factored_poly(rng, rng.randint(1, 4)) for _ in range(rng.randint(1, 3))]
         pieces = monomial_decompose(polys)
         xs = _sample_points_for(rng, pieces, samples_per_case)
         bad = None

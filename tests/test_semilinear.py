@@ -269,11 +269,13 @@ class TestProject:
                     assert sl.formula_to_dsl(got) == sl.formula_to_dsl(expected)
 
     def test_one_elimination_per_disjunct(self, monkeypatch):
+        """One elimination per disjunct and keep on a fresh formula, and none
+        that the stages kept on a disjunct already answer."""
         from valdim import verify
 
-        cases = verify.formula_instances(0, 200)
-        with_empty = sum(any(sl.is_empty(b) for b in atoms.dnf(f)) for _, f in cases)
-        assert with_empty > 10  # the family does hold empty disjuncts
+        decided = verify.formula_instances(0, 200)
+        empty = [[sl.is_empty(b) for b in atoms.dnf(f)] for _, f in decided]
+        assert sum(any(e) for e in empty) > 10  # the family does hold empty disjuncts
 
         calls = []
         real = elimination._eliminate
@@ -285,14 +287,26 @@ class TestProject:
             raise AssertionError("project decides emptiness in its own elimination")
 
         monkeypatch.setattr(elimination, "is_empty", no_is_empty)
-        for n, f in cases:
-            disjuncts = len(atoms.dnf(f))
-            for d in range(n + 1):
-                for keep in itertools.combinations(range(n), d):
-                    calls.clear()
-                    sl.project(f, keep)
-                    assert len(calls) == disjuncts
-                    assert all(sorted(order) == list(range(n)) for order in calls)
+
+        def eliminations(f, keep):
+            calls.clear()
+            sl.project(f, keep)
+            assert all(sorted(order) == list(range(f.arity)) for order in calls)
+            return len(calls)
+
+        # one fresh copy of the family for each keep of a case
+        fresh = [verify.formula_instances(0, 200) for _ in range(8)]
+        for i, (n, f) in enumerate(decided):
+            disjuncts, nonempty = len(empty[i]), empty[i].count(False)
+            keeps = [k for d in range(n + 1) for k in itertools.combinations(range(n), d)]
+            for copy, keep in zip(fresh, keeps):
+                g = copy[i][1]
+                assert g == f and eliminations(g, keep) == disjuncts
+                # the emptiness order reads the kept stages; a disjunct found
+                # empty by the first call is not eliminated again
+                emptiness_order = keep in (tuple(range(n)), tuple(range(n - 1)))
+                assert eliminations(g, keep) == (0 if emptiness_order else nonempty)
+                assert eliminations(f, keep) == (0 if emptiness_order else nonempty)
 
 
 class TestOneVarCanonical:
@@ -615,17 +629,25 @@ class TestDimensionWithoutCells:
         assert sl.basic_dimension(b) == 2 and sl.basic_signature(b) == (1, 0, 1)
         assert b.holds(sl.sample_point(b)) and calls == []
 
-        f = parse_mixed_formula(
+        text = (
             "(v(x) = inf & 0 < g1 & g1 < 1 & 0 < g2 & g2 < 1)"
-            " | (v(x) >= 0 & g1 <= 0 & g1 >= 0 & g2 = 0)",
-            2,
+            " | (v(x) >= 0 & g1 <= 0 & g1 >= 0 & g2 = 0)"
         )
+        f = parse_mixed_formula(text, 2)
         calls.clear()
         assert mixed_dimension(f).maxima == ((0, 2), (1, 0))
         steps = len(calls)
+        fresh = parse_mixed_formula(text, 2)
         calls.clear()
-        assert [p.kind for p, g in piece_formulas(f) if sl.normalize_dnf(g)] == ["points", "annulus"]
+        kinds = [p.kind for p, g in piece_formulas(fresh) if sl.normalize_dnf(g)]
+        assert kinds == ["points", "annulus"]
         assert steps == len(calls) > 0
+        # the disjuncts and their stages are kept on the piece formulas
+        calls.clear()
+        assert mixed_dimension(f).maxima == ((0, 2), (1, 0))
+        for g in (f, fresh):
+            assert [p.kind for p, h in piece_formulas(g) if sl.normalize_dnf(h)] == kinds
+        assert calls == []
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -970,3 +992,169 @@ class TestIntegerKernel:
                 assert cell.contains(p) == want, (cell, p)
                 verdicts.add(want)
         assert verdicts == {True, False}
+
+
+def dense_rows(seed, count, n=5):
+    """``count`` random ``<=`` rows over ``n`` variables: coefficients in [-3, 3]
+    (an all-zero row is drawn again) and right sides in [0, 6]."""
+    rng = random.Random(seed)
+    rows = []
+    while len(rows) < count:
+        coeffs = tuple(rng.randint(-3, 3) for _ in range(n))
+        if any(coeffs):
+            rows.append(sl.LinearAtom(coeffs, "<=", rng.randint(0, 6)))
+    return rows
+
+
+class TestLastStepInOnePass:
+    """The last elimination step, on rows over one variable, decided without pairing."""
+
+    @staticmethod
+    def pairwise(rows, j):
+        """The verdict of pairing every bound with every other one, in Fractions."""
+        lows, highs, pins = [], [], []
+        for coeffs, rel, rhs in rows:
+            c, v = coeffs[j], F(rhs) / coeffs[j]
+            if rel == "=":
+                pins.append(v)
+            elif c > 0:
+                highs.append((v, rel == "<"))
+            else:
+                lows.append((v, rel == "<"))
+        lows += [(v, False) for v in pins]
+        highs += [(v, False) for v in pins]
+        return all(lo < hi or (lo == hi and not (s or t)) for lo, s in lows for hi, t in highs)
+
+    @staticmethod
+    def seeded_rows(seed):
+        """0-6 distinct rows over variable j of n, with rational bounds."""
+        rng = random.Random(seed)
+        n = rng.randint(1, 3)
+        j = rng.randrange(n)
+        rows = set()
+        for _ in range(rng.randint(0, 6)):
+            coeffs = [0] * n
+            coeffs[j] = rng.choice((-3, -2, -1, 1, 2, 3))
+            rel = rng.choice(("<", "<=", "=", "<=", "<"))
+            rows.add(sl.LinearAtom(coeffs, rel, F(rng.randint(-4, 4), rng.randint(1, 3))))
+        return sorted(rows, key=sl.LinearAtom.key), j
+
+    @pytest.mark.parametrize("seed", range(200))
+    def test_matches_a_pairwise_check(self, seed):
+        rows, j = self.seeded_rows(seed)
+        got = elimination._decide_var(rows, j)
+        assert got in ([], None)
+        assert (got == []) == self.pairwise(rows, j)
+        assert (got == []) == (elimination._eliminate(rows, [j]) is not None)
+
+    def test_seeds_reach_every_verdict(self):
+        verdicts = set()
+        for seed in range(200):
+            rows, j = self.seeded_rows(seed)
+            verdicts.add((elimination._decide_var(rows, j) == [], any(r.rel == "=" for r in rows)))
+        assert verdicts == {(True, True), (True, False), (False, True), (False, False)}
+
+    @pytest.mark.parametrize(
+        "text, empty",
+        [
+            ("0 <= x1 & x1 <= 0", False),
+            ("0 < x1 & x1 <= 0", True),
+            ("0 <= x1 & x1 < 0", True),
+            ("x1 = 1/2 & 2*x1 = 1 & x1 < 1", False),
+            ("x1 = 1/2 & x1 = 1/3", True),
+            ("x1 = 1 & x1 < 1", True),
+            ("x1 = 1 & x1 <= 1 & x1 >= 1", False),
+            ("x1 > 3 & x1 < 7/2 & x1 > 10/3", False),
+            ("x1 < 5", False),
+        ],
+    )
+    def test_one_variable_systems(self, text, empty):
+        (b,) = atoms.dnf(sl.parse_formula(text, 1))
+        assert sl.is_empty(b) == empty
+
+    def test_dense_system_answers_in_time(self):
+        """Stages of 10 -> 21 -> 80 -> 1,061 -> 140,730 rows: the last step once
+        paired the 140,730 rows and found no answer in 45 s."""
+        import signal
+
+        b = sl.BasicSet(tuple(dense_rows(2, 10)), 5)
+        assert len(b.atoms) == 10
+
+        def timeout(signum, frame):
+            raise AssertionError("the dense system took longer than 60 s")
+
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(60)
+        try:
+            assert not sl.is_empty(b)
+            point = sl.sample_point(b)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert b.holds(point)
+        assert [len(stage) for stage in elimination._stages(b)] == [10, 21, 80, 1061, 140730, 0]
+
+
+class TestKeptDnf:
+    """The disjuncts are built once per formula, and no answer depends on
+    which questions the formula was asked before."""
+
+    @staticmethod
+    def questions(f):
+        """Every question of the linear engine, with the DSL text of each formula answer."""
+        n = f.arity
+        keeps = [k for d in range(n + 1) for k in itertools.combinations(range(n), d)]
+        with_text = [(lambda k=k: sl.project(f, k)) for k in keeps] + [lambda: sl.closure(f)]
+        return [
+            lambda: sl.dimension(f),
+            lambda: sl.cell_decompose(f),
+            *with_text,
+            *[(lambda q=q: sl.formula_to_dsl(q())) for q in with_text],
+            lambda: sl.is_polyhedral(f),
+            lambda: sl.formula_to_dsl(f),
+            lambda: atoms.dnf(f),
+            lambda: sl.normalize_dnf(f),
+        ]
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_answers_do_not_depend_on_call_history(self, seed):
+        from valdim import verify
+
+        fresh = verify.formula_instances(seed, 120)
+        asked = verify.formula_instances(seed, 120)
+        for _, g in reversed(asked):
+            for q in reversed(self.questions(g)):
+                q()
+        for (_, f), (_, g) in zip(fresh, asked):
+            assert f == g and f is not g
+            want = [q() for q in self.questions(f)]
+            got = [q() for q in self.questions(g)]
+            assert want == got and repr(want) == repr(got)
+
+    def test_kept_tuple_takes_no_part_in_equality_hash_or_repr(self):
+        text = "(x1 < x2 | x2 < 0) & !(x1 = 1)"
+        f, fresh = sl.parse_formula(text, 2), sl.parse_formula(text, 2)
+        before = repr(f)
+        disjuncts = atoms.dnf(f)
+        assert len(disjuncts) > 1
+        assert all(a is b for a, b in zip(atoms.dnf(f), disjuncts))
+        assert f == fresh and hash(f) == hash(fresh) and repr(f) == before == repr(fresh)
+
+    def test_callers_get_a_fresh_list(self):
+        f = sl.parse_formula("(x1 < 0 | x1 > 1) & (x2 < 0 | x2 = 1) & x1 + x2 < 3", 2)
+        for read in (atoms.dnf, sl.normalize_dnf):
+            first = read(f)
+            expected = list(first)
+            assert read(f) is not first
+            first.reverse()
+            first.append(first[0])
+            del first[0]
+            assert read(f) == expected
+        assert sl.formula_to_dsl(f) == sl.formula_to_dsl(sl.parse_formula(
+            "(x1 < 0 | x1 > 1) & (x2 < 0 | x2 = 1) & x1 + x2 < 3", 2))
+
+    def test_each_node_keeps_its_own(self):
+        f = sl.parse_formula("x1 < 0 | x1 > 1", 1)
+        assert [str(b.atoms[0]) for b in atoms.dnf(f)] == ["-x1 < -1", "x1 < 0"]
+        assert [str(b.atoms[0]) for b in atoms.dnf(f.parts[0])] == ["x1 < 0"]
+        assert len(atoms.dnf(sl.Not.of(f))) == 1

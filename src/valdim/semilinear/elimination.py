@@ -178,7 +178,10 @@ def _eliminate(rows: list[Row], order: Iterable[int]) -> list[list[Row]] | None:
 
     Returns the stages: the input system, then the system after each
     step, so stage k has the first k variables of ``order`` gone.  Returns
-    None as soon as a step exposes a contradiction.
+    None as soon as a step exposes a contradiction.  Every input row has a
+    nonzero coefficient, as every atom and every :func:`negate_row` piece
+    of one has: a step decides the all-zero rows it derives, but never an
+    input row, which would stay in every stage undecided.
     """
     stages = [rows]
     for j in order:
@@ -190,7 +193,10 @@ def _eliminate(rows: list[Row], order: Iterable[int]) -> list[list[Row]] | None:
 
 
 def rows_infeasible(rows: list[Row], arity: int) -> bool:
-    """Whether no point satisfies the raw integer rows, by full elimination."""
+    """Whether no point satisfies the raw integer rows, by full elimination.
+
+    Each row needs a nonzero coefficient, as for :func:`_eliminate`.
+    """
     return _eliminate(rows, range(arity)) is None
 
 

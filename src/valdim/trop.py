@@ -3,10 +3,11 @@
 A tropical polynomial is a finite set of terms (exponent vector, weight);
 its hypersurface is the locus where the minimum of ``weight + exponent .
 X`` is attained at least twice.  The hypersurface is assembled exactly:
-one candidate polyhedron per term pair, kept when nonempty and maximal
-under inclusion.  Faces stay in half-space form; all queries (pure
-dimension, membership, image dimension bounds, polyhedrality after
-closure) reduce to the group-sort engine.
+one candidate polyhedron per term pair, labelled by the terms minimal at
+one relative-interior point, and kept when nonempty and its label is
+minimal.  Faces stay in half-space form; all queries (pure dimension,
+membership, image dimension bounds, polyhedrality after closure) reduce
+to the group-sort engine.
 
 Convention: weights are valuations, so the minimum convention applies
 throughout (large norm = small valuation).
@@ -24,7 +25,6 @@ from . import semilinear as sl
 from .boolean import DIGITS, Tokens, signed_int
 from .errors import ParseError, SemanticError
 from .lowerset import NEG_INF
-from .semilinear.elimination import negate_row, rows_infeasible
 
 
 @dataclass(frozen=True)
@@ -130,38 +130,34 @@ def _pair_face(p: TropPoly, i: int, j: int) -> sl.BasicSet:
     return sl.BasicSet(tuple(atoms), p.arity)
 
 
-def _subset(a: sl.BasicSet, b: sl.BasicSet) -> bool:
-    """a subset of b: no piece of the complement of a face of b meets a."""
-    return all(
-        rows_infeasible([*a.atoms, neg], a.arity)
-        for row in b.atoms
-        for neg in negate_row(row)
-    )
-
-
 def trop_hypersurface(p: TropPoly) -> PolyhedralComplex:
     """The duplicate-minimum locus as a complex of maximal faces.
 
-    Enumerates term pairs, keeps the nonempty tie polyhedra, and drops
-    faces contained in another kept face.
+    Write C_S for the set where every term of S attains the minimum.  The
+    tie polyhedron of a pair (i, j) (:func:`_pair_face`) is C_{i,j}; its
+    label S is the set of terms minimal at its sample point x, a
+    relative-interior point (:func:`~valdim.semilinear.sample_point`).
+    For k in S the affine function ``t_k - t_i`` is nonnegative on
+    C_{i,j} and zero at x, so it is zero on all of C_{i,j}: C_{i,j} =
+    C_S.  The C_S are the faces of one polyhedral complex (Maclagan and
+    Sturmfels, Introduction to Tropical Geometry, section 3.1), and C_S
+    lies in C_T exactly when T is a subset of S.  So a tie polyhedron is
+    maximal exactly when no label is a proper subset of its own, and two
+    with one label are one set.  Kept: the first polyhedron of each label
+    no other label is a proper subset of, in pair order; one elimination
+    per pair, and no inclusion test.
     """
-    candidates: list[sl.BasicSet] = []
-    seen = set()
+    faces: dict[frozenset[int], sl.BasicSet] = {}
     for i, j in combinations(range(len(p.terms)), 2):
         b = _pair_face(p, i, j)
-        if b.atoms in seen or sl.is_empty(b):
-            continue
-        seen.add(b.atoms)
-        candidates.append(b)
-    keep: list[sl.BasicSet] = []
-    for b in candidates:
-        if any(b is not other and _subset(b, other) and not _subset(other, b)
-               for other in candidates):
-            continue
-        if any(_subset(b, k) and _subset(k, b) for k in keep):
-            continue  # duplicate set under a different presentation
-        keep.append(b)
-    return PolyhedralComplex(tuple(Polyhedron.of(b) for b in keep))
+        x = sl.sample_point(b)
+        if x is not None:
+            values = [p.term_value(exp, w, x) for exp, w in p.terms]
+            low = min(values)
+            faces.setdefault(frozenset(k for k, v in enumerate(values) if v == low), b)
+    return PolyhedralComplex(tuple(
+        Polyhedron.of(b) for label, b in faces.items() if not any(s < label for s in faces)
+    ))
 
 
 def pure_dimension_check(c: PolyhedralComplex, d: int) -> bool:

@@ -880,8 +880,49 @@ def random_box(rng: random.Random, n: int, compact: bool) -> sl.Formula:
     return sl.And.of(sl.Bool(True, n), *parts)
 
 
+def _subset_by_pieces(a: sl.BasicSet, b: sl.BasicSet) -> bool:
+    """a subset of b: no piece ``a & not row``, for a row of b, has a point."""
+    from valdim.semilinear.elimination import negate_row, rows_infeasible
+
+    return all(
+        rows_infeasible([*a.atoms, neg], a.arity)
+        for row in b.atoms
+        for neg in negate_row(row)
+    )
+
+
+def maximal_faces_by_inclusion(p: trop.TropPoly) -> list[sl.BasicSet]:
+    """The maximal tie polyhedra of ``p``, by pairwise inclusion tests.
+
+    The second route to :func:`trop.trop_hypersurface`: the nonempty tie
+    polyhedra in pair order, less every one strictly inside another and
+    every one that is the same set as one kept before.  Each test is a
+    full elimination of raw rows; no sample point is read.
+    """
+    from valdim.semilinear.elimination import rows_infeasible
+
+    candidates: list[sl.BasicSet] = []
+    seen = set()
+    for i, j in combinations(range(len(p.terms)), 2):
+        b = trop._pair_face(p, i, j)
+        if b.atoms in seen or rows_infeasible(list(b.atoms), b.arity):
+            continue
+        seen.add(b.atoms)
+        candidates.append(b)
+    keep: list[sl.BasicSet] = []
+    for b in candidates:
+        if any(b is not other and _subset_by_pieces(b, other) and not _subset_by_pieces(other, b)
+               for other in candidates):
+            continue
+        if any(_subset_by_pieces(b, k) and _subset_by_pieces(k, b) for k in keep):
+            continue  # the same set under a different presentation
+        keep.append(b)
+    return keep
+
+
 def suite_trop(seed: int = 0, cases: int = 50) -> SuiteResult:
-    """Hypersurface oracle agreement, purity, image polyhedrality and bounds."""
+    """Hypersurface faces against the inclusion oracle and the duplicate-minimum
+    grid, purity, image polyhedrality and bounds."""
     rng = random.Random(seed)
     r = SuiteResult("tropical")
     grid = _grid(-3, 3, 4)
@@ -889,6 +930,9 @@ def suite_trop(seed: int = 0, cases: int = 50) -> SuiteResult:
         r.cases += 1
         p = random_trop_poly(rng)
         c = trop.trop_hypersurface(p)
+        if [f.system for f in c.faces] != maximal_faces_by_inclusion(p):
+            r.failures.append(f"case {case}: faces differ from the inclusion oracle")
+            continue
         bad = None
         for x in grid:
             for y in grid:

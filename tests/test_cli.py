@@ -816,3 +816,55 @@ class TestVerifyAndDeterminism:
         _, first, _ = run(capsys, *args)
         _, second, _ = run(capsys, *args)
         assert first == second
+
+    DIGEST_PROBE = (
+        "import contextlib, hashlib, io, json, sys\n"
+        "from valdim import cli\n"
+        "h = hashlib.sha256()\n"
+        "for argv in json.load(sys.stdin):\n"
+        "    out, err = io.StringIO(), io.StringIO()\n"
+        "    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):\n"
+        "        code = cli.main(argv)\n"
+        "    h.update(f'{code}\\n{out.getvalue()}\\n{err.getvalue()}\\n'.encode())\n"
+        "print(h.hexdigest())\n"
+    )
+
+    @staticmethod
+    def digest_commands() -> list[list[str]]:
+        """Seeded ``gamma``, ``mixed`` and ``trop hypersurface`` commands."""
+        import random
+
+        from valdim import semilinear as sl
+
+        commands = []
+        texts = [(n, t) for n, _, t, _ in TestGammaOutputDigests.CASES]
+        texts += [(n, sl.formula_to_dsl(f)) for n, f in verify.formula_instances(5, 30)]
+        for n, text in texts:
+            for op, options in (("dim", []), ("cells", ["--format", "json"]),
+                                ("project", ["--keep", "1"]), ("closure", [])):
+                commands.append(["gamma", op, *options, "-n", str(n), "--", text])
+        for n, text, _ in TestMixedOutputDigests.CASES:
+            for op, options in (("dim", []), ("cells", ["--format", "json"]), ("project", [])):
+                commands.append(["mixed", op, *options, "-n", str(n), "--", text])
+        polys = [p for p, _ in TestGammaOutputDigests.TROP_CASES]
+        rng = random.Random(5)
+        for _ in range(30):
+            p = verify.random_trop_poly(rng, rng.choice([1, 2, 3]))
+            polys.append(" + ".join(f"{w}@({','.join(map(str, e))})" for e, w in p.terms))
+        for text in polys:
+            commands.append(["trop", "hypersurface", "--format", "json", "--", text])
+        return commands
+
+    def test_output_independent_of_hash_seed(self):
+        """Output is a function of the command alone: no set or dict order
+        that the hash seed moves reaches it."""
+        commands = json.dumps(self.digest_commands())
+        digests = set()
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+                       PYTHONHASHSEED=hash_seed)
+            digests.add(subprocess.run(
+                [sys.executable, "-c", self.DIGEST_PROBE], input=commands,
+                capture_output=True, text=True, check=True, env=env,
+            ).stdout)
+        assert len(digests) == 1

@@ -208,6 +208,56 @@ class TestEmptiness:
             assert b._stages is stages and (point is None) is ascending
 
 
+def with_implicit_equalities(rng, n):
+    """A random weak system that also holds some ``c.x <= q`` and ``-c.x <= -q``."""
+    rows = []
+    for _ in range(rng.randint(1, 4)):
+        coeffs = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(coeffs):
+            q = F(rng.randint(-3, 3), rng.choice([1, 2]))
+            rows.append(sl.LinearAtom(coeffs, rng.choice(["<=", "<=", "<", "="]), q))
+    for _ in range(rng.randint(1, 2)):
+        coeffs = tuple(rng.randint(-2, 2) for _ in range(n))
+        if any(coeffs):
+            q = F(rng.randint(-3, 3), rng.choice([1, 2]))
+            rows.append(sl.LinearAtom(coeffs, "<=", q))
+            rows.append(sl.LinearAtom(tuple(-c for c in coeffs), "<=", -q))
+    return sl.BasicSet(tuple(rows), n)
+
+
+class TestSamplePointRelativeInterior:
+    """``sample_point`` lies in the relative interior of its basic set.
+
+    A weak atom is tight at a relative-interior point exactly when it is
+    tight on the whole set, that is, when the set with that atom made
+    strict is empty.  ``dimension``, ``mixed_dimension`` and the faces of
+    ``trop_hypersurface`` all read their point this way.
+    """
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_weak_atom_tight_exactly_when_implicit_equality(self, seed):
+        from valdim import verify
+
+        rng = random.Random(seed)
+        systems = [b for _, f in verify.formula_instances(seed, 200) for b in atoms.dnf(f)]
+        systems += [with_implicit_equalities(rng, rng.randint(1, 3)) for _ in range(300)]
+        sets = weak = 0
+        for b in systems:
+            x = sl.sample_point(b)
+            if x is None:
+                continue
+            sets += 1
+            for a in b.atoms:
+                if a.rel != sl.LE:
+                    continue
+                weak += 1
+                strict = sl.BasicSet(tuple(sl.LinearAtom(a.coeffs, sl.LT, a.rhs) if c is a else c
+                                           for c in b.atoms), b.arity)
+                tight = sum(c * v for c, v in zip(a.coeffs, x)) == a.rhs
+                assert tight is sl.is_empty(strict), (b, a, x)
+        assert sets > 300 and weak > 300
+
+
 class TestProject:
     def test_transitivity(self):
         f = sl.parse_formula("x1 < x2 & x2 < 1")

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -74,6 +75,62 @@ class TestHypersurface:
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ParseError):
             trop.trop_poly_from_text("0*t@(1,0) + 0@(0,1)")
+
+
+def family(seed, n, terms, hi=3, equal=False, collinear=False):
+    """Seeded polynomials of one degenerate shape, ``terms`` terms at most."""
+    rng = random.Random(seed)
+    polys = []
+    for _ in range(12):
+        exps = {}
+        while len(exps) < terms:
+            e = rng.randint(0, hi)
+            exp = tuple(e * d for d in (1, 2, 1)[:n]) if collinear else tuple(
+                rng.randint(0, hi) for _ in range(n))
+            exps[exp] = F(0) if equal else F(rng.randint(-4, 4), rng.choice([1, 2]))
+        polys.append(trop.TropPoly(tuple(exps.items())))
+    return polys
+
+
+FAMILIES = {
+    "one variable": dict(n=1, terms=4, hi=6),
+    "equal weights": dict(n=2, terms=6, equal=True),
+    "equal weights in space": dict(n=3, terms=6, hi=2, equal=True),
+    "collinear exponents": dict(n=2, terms=5, hi=5, collinear=True),
+    "collinear in space": dict(n=3, terms=4, hi=4, collinear=True),
+    "one term": dict(n=2, terms=1),
+    "ten terms": dict(n=2, terms=10),
+    "ten terms in space": dict(n=3, terms=10),
+}
+
+
+class TestAgainstInclusionOracle:
+    """The faces read off minimal labels are the faces the pairwise
+    inclusion tests keep, in the same presentation and order."""
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_same_faces_as_inclusion_tests(self, name):
+        from valdim import verify
+
+        for seed in range(3):
+            for p in family(seed, **FAMILIES[name]):
+                faces = [f.system for f in trop.trop_hypersurface(p).faces]
+                assert faces == verify.maximal_faces_by_inclusion(p), p
+
+    @pytest.mark.parametrize("name", FAMILIES)
+    def test_one_elimination_per_pair_at_most(self, monkeypatch, name):
+        from valdim.semilinear import elimination
+
+        calls = []
+        real = elimination._eliminate
+        monkeypatch.setattr(
+            elimination, "_eliminate", lambda rows, order: calls.append(1) or real(rows, order)
+        )
+        for p in family(7, **FAMILIES[name]):
+            calls.clear()
+            trop.trop_hypersurface(p)
+            t = len(p.terms)
+            assert len(calls) <= t * (t - 1) // 2
 
 
 class TestPointOnTrop:

@@ -28,11 +28,15 @@ scaled once by ``L // div``, so its value at the sample is one integer
 over ``L * den`` and the bounds are ordered by sorting integers.  The
 strata samples are integers over ``2 * L * den``, the prefix numerators
 scaled to match, and an atom without x_n holds where ``sum(c * num) REL
-rhs * den``.  A cell read on its own does not use that kernel:
-:meth:`GammaCell.sample` and :meth:`GammaCell.contains` evaluate its
-bounds in ``Fraction``s with :meth:`AffineBound.value`, the arithmetic of
-:meth:`LinearAtom.holds`, so they are a second route to the samples the
-lifting carries.
+rhs * den``.  A sample is built only for a stratum that a further level
+lifts over, so every stratum below the top carries one; the top level
+carries one when :func:`arrangement` is called directly, as the
+filtering oracle in ``verify`` calls it, and none under
+:func:`cell_decompose`, which reads no sample.  A cell read on its own
+does not use that kernel: :meth:`GammaCell.sample` and
+:meth:`GammaCell.contains` evaluate its bounds in ``Fraction``s with
+:meth:`AffineBound.value`, the arithmetic of :meth:`LinearAtom.holds`,
+so they are a second route to the samples the lifting carries.
 
 Cells are built only when a caller asks for them.  :func:`dimension`
 works on the DNF, reading each disjunct's signature off one
@@ -58,6 +62,7 @@ from .atoms import (
     BasicSet,
     Formula,
     LinearAtom,
+    _primitive,
     atom,
     between,
     normalize_dnf,
@@ -284,16 +289,6 @@ def _order(
     return values, reps, slots
 
 
-def _stratum(reps: list[AffineBound], p: int) -> tuple[int, CoordSpec]:
-    """Signature bit and bound data of stratum ``p``."""
-    k = p // 2
-    if p % 2:
-        return 0, reps[k]
-    lo = reps[k - 1] if k else None
-    hi = reps[k] if k < len(reps) else None
-    return 1, (lo, hi)
-
-
 def _stratum_sample(values: list[int], p: int, one: int) -> int:
     """The x_n sample of stratum ``p`` over ``2 * one``, values over ``one``.
 
@@ -316,8 +311,8 @@ _ORIGIN = ((GammaCell((), ()), (), 1),)
 
 
 def arrangement(
-    atoms_: Sequence[LinearAtom], n: int, f: Formula
-) -> list[tuple[GammaCell, tuple[int, ...], int]]:
+    atoms_: Sequence[LinearAtom], n: int, f: Formula, _samples: bool = True
+) -> list[tuple[GammaCell, tuple[int, ...], int]] | list[GammaCell]:
     """The strata of the arrangement of ``atoms_`` in Q^n on which ``f`` holds.
 
     Each comes as ``(cell, nums, den)``, its sample ``nums / den`` with
@@ -336,29 +331,40 @@ def arrangement(
     With one bit per stratum, ``f`` is evaluated once per base cell.
     Output order is deterministic: base cells in recursive order, strata
     bottom to top.
+
+    With ``_samples=False``, which :func:`cell_decompose` passes, it
+    returns the bare cells of this level and builds no sample for them.
+    The levels below always carry theirs: the next level orders its bounds
+    at them.
     """
     if n == 0:
-        return list(_ORIGIN) if f.holds(()) else []
+        if not f.holds(()):
+            return []
+        return list(_ORIGIN) if _samples else [_ORIGIN[0][0]]
     j = n - 1
     wanted = f.atoms()
     solved: dict[LinearAtom, AffineBound] = {}
     base_atoms: set[LinearAtom] = set()
     flat = []
     for a in atoms_:
-        if a.coeffs[j]:
+        coeffs, rel, rhs = a
+        if coeffs[j]:
             solved[a] = _bound_from_atom(a, j)
         else:
-            base_atoms.add(LinearAtom(a.coeffs[:j], a.rel, a.rhs))
+            base_atoms.add(_primitive(coeffs[:j], rel, rhs))
             if a in wanted:
-                flat.append(a)
-    blist = sorted(set(solved.values()), key=AffineBound.key)
+                flat.append((a, coeffs, COMPARE[rel], rhs))
+    blist = list(set(solved.values()))
     # Over Q^0 every comparison is a constant, and its one cell is the base.
+    # Distinct constant bounds never tie, so only over Q^j, j > 0, does
+    # _order need them in key order, to keep the least key on a tie.
     base = _ORIGIN
     if j:
+        blist.sort(key=AffineBound.key)
         for b1, b2 in combinations(blist, 2):
             coeffs, rhs = _difference(b1, b2)
             if any(coeffs):
-                base_atoms.add(LinearAtom(coeffs, EQ, rhs))
+                base_atoms.add(_primitive(coeffs, EQ, rhs))
         base = arrangement(sorted(base_atoms, key=LinearAtom.key), j, Bool(True, j))
     scale, rows = _scaled_rows(blist)
     index = {b: k for k, b in enumerate(blist)}
@@ -371,14 +377,14 @@ def arrangement(
             c, holds = a.coeffs[j], COMPARE[a.rel]
             lifted.append((a, index[b], holds(-c, 0), holds(0, 0), holds(c, 0)))
     out = []
-    for cell, nums, den in base:
+    for (sig, bounds), nums, den in base:
         values, reps, slots = _order(blist, rows, nums, den)
         top = 2 * len(values)
         full = (2 << top) - 1
         # sum(c * x) / den REL rhs, with den > 0
         masks = {
-            a: full if COMPARE[a.rel](sum(map(mul, a.coeffs, nums)), a.rhs * den) else 0
-            for a in flat
+            a: full if holds(sum(map(mul, coeffs, nums)), rhs * den) else 0
+            for a, coeffs, holds, rhs in flat
         }
         for a, k, neg, zero, pos in lifted:
             on = 1 << slots[k]
@@ -387,13 +393,21 @@ def arrangement(
         kept = evaluate(f, masks.__getitem__, full)
         if not kept:
             continue
-        one = scale * den
-        prefix = tuple(2 * scale * x for x in nums)
+        graph, band = sig + (0,), sig + (1,)
+        ends = (None, *reps, None)
+        if _samples:
+            one = scale * den
+            prefix = tuple(2 * scale * x for x in nums)
         for p in range(top + 1):
             if kept >> p & 1:
-                i, spec = _stratum(reps, p)
-                stratum = GammaCell(cell.signature + (i,), cell.bounds + (spec,))
-                out.append((stratum, prefix + (_stratum_sample(values, p, one),), 2 * one))
+                k = p // 2
+                if p % 2:
+                    stratum = tuple.__new__(GammaCell, (graph, bounds + (reps[k],)))
+                else:
+                    stratum = tuple.__new__(GammaCell, (band, bounds + (ends[k : k + 2],)))
+                if _samples:
+                    stratum = (stratum, prefix + (_stratum_sample(values, p, one),), 2 * one)
+                out.append(stratum)
     return out
 
 
@@ -405,7 +419,7 @@ def cell_decompose(f: Formula) -> list[GammaCell]:
     of ``f``.
     """
     atoms_ = sorted(f.atoms(), key=LinearAtom.key)
-    return [cell for cell, _, _ in arrangement(atoms_, f.arity, f)]
+    return arrangement(atoms_, f.arity, f, _samples=False)
 
 
 def has_interior(b: BasicSet) -> bool:

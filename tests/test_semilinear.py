@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -592,6 +594,129 @@ class TestCellTruthFromLifting:
         for x in grid(-2, 2, 2):
             for y in grid(-2, 2, 4):
                 assert sum(c.contains((x, y)) for c in cells) == f.holds((x, y))
+
+
+def coinciding_formula(rng, n, k):
+    """Boolean combination of k atoms in n variables, every coefficient nonzero.
+
+    Some rows are planted so that bounds on x_n coincide: a multiple of an
+    earlier row solves to the same bound everywhere, and a combination of
+    two earlier rows gives a third bound through every point where theirs
+    meet, so three bounds share one value on those base cells.
+    """
+    rows = []
+    while len(rows) < k:
+        roll = rng.random()
+        if rows and roll < 0.2:
+            coeffs, rhs = rng.choice(rows)
+            m = rng.choice((-2, -1, 2, 3))
+            rows.append((tuple(m * c for c in coeffs), m * rhs))
+        elif len(rows) > 1 and roll < 0.5:
+            (c1, q1), (c2, q2) = rng.sample(rows, 2)
+            a, b = rng.choice((-1, 1, 2)), rng.choice((-2, -1, 1))
+            coeffs = tuple(a * x + b * y for x, y in zip(c1, c2))
+            if all(coeffs):
+                rows.append((coeffs, a * q1 + b * q2))
+        else:
+            coeffs = tuple(rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n))
+            rows.append((coeffs, F(rng.randint(-6, 6), rng.choice((1, 2)))))
+    parts = []
+    for coeffs, rhs in rows:
+        a = sl.atom(coeffs, rng.choice(("<", "<=", "=", "!=", ">=", ">")), rhs)
+        parts.append(sl.Not.of(a) if rng.random() < 0.2 else a)
+    f = parts[0]
+    for g in parts[1:]:
+        f = sl.And.of(f, g) if rng.random() < 0.5 else sl.Or.of(f, g)
+    return f
+
+
+class TestLiftingDigests:
+    """The lifting pinned byte for byte on the benchmark's shapes.
+
+    240 seeded formulas: 2 variables with 6 atoms, and 3 variables with 3
+    and with 4 atoms, every atom on every variable, some with bounds that
+    coincide on base cells (:func:`coinciding_formula`).  The digests were
+    recorded before the top level of :func:`arrangement` stopped building
+    the samples that :func:`sl.cell_decompose` does not read.
+    """
+
+    SHAPES = ((2, 6),) * 120 + ((3, 3),) * 80 + ((3, 4),) * 40
+
+    @classmethod
+    def formulas(cls):
+        rng = random.Random(29)
+        return [coinciding_formula(rng, n, k) for n, k in cls.SHAPES]
+
+    def test_cells_match_the_filtered_arrangement(self):
+        from valdim import verify
+
+        h = hashlib.sha256()
+        for f in self.formulas():
+            cells = sl.cell_decompose(f)
+            assert cells == verify.filtered_arrangement(f), sl.formula_to_dsl(f)
+            h.update(json.dumps([sl.cell_to_json(c) for c in cells]).encode())
+            h.update(b"\n")
+        assert h.hexdigest()[:16] == "3ad92fac4a304af8"
+
+    def test_samples_of_the_whole_arrangement(self):
+        h = hashlib.sha256()
+        for f in self.formulas():
+            atoms_ = sorted(f.atoms(), key=sl.LinearAtom.key)
+            strata = arrangement(atoms_, f.arity, sl.Bool(True, f.arity))
+            h.update(repr([(nums, den) for _, nums, den in strata]).encode())
+            h.update(b"\n")
+        assert h.hexdigest()[:16] == "4fd9c2650a422f77"
+
+    def test_the_formulas_plant_coinciding_bounds(self, monkeypatch):
+        ties = []
+        order = cells._order
+
+        def counted(blist, rows, nums, den):
+            values, reps, slots = order(blist, rows, nums, den)
+            ties.append(len(values) < len(blist))
+            return values, reps, slots
+
+        monkeypatch.setattr(cells, "_order", counted)
+        for f in self.formulas():
+            sl.cell_decompose(f)
+        assert sum(ties) > 500
+
+
+class TestNoTopLevelSamples:
+    """``cell_decompose`` builds samples only for strata a further level lifts over."""
+
+    @pytest.fixture
+    def counter(self, monkeypatch):
+        calls = []
+        sample = cells._stratum_sample
+
+        def counted(values, p, one):
+            calls.append(p)
+            return sample(values, p, one)
+
+        monkeypatch.setattr(cells, "_stratum_sample", counted)
+        return calls
+
+    def test_one_variable(self, counter):
+        f = sl.parse_formula("x1 < 1 | x1 = 2 | (x1 > 3 & x1 != 5)", 1)
+        assert len(sl.cell_decompose(f)) == 4
+        assert counter == []
+
+    def test_two_variables(self, counter):
+        # bounds x1, 0 and 1 on x2 meet over x1 = 0 and x1 = 1: 5 base strata
+        f = sl.parse_formula("x2 < x1 & x2 > 0 | x2 = 1", 2)
+        sl.cell_decompose(f)
+        assert len(counter) == 5
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_one_sample_per_base_stratum(self, seed, counter):
+        f = coinciding_formula(random.Random(seed), 2, 6)
+        atoms_ = sorted(f.atoms(), key=sl.LinearAtom.key)
+        strata = arrangement(atoms_, 2, sl.Bool(True, 2))
+        base = {(c.signature[:1], c.bounds[:1]) for c, _, _ in strata}
+        counter.clear()
+        sl.cell_decompose(f)
+        assert len(counter) == len(base)
 
 
 class TestDimension:

@@ -1,9 +1,10 @@
 """Boolean formulas over any atom type, and the Boolean grammar of both DSLs.
 
-A formula is a tree of ``Bool`` constants, ``Atom`` leaves and ``And``,
-``Or`` and ``Not`` nodes.  The linear engine puts ``LinearAtom``s in the
-leaves and the mixed engine ``MixedAtom``s; a node needs only an atom's
-``arity`` and ``holds``.  Every node carries the arity of its formula:
+A formula is a tree of ``Bool`` constants, atom leaves and ``And``,
+``Or`` and ``Not`` nodes.  A leaf is the atom itself, an ``Atom``
+subclass: ``LinearAtom`` in the linear engine, ``MixedAtom`` in the mixed
+one; a node needs only an atom's ``arity`` and ``holds``.  Every node
+carries the arity of its formula:
 the number of variables of a linear formula, the number of group
 coordinates of a mixed one.  The ``of`` constructors flatten nested nodes
 of the same kind and fold constants.
@@ -87,18 +88,12 @@ class Bool(Formula):
         return set()
 
 
-@dataclass(frozen=True)
 class Atom(Formula):
-    """A leaf; ``holds(*point)`` forwards the point to the atom."""
-
-    atom: Any
-
-    @property
-    def arity(self) -> int:
-        return self.atom.arity
+    """A leaf: the base of every atom class, which gives its own ``arity``
+    and ``holds``.  It has no fields and is never built itself."""
 
     def atoms(self):
-        return {self.atom}
+        return {self}
 
 
 def _common_arity(parts: Sequence[Formula]) -> int:
@@ -187,7 +182,7 @@ def evaluate(f: Formula, value: Callable[[Any], Any], top: Any = True) -> Any:
     evaluated.
     """
     if isinstance(f, Atom):
-        return value(f.atom)
+        return value(f)
     if isinstance(f, Junction):
         if f.unit:
             acc = top
@@ -216,7 +211,7 @@ def map_atoms(f: Formula, fn: Callable[[Any], Formula], arity: int) -> Formula:
     away.  ``arity`` is the arity of the result; ``Bool`` leaves get it.
     """
     if isinstance(f, Atom):
-        return fn(f.atom)
+        return fn(f)
     if isinstance(f, Bool):
         return Bool(f.value, arity)
     if isinstance(f, Not):

@@ -24,7 +24,8 @@ first use, and kept on it: :func:`mixed_dimension`,
 :func:`project_to_gamma` and :func:`mixed_cell_decompose` all read the
 same :func:`piece_formulas`.  Each piece formula keeps its DNF disjuncts
 in turn, with their elimination stages, so :func:`project_to_gamma`
-projects the disjuncts :func:`mixed_dimension` has already decided.
+projects the disjuncts :func:`mixed_dimension` has already decided: it
+skips the empty ones and eliminates only the radius from the others.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .. import semilinear as sl
-from ..boolean import Atom, Formula, map_atoms
+from ..boolean import Formula, map_atoms
 from ..errors import SemanticError
 from ..lowerset import LowerSet, lower_closure
 from ..semilinear.elimination import _eliminate
@@ -136,29 +137,20 @@ def piece_formulas(
     The conjunction of the translated formula with the piece's radius
     window; together the pairs describe the set of ``f`` exactly.  The
     pairs are built on the first call and kept on ``f`` outside its
-    fields, so they take no part in its equality, hash or repr.  A pure
-    group atom reads no valuation, so it is translated once for each piece
-    dimension.
+    fields, so they take no part in its equality, hash or repr.
     """
     kept = getattr(f, "_pieces", None)
     if kept is not None:
         return kept
     n = f.arity
     tracked = polys(f)
-    weighted = {a: [(w, tracked.index(p)) for p, w in a.terms] for a in f.atoms() if a.terms}
-    # images of the pure group atoms, keyed by the piece dimension
-    group: tuple[dict, dict] = ({}, {})
+    weighted = {a: [(w, tracked.index(p)) for p, w in a.terms] for a in f.atoms()}
     out = []
     for piece, vals in monomial_decompose(tracked):
         k = piece_k_dimension(piece)
-        images = group[k]
 
         def on_piece(a: MixedAtom) -> sl.Formula:
-            if a.terms:
-                return _atom_on_piece(a, vals, weighted[a], n, k)
-            if a not in images:
-                images[a] = _atom_on_piece(a, (), [], n, k)
-            return images[a]
+            return _atom_on_piece(a, vals, weighted[a], n, k)
 
         g = map_atoms(f, on_piece, n + k)
         if k:
@@ -309,6 +301,6 @@ def apply_bijection(f: Formula, b: AffineBijection) -> Formula:
         if rhs is not INFINITY:
             rhs += sum(c * d for c, d in zip(coeffs, b.offsets))
         terms = [(p.translate(b.shift), w) for p, w in a.terms]
-        return Atom(MixedAtom(terms, coeffs, a.rel, rhs))
+        return MixedAtom(terms, coeffs, a.rel, rhs)
 
     return map_atoms(f, image, n)

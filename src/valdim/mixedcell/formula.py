@@ -10,8 +10,9 @@ every atom with an infinite side.  The engine meets infinite valuations
 only on the point pieces of its decomposition.
 
 Mixed formulas are the shared Boolean nodes of :mod:`valdim.boolean`
-over ``MixedAtom`` leaves; their arity is the number of group
-coordinates, and ``f.holds(x, gamma)`` evaluates them.
+over ``MixedAtom`` leaves, each an ``Atom`` subclass and so a formula
+as it stands; their arity is the number of group coordinates, and
+``f.holds(x, gamma)`` evaluates them.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ def decide_infinite(rel: str, left: bool, right: bool) -> bool:
 
 
 @dataclass(frozen=True)
-class MixedAtom:
+class MixedAtom(Atom):
     """sum of weight * v(poly(x)) over ``terms``, plus gcoeffs . gamma, REL rhs.
 
     ``terms`` holds (poly, weight) pairs with nonzero weights, one per
@@ -134,12 +135,12 @@ def matom(
             return Bool(rel, n)
         if not terms:
             return Bool(COMPARE[rel](0, INFINITY), n)
-        return Atom(MixedAtom(terms, gcoeffs, rel, INFINITY))
+        return MixedAtom(terms, gcoeffs, rel, INFINITY)
     ps = [p for p, _ in terms]
     parts = []
     for row, r, q in normal_rows(tuple([w for _, w in terms]) + gcoeffs, rel, exact(rhs)):
         if any(row):
-            parts.append(Atom(MixedAtom(tuple(zip(ps, row)), row[len(ps):], r, q)))
+            parts.append(MixedAtom(tuple(zip(ps, row)), row[len(ps):], r, q))
         else:
             parts.append(Bool(COMPARE[r](0, q), n))
     return parts[0] if len(parts) == 1 else Or.of(*parts)

@@ -4,7 +4,8 @@ Formulas are Boolean combinations of integer-coefficient linear
 constraints with exact rational constants, built from the Boolean nodes
 of :mod:`valdim.boolean` that the mixed engine shares; they are
 re-exported here (``And``, ``Or``, ``Not``, ``Bool``, ``Atom``,
-``Formula``).  The module provides
+``Formula``).  Each leaf is a ``LinearAtom``, an ``Atom`` subclass, so
+an atom is a formula as it stands.  The module provides
 disjunctive normal form, Fourier-Motzkin projection and emptiness,
 recursive cell decomposition, topological closure, and the constraint
 DSL parser.  The dimension is read off the DNF, as the signature of a

@@ -63,18 +63,18 @@ def between(lo: Fraction | None, hi: Fraction | None) -> Fraction:
     return (lo + hi) / 2
 
 
-class LinearAtom(tuple):
+class LinearAtom(tuple, Atom):
     """``coeffs . x REL rhs`` as one primitive integer row ``(coeffs, rel, rhs)``.
 
     A rational right side is cleared into the row, so coefficients and
     ``rhs`` are integers with gcd 1, and an equality has a positive
     leading coefficient.  At least one coefficient is nonzero (all-zero
     constraints are Boolean constants, handled by :func:`atom`).  The atom
-    is an elimination row as it stands.  Its text and :meth:`key` read the
-    coefficient-gcd form: the coefficients over their gcd g, and ``rhs/g``.
+    is an elimination row and a formula leaf as it stands.  Its text and
+    :meth:`key` read the coefficient-gcd form: the coefficients over their
+    gcd g, and ``rhs/g``.
     """
 
-    __slots__ = ()
     coeffs = property(itemgetter(0))
     rel = property(itemgetter(1))
     rhs = property(itemgetter(2))
@@ -154,7 +154,7 @@ def normal_rows(coeffs: tuple, rel: str, rhs) -> list[tuple]:
 def _fold(coeffs: tuple[int, ...], rel: str, rhs: int | Fraction) -> Formula:
     """One checked normal row as a formula: an atom, or a constant when no variable is left."""
     if any(coeffs):
-        return Atom(_primitive(coeffs, rel, rhs))
+        return _primitive(coeffs, rel, rhs)
     return Bool(COMPARE[rel](0, rhs), len(coeffs))
 
 
@@ -181,7 +181,7 @@ def embed(f: Formula, coords: Sequence[int], arity: int) -> Formula:
         coeffs = [0] * arity
         for c, j in zip(a.coeffs, coords):
             coeffs[j] = c
-        return Atom(LinearAtom(tuple(coeffs), a.rel, a.rhs))
+        return LinearAtom(tuple(coeffs), a.rel, a.rhs)
 
     return map_atoms(f, move, arity)
 
@@ -212,7 +212,7 @@ class BasicSet:
     def to_formula(self) -> Formula:
         if not self.atoms:
             return Bool(True, self.arity)
-        return And.of(*[Atom(a) for a in self.atoms])
+        return And.of(*self.atoms)
 
     def relaxed(self) -> "BasicSet":
         """The same system with every strict face made weak."""
@@ -250,7 +250,7 @@ def _dnf_lists(f: Formula, positive: bool = True) -> list[tuple[LinearAtom, ...]
     parts' disjunct lists out in order, a disjunction concatenates them.
     """
     if isinstance(f, Atom):
-        return [(f.atom,)] if positive else _dnf_lists(negate_atom(f.atom))
+        return [(f,)] if positive else _dnf_lists(negate_atom(f))
     if isinstance(f, Junction):
         if f.unit != positive:  # a disjunction once the polarity is applied
             return [d for p in f.parts for d in _dnf_lists(p, positive)]

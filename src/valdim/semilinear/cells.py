@@ -168,7 +168,7 @@ class GammaCell(tuple):
             for rel, b in faces:
                 if b is not None:
                     row = (*(-c for c in b.coeffs), b.div) + (0,) * (n - k - 1)
-                    atoms.append(atom(row, rel, b.const).atom)
+                    atoms.append(atom(row, rel, b.const))
         return BasicSet(tuple(atoms), n)
 
     def is_consistent(self) -> bool:
@@ -192,7 +192,7 @@ class GammaCell(tuple):
                     return False
                 continue
             base = GammaCell(self.signature[:k], self.bounds[:k]).to_basicset()
-            if not is_empty(BasicSet(base.atoms + (bad.atom,), k)):
+            if not is_empty(BasicSet(base.atoms + (bad,), k)):
                 return False
         return True
 

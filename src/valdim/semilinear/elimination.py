@@ -12,8 +12,9 @@ the stages of its emptiness test, and one back-substitution over them
 gives both :func:`sample_point` and the signature whose sum is
 :func:`basic_dimension`.  A projection reads its rows and its emptiness
 verdict off one pass per disjunct (:func:`project_basic`); a projection
-in the emptiness order reads the kept stages, and a disjunct already
-found empty is not eliminated again.  Once a pass has removed every
+in the emptiness order reads the kept stages, a disjunct already found
+empty is not eliminated again, and one already found nonempty has only
+its dropped coordinates eliminated.  Once a pass has removed every
 variable but one, the rows are bounds on that variable alone, and the
 last step is decided in one pass over them (:func:`_decide_var`).
 
@@ -315,12 +316,16 @@ def project_basic(b: BasicSet, keep: Sequence[int]) -> BasicSet | None:
     variable first (nothing or only the last coordinate is dropped), the
     stages :func:`is_empty` keeps on ``b`` are that elimination; a ``b``
     already known to be empty is answered at once, and one found empty
-    here keeps ``()`` as its stages.
+    here keeps ``()`` as its stages.  A ``b`` already known to be
+    nonempty needs no verdict: only its dropped coordinates are
+    eliminated, the first ``len(drop)`` steps of that pass.
     """
     keep = sorted(keep)
     drop = [j for j in range(b.arity) if j not in keep]
     if b._stages == () or drop in ([], [b.arity - 1]):
         stages = _stages(b)
+    elif b._stages:
+        stages = _eliminate(list(b.atoms), drop)
     else:
         stages = _eliminate(list(b.atoms), drop + keep[::-1])
         if stages is None:

@@ -168,12 +168,12 @@ def random_basic_set(rng: random.Random, n: int, n_atoms: int, force_empty=False
     for _ in range(n_atoms):
         a = random_atom(rng, n)
         if isinstance(a, sl.Atom):
-            atoms.append(a.atom)
+            atoms.append(a)
     if force_empty and atoms:
         a = atoms[0]
         flipped = sl.atom(tuple(-c for c in a.coeffs), "<", -a.rhs)
         if isinstance(flipped, sl.Atom):
-            atoms.append(flipped.atom)
+            atoms.append(flipped)
         if a.rel == "=":
             atoms.append(sl.LinearAtom(a.coeffs, "<", a.rhs))
     return sl.BasicSet(tuple(atoms), n)

@@ -14,6 +14,7 @@ from valdim import boolean, trop, verify
 from valdim import mixedcell as mc
 from valdim import semilinear as sl
 from valdim.errors import ParseError, SemanticError
+from valdim.semilinear import atoms
 from valdim.semilinear.atoms import _dnf_lists as dnf_lists
 
 NODES = (boolean.Bool, boolean.Atom, boolean.And, boolean.Or, boolean.Not)
@@ -21,12 +22,18 @@ X = mc.FactoredPoly(1, ((mc.PuiseuxElement(), 1),))
 X_MINUS_T = mc.FactoredPoly(1, ((mc.PuiseuxElement(((1, 1),)), 1),))
 
 
-def node_types(f):
-    yield type(f)
+def nodes(f):
+    """Every node of ``f``, leaves included."""
+    yield f
     for p in getattr(f, "parts", ()):
-        yield from node_types(p)
+        yield from nodes(p)
     if isinstance(f, boolean.Not):
-        yield from node_types(f.part)
+        yield from nodes(f.part)
+
+
+def node_types(f):
+    """The node classes of ``f``, each atom leaf counted as ``boolean.Atom``."""
+    return {boolean.Atom if isinstance(n, boolean.Atom) else type(n) for n in nodes(f)}
 
 
 def same_set(f, g):
@@ -53,6 +60,26 @@ class TestSharedNodes:
         assert isinstance(f, boolean.And)
         assert set(node_types(f)) <= set(NODES)
         assert {boolean.Atom, boolean.Or, boolean.Not} <= set(node_types(f))
+
+    def test_a_leaf_is_its_atom(self):
+        formulas = [f for _, f in verify.formula_instances(0, 100)]
+        rng = random.Random(3)
+        polys = [verify.random_factored_poly(rng, 2)]
+        formulas += [verify.random_mixed_formula(rng, 2, polys) for _ in range(20)]
+        for f in formulas:
+            inner = (boolean.Junction, boolean.Not, boolean.Bool)
+            leaves = [n for n in nodes(f) if not isinstance(n, inner)]
+            assert leaves and all(isinstance(a, (sl.LinearAtom, mc.MixedAtom)) for a in leaves)
+            assert set(leaves) == f.atoms()
+            assert {id(a) for a in f.atoms()} <= {id(a) for a in leaves}
+
+    def test_a_one_atom_formula_keeps_its_disjuncts(self):
+        """A one-atom formula is the atom, and the DNF kept on it needs an
+        instance ``__dict__``: ``Formula`` and ``Atom`` have no ``__slots__``."""
+        f = sl.parse_formula("x1 < 1")
+        assert isinstance(f, sl.LinearAtom)
+        first, second = atoms.dnf(f), atoms.dnf(f)
+        assert len(first) == 1 and all(b is c for b, c in zip(first, second))
 
     def test_mixed_arity_is_the_group_arity(self):
         f = mc.parse_mixed_formula("v(x) > 0 | g1 < g2")
@@ -276,8 +303,8 @@ class TestParseDigests:
         "trop_poly_from_text": trop.trop_poly_from_text,
     }
     DIGESTS = {
-        "parse_formula": "2f0946b48f1c8dfe",
-        "parse_mixed_formula": "ac11df8c158437c7",
+        "parse_formula": "e9c1a4f274718453",
+        "parse_mixed_formula": "8df9eb1812b6abe3",
         "parse_puiseux": "2371a792110f9a52",
         "trop_poly_from_text": "64a376fb6451d044",
     }
@@ -297,18 +324,18 @@ class TestParseDigests:
 class TestMapAtoms:
     def test_identity_returns_an_equal_formula(self):
         for _, f in verify.formula_instances(0, 100):
-            assert boolean.map_atoms(f, boolean.Atom, f.arity) == f
+            assert boolean.map_atoms(f, lambda a: a, f.arity) == f
         rng = random.Random(3)
         polys = [verify.random_factored_poly(rng, 2)]
         for _ in range(20):
             g = verify.random_mixed_formula(rng, 2, polys)
-            assert boolean.map_atoms(g, boolean.Atom, g.arity) == g
+            assert boolean.map_atoms(g, lambda a: a, g.arity) == g
 
     def test_bool_leaves_take_the_new_arity(self):
-        assert boolean.map_atoms(sl.Bool(True, 1), boolean.Atom, 3) == sl.Bool(True, 3)
-        assert boolean.map_atoms(sl.Not(sl.Bool(False)), boolean.Atom, 2) == sl.Bool(True, 2)
+        assert boolean.map_atoms(sl.Bool(True, 1), lambda a: a, 3) == sl.Bool(True, 3)
+        assert boolean.map_atoms(sl.Not(sl.Bool(False)), lambda a: a, 2) == sl.Bool(True, 2)
         a = sl.atom((1, 0), "<", 1)
-        assert boolean.map_atoms(sl.Or((sl.Bool(False), a)), boolean.Atom, 2) == a
+        assert boolean.map_atoms(sl.Or((sl.Bool(False), a)), lambda a: a, 2) == a
 
     def test_embed_moves_variables(self):
         f = sl.parse_formula("x1 < x2", 2)
@@ -319,7 +346,7 @@ class TestMapAtoms:
         )
 
 
-class Var:
+class Var(boolean.Atom):
     """An atom that reads one position of a tuple of bools."""
 
     arity = 0
@@ -341,7 +368,7 @@ def random_tree(rng, depth):
     if depth == 0 or rng.random() < 0.25:
         if rng.random() < 0.3:
             return boolean.Bool(rng.random() < 0.5)
-        return boolean.Atom(Var(rng.randrange(VARS)))
+        return Var(rng.randrange(VARS))
     kind = rng.choice((boolean.And, boolean.Or, boolean.Not))
     if kind is boolean.Not:
         return boolean.Not(random_tree(rng, depth - 1))
@@ -352,7 +379,7 @@ def reference(f, bits):
     if isinstance(f, boolean.Bool):
         return f.value
     if isinstance(f, boolean.Atom):
-        return bits[f.atom.i]
+        return bits[f.i]
     if isinstance(f, boolean.Not):
         return not reference(f.part, bits)
     if isinstance(f, boolean.And):
@@ -385,7 +412,7 @@ class TestEvaluate:
             seen.append(a.i)
             return a.i == 1
 
-        x0, x1, x2 = (boolean.Atom(Var(i)) for i in range(3))
+        x0, x1, x2 = (Var(i) for i in range(3))
         assert boolean.evaluate(boolean.And((x0, x1, x2)), value) is False
         assert seen == [0]
         seen.clear()
@@ -398,7 +425,7 @@ def reference_nnf(f, positive=True):
     if isinstance(f, sl.Bool):
         return sl.Bool(f.value if positive else not f.value, f.arity)
     if isinstance(f, sl.Atom):
-        return f if positive else sl.negate_atom(f.atom)
+        return f if positive else sl.negate_atom(f)
     if isinstance(f, sl.Not):
         return reference_nnf(f.part, not positive)
     parts = [reference_nnf(p, positive) for p in f.parts]
@@ -411,7 +438,7 @@ def reference_distribute(f):
     if isinstance(f, sl.Bool):
         return [()] if f.value else []
     if isinstance(f, sl.Atom):
-        return [(f.atom,)]
+        return [(f,)]
     if isinstance(f, sl.Or):
         return [d for p in f.parts for d in reference_distribute(p)]
     disjuncts = [()]
@@ -428,7 +455,7 @@ class TestDnf:
 
     def test_negated_equality_splits_in_two(self):
         a = sl.atom((1, -1), "=", 0)
-        assert dnf_lists(sl.Not.of(a)) == reference_distribute(sl.negate_atom(a.atom))
+        assert dnf_lists(sl.Not.of(a)) == reference_distribute(sl.negate_atom(a))
         assert len(dnf_lists(sl.Not.of(a))) == 2
 
 

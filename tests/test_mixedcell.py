@@ -586,6 +586,32 @@ class TestKeptPieces:
             got = [q() for q in self.questions(g)]
             assert want == got and repr(want) == repr(got)
 
+    def test_projection_after_the_dimension_eliminates_only_the_radius(self, monkeypatch):
+        """After ``mixed_dimension`` has decided every disjunct, ``project_to_gamma``
+        takes one elimination step per nonempty disjunct of each sphere or
+        annulus piece, and none for the rest."""
+        from valdim.semilinear import atoms, elimination
+
+        decided, fresh = self.mixed_cases(5, 60), self.mixed_cases(5, 60)
+        for f in decided:
+            mixed_dimension(f)
+        expected = [
+            sum(not sl.is_empty(b) for piece, g in piece_formulas(f)
+                if piece_k_dimension(piece) for b in atoms.dnf(g))
+            for f in decided
+        ]
+        assert sum(expected) > 100
+        calls = []
+        real = elimination._eliminate_var
+        monkeypatch.setattr(
+            elimination, "_eliminate_var", lambda rows, j: calls.append(j) or real(rows, j)
+        )
+        for f, g, steps in zip(decided, fresh, expected):
+            calls.clear()
+            p = project_to_gamma(f)
+            assert calls == [0] * steps
+            assert sl.formula_to_dsl(p) == sl.formula_to_dsl(project_to_gamma(g))
+
     @pytest.mark.parametrize("text", [TEXT, "g1 < 1", "true", "v(x) = inf"])
     def test_pieces_are_a_tuple(self, text):
         pieces = piece_formulas(parse_mixed_formula(text, 2))

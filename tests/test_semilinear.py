@@ -135,13 +135,7 @@ class TestEmptiness:
         assert b == []
 
     def test_strict_cycle(self):
-        system = sl.BasicSet(
-            tuple(
-                a.atom
-                for a in [sl.atom((1, -1), "<", 0), sl.atom((-1, 1), "<", 0)]
-            ),
-            2,
-        )
+        system = sl.BasicSet((sl.atom((1, -1), "<", 0), sl.atom((-1, 1), "<", 0)), 2)
         assert sl.is_empty(system)
 
     def test_narrow_band_feasible_with_witness(self):
@@ -152,7 +146,7 @@ class TestEmptiness:
 
     def test_sampling_reuses_the_emptiness_elimination(self, monkeypatch):
         f = sl.parse_formula("x1 < x2 & x2 <= x3 & x3 < 4 & 0 < x1", 3)
-        b = sl.BasicSet(tuple(p.atom for p in f.parts), 3)
+        b = sl.BasicSet(f.parts, 3)
         calls = []
         real = elimination._eliminate_var
         monkeypatch.setattr(
@@ -321,8 +315,9 @@ class TestProject:
                     assert sl.formula_to_dsl(got) == sl.formula_to_dsl(expected)
 
     def test_one_elimination_per_disjunct(self, monkeypatch):
-        """One elimination per disjunct and keep on a fresh formula, and none
-        that the stages kept on a disjunct already answer."""
+        """One elimination per disjunct and keep on a fresh formula, none that
+        the stages kept on a disjunct already answer, and only the dropped
+        coordinates of a disjunct already found nonempty."""
         from valdim import verify
 
         decided = verify.formula_instances(0, 200)
@@ -341,6 +336,8 @@ class TestProject:
         monkeypatch.setattr(elimination, "is_empty", no_is_empty)
 
         def eliminations(f, keep):
+            """The number of eliminations ``project`` runs, each one over
+            every coordinate."""
             calls.clear()
             sl.project(f, keep)
             assert all(sorted(order) == list(range(f.arity)) for order in calls)
@@ -358,7 +355,14 @@ class TestProject:
                 # empty by the first call is not eliminated again
                 emptiness_order = keep in (tuple(range(n)), tuple(range(n - 1)))
                 assert eliminations(g, keep) == (0 if emptiness_order else nonempty)
-                assert eliminations(f, keep) == (0 if emptiness_order else nonempty)
+                # every disjunct of f is decided: a nonempty one has only its
+                # dropped coordinates eliminated, in ascending order
+                calls.clear()
+                sl.project(f, keep)
+                drop = [j for j in range(n) if j not in keep]
+                assert [list(order) for order in calls] == (
+                    [] if emptiness_order else [drop] * nonempty
+                )
 
 
 class TestOneVarCanonical:
@@ -830,11 +834,11 @@ class TestDimensionWithoutCells:
         from valdim.verify import dimension_by_implicit_equalities
 
         n = data.draw(st.integers(1, 4))
-        atoms = [p.atom for p in data.draw(st.lists(atoms_strategy(n), max_size=4))
+        atoms = [p for p in data.draw(st.lists(atoms_strategy(n), max_size=4))
                  if isinstance(p, sl.Atom)]
         for c, q in data.draw(st.lists(st.tuples(coeffs_strategy(n), rationals), max_size=2)):
-            atoms.append(sl.atom(c, "<=", q).atom)
-            atoms.append(sl.atom(tuple(-x for x in c), "<=", -q).atom)
+            atoms.append(sl.atom(c, "<=", q))
+            atoms.append(sl.atom(tuple(-x for x in c), "<=", -q))
         b = sl.BasicSet(tuple(atoms), n)
         assert sl.basic_dimension(b) == dimension_by_implicit_equalities(b)
 
@@ -971,7 +975,7 @@ def atoms_strategy(n):
 def systems_strategy(n):
     return st.lists(atoms_strategy(n), min_size=1, max_size=4).map(
         lambda parts: sl.BasicSet(
-            tuple(p.atom for p in parts if isinstance(p, sl.Atom)), n
+            tuple(p for p in parts if isinstance(p, sl.Atom)), n
         )
     )
 
